@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import STATE_NORM_TOL
 from .linalg import HermitianOperator, chain_product
 from .schedules import (
     Schedule,
@@ -144,12 +145,17 @@ class SearchResult:
 
 
 def _result_from_state(psi: np.ndarray) -> SearchResult:
+    p0, p1 = np.abs(psi) ** 2
+    norm = math.sqrt(p0 + p1)
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
+        raise RuntimeError(f"search state norm drifted to {norm!r}")
     # the off-marked amplitude itself: sqrt(1 - success) cancels to
-    # roundoff once the error drops below about 1e-7
+    # roundoff once the error drops below about 1e-7; success is divided
+    # by the norm so that the product's roundoff drift cannot lift it above 1
     return SearchResult(
         final_state=psi,
         error=float(np.abs(psi[1])),
-        success=float(np.abs(psi[0]) ** 2),
+        success=float(p0 / (p0 + p1)),
     )
 
 

@@ -14,8 +14,9 @@ is one of
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
-step-size formulas, and provides a Cauchy-converged reference propagator
-for local-truncation-error measurements.
+step-size formulas, and provides a reference propagator, Romberg
+extrapolated over midpoint Strang substeps, for local-truncation-error
+measurements.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ SPF_ORDERS = (1, 2, 4, 6, 8)
 COEFFICIENT_SUM_TOL = 1e-12
 WALK_UNITARITY_TOL = 1e-10
 MATERIALIZE_LIMIT = 2 ** 22  # complex entries held by an eager family
-ORACLE_BLOCK = 2 ** 14
-ORACLE_MAX_SUBSTEPS = 2 ** 22
-ORACLE_PLATEAU = 1e-9  # roundoff allowance when substep halving stalls
+ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
+ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
 
 __all__ = [
     "GaplessError",
@@ -206,8 +206,26 @@ def _eig_pair(H0, H1):
     return (w0, v0), (w1, v1)
 
 
-def _phase_op(w, v, coeff: float) -> np.ndarray:
-    return (v * np.exp(-1j * coeff * w)) @ v.conj().T
+def _splitting_stack(eig, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
+    """Product-formula walks at step h, one per schedule value in ``f``."""
+    (w0, v0), (w1, v1) = eig
+
+    def phases(w, v, weight, g):  # exp(-i h weight g_n H) for every n
+        ph = np.exp(-1j * h * weight * np.outer(g, w))
+        return np.einsum("ik,nk,jk->nij", v, ph, v.conj())
+
+    if kind.method == "pf2":
+        e0h = phases(w0, v0, 0.5, 1.0 - f)
+        return e0h @ phases(w1, v1, 1.0, f) @ e0h
+    if kind.method == "pf1" or kind.order == 1:
+        return phases(w1, v1, 1.0, f) @ phases(w0, v0, 1.0, 1.0 - f)
+    acc = None
+    for alpha, beta in suzuki_coefficients(int(kind.order)).stages:
+        e0 = phases(w0, v0, alpha, 1.0 - f)
+        acc = e0 if acc is None else acc @ e0
+        if beta != 0.0:
+            acc = acc @ phases(w1, v1, beta, f)
+    return acc
 
 
 def walk_operator(
@@ -227,41 +245,23 @@ def walk_operator(
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
-    (w0, v0), (w1, v1) = _eig_pair(H0, H1)
+    eig = _eig_pair(H0, H1)
 
     if kind.method == "exp":
         f, _, _ = schedule_values(sched, float(s))
+        (w0, v0), (w1, v1) = eig
         m0 = (v0 * w0) @ v0.conj().T
         m1 = (v1 * w1) @ v1.conj().T
         hs = (1.0 - f) * m0 + f * m1
         return expm_i_hermitian(HermitianOperator(hs), h)
 
-    if kind.method == "pf2":
-        if kind.midpoint:
-            if ds is None:
-                raise ValueError("midpoint pf2 needs the step ds = 1/T_d")
-            s_eval = min(float(s) + float(ds) / 2.0, 1.0)
-        else:
-            s_eval = float(s)
-        f, _, _ = schedule_values(sched, s_eval)
-        e0h = _phase_op(w0, v0, h * (1.0 - f) / 2.0)
-        e1 = _phase_op(w1, v1, h * f)
-        return UnitaryOperator(e0h @ e1 @ e0h)
-
-    f, _, _ = schedule_values(sched, float(s))
-    if kind.method == "pf1" or (kind.method == "spf" and kind.order == 1):
-        e0 = _phase_op(w0, v0, h * (1.0 - f))
-        e1 = _phase_op(w1, v1, h * f)
-        return UnitaryOperator(e1 @ e0)
-
-    stages = suzuki_coefficients(int(kind.order)).stages
-    acc = None
-    for alpha, beta in stages:
-        e0 = _phase_op(w0, v0, h * alpha * (1.0 - f))
-        acc = e0 if acc is None else acc @ e0
-        if beta != 0.0:
-            acc = acc @ _phase_op(w1, v1, h * beta * f)
-    return UnitaryOperator(acc)
+    s_eval = float(s)
+    if kind.method == "pf2" and kind.midpoint:
+        if ds is None:
+            raise ValueError("midpoint pf2 needs the step ds = 1/T_d")
+        s_eval = min(s_eval + float(ds) / 2.0, 1.0)
+    f = schedule_values(sched, np.array([s_eval]))[0]
+    return UnitaryOperator(_splitting_stack(eig, kind, h, f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,34 +307,10 @@ class WalkFamily:
             ph = np.exp(-1j * h * w)
             return np.einsum("nik,nk,njk->nij", v, ph, v.conj())
 
-        (w0, v0), (w1, v1) = self._eig_cache()
-        if kind.method == "pf2":
-            s_eval = s + (1.0 / (2.0 * self.td) if kind.midpoint else 0.0)
-            f = schedule_values(self.schedule, np.minimum(s_eval, 1.0))[0]
-            ph0h = np.exp(-1j * h * np.outer(1.0 - f, w0) / 2.0)
-            ph1 = np.exp(-1j * h * np.outer(f, w1))
-            e0h = np.einsum("ik,nk,jk->nij", v0, ph0h, v0.conj())
-            e1 = np.einsum("ik,nk,jk->nij", v1, ph1, v1.conj())
-            return e0h @ e1 @ e0h
-
+        if kind.method == "pf2" and kind.midpoint:
+            s = np.minimum(s + 1.0 / (2.0 * self.td), 1.0)
         f = schedule_values(self.schedule, s)[0]
-        if kind.method == "pf1" or (kind.method == "spf" and kind.order == 1):
-            ph0 = np.exp(-1j * h * np.outer(1.0 - f, w0))
-            ph1 = np.exp(-1j * h * np.outer(f, w1))
-            e0 = np.einsum("ik,nk,jk->nij", v0, ph0, v0.conj())
-            e1 = np.einsum("ik,nk,jk->nij", v1, ph1, v1.conj())
-            return e1 @ e0
-
-        stages = suzuki_coefficients(int(kind.order)).stages
-        acc = None
-        for alpha, beta in stages:
-            ph0 = np.exp(-1j * h * alpha * np.outer(1.0 - f, w0))
-            e0 = np.einsum("ik,nk,jk->nij", v0, ph0, v0.conj())
-            acc = e0 if acc is None else acc @ e0
-            if beta != 0.0:
-                ph1 = np.exp(-1j * h * beta * np.outer(f, w1))
-                acc = acc @ np.einsum("ik,nk,jk->nij", v1, ph1, v1.conj())
-        return acc
+        return _splitting_stack(self._eig_cache(), kind, h, f)
 
     def block(self, j0: int, j1: int) -> np.ndarray:
         """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
@@ -345,7 +321,7 @@ class WalkFamily:
         s = np.arange(j0, j1) / self.td
         ws = self._build_block(s)
         dev = float(np.max(np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(self.dim))))
-        if dev > WALK_UNITARITY_TOL:
+        if not dev <= WALK_UNITARITY_TOL:
             raise RuntimeError(f"walk block lost unitarity: deviation {dev:.3e}")
         return ws
 
@@ -392,7 +368,7 @@ def walk_family_from_operators(walks, h: float = 1.0) -> WalkFamily:
     if ws.ndim != 3 or ws.shape[1] != ws.shape[2] or ws.shape[0] < 2:
         raise ValueError(f"expected a stack of at least 2 square matrices, got {ws.shape}")
     dev = float(np.max(np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(ws.shape[1]))))
-    if dev > WALK_UNITARITY_TOL:
+    if not dev <= WALK_UNITARITY_TOL:
         raise ValueError(f"entry not unitary: deviation {dev:.3e}")
     return WalkFamily(td=ws.shape[0] - 1, h=float(h), dim=ws.shape[1], _walks=ws)
 
@@ -413,45 +389,46 @@ def exact_step_propagator(
 ) -> np.ndarray:
     """Time-ordered propagator over schedule window [s, s+ds], duration h.
 
-    Computed by midpoint Strang substeps with the substep count doubled
-    until successive results agree below ``tol``.  A doubling that stops
-    shrinking while already below the roundoff allowance is accepted as
-    the plateau; anything else short of ``tol`` raises.  Per-substep
-    construction error grows linearly in the substep count, so the
-    allowance cannot be pushed to the convergence tolerance itself.
+    Midpoint Strang substeps are a symmetric method, so the m-substep
+    chain's error expands in even powers of 1/m (Hairer, Lubich and
+    Wanner, Geometric Numerical Integration, ch. II).  Row k of a Romberg
+    table holds the chain at m = 2^k and
+    R[k][j] = R[k][j-1] + (R[k][j-1] - R[k-1][j-1]) / (4^j - 1) cancels
+    one even power per column.  The first diagonal entry within ``tol`` of
+    the previous one is returned.  Roundoff grows linearly in m, so the
+    diagonal differences reach a floor and then grow: once they stop
+    shrinking, the previous entry is returned if its difference is below
+    ``ORACLE_ROUNDOFF``; above it the table is taken to be pre-asymptotic
+    and doubling goes on.  Doubling past ``max_substeps`` raises.
     """
-    (w0, v0), (w1, v1) = _eig_pair(H0, H1)
+    if not 1 <= max_substeps <= ORACLE_MAX_SUBSTEPS:
+        raise ValueError(
+            f"max_substeps must be in [1, {ORACLE_MAX_SUBSTEPS}], got {max_substeps}"
+        )
+    eig = _eig_pair(H0, H1)
 
     def chain(m: int) -> np.ndarray:
-        hs = h / m
-        acc = np.eye(len(w0), dtype=complex)
-        for k0 in range(0, m, ORACLE_BLOCK):
-            k1 = min(k0 + ORACLE_BLOCK, m)
-            k = np.arange(k0, k1)
-            smid = s + ds * (k + 0.5) / m
-            f = schedule_values(sched, np.minimum(smid, 1.0))[0]
-            ph0h = np.exp(-1j * hs * np.outer(1.0 - f, w0) / 2.0)
-            ph1 = np.exp(-1j * hs * np.outer(f, w1))
-            e0h = np.einsum("ik,nk,jk->nij", v0, ph0h, v0.conj())
-            e1 = np.einsum("ik,nk,jk->nij", v1, ph1, v1.conj())
-            acc = chain_product(e0h @ e1 @ e0h) @ acc
-        return acc
+        f = schedule_values(sched, np.minimum(s + ds * (np.arange(m) + 0.5) / m, 1.0))[0]
+        return chain_product(_splitting_stack(eig, PF2, h / m, f))
 
-    prev = chain(1)
-    dprev = None
+    row = [chain(1)]
+    dprev = math.inf
     m = 2
     while m <= max_substeps:
-        cur = chain(m)
-        d = operator_norm(cur - prev)
+        cur = [chain(m)]
+        for j, below in enumerate(row, start=1):
+            cur.append(cur[-1] + (cur[-1] - below) / (4.0 ** j - 1.0))
+        d = operator_norm(cur[-1] - row[-1])
         if d < tol:
-            return cur
-        if dprev is not None and d <= ORACLE_PLATEAU and d >= dprev / 2.0:
-            return cur  # halving stalled at the roundoff floor
-        prev = cur
+            return cur[-1]
+        if d >= dprev and dprev <= ORACLE_ROUNDOFF:
+            return row[-1]  # the differences reached the roundoff floor
+        row = cur
         dprev = d
         m *= 2
     raise RuntimeError(
-        f"substep doubling stalled at difference {dprev:.3e} without reaching {tol:.0e}"
+        f"Romberg table over substep doubling reached m = {m // 2} at difference "
+        f"{dprev:.3e} without reaching {tol:.0e}"
     )
 
 

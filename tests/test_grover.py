@@ -12,6 +12,7 @@ from adiawalk.grover import (
     GroverInstance,
     QaoaAngleSet,
     ThresholdWarning,
+    _result_from_state,
     effective_hamiltonians,
     gap_closed_forms,
     qaoa_angles,
@@ -132,6 +133,15 @@ def test_search_error_resolves_below_roundoff_of_success():
     assert res.error > 0.0
     assert res.error == abs(res.final_state[1])
     assert res.error < 1e-9
+
+
+def test_search_success_stays_a_probability():
+    # the walk product's norm drifts by ~3e-14 here; success divides it out
+    res = run_search(GroverInstance(1024, 1), bc_composite_schedule(), 25600)
+    assert res.success <= 1.0
+    assert res.success == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        _result_from_state(np.array([1.0, 1e-4], dtype=complex))
 
 
 def test_threshold_warning_boundary():

@@ -14,6 +14,7 @@ import scipy.linalg
 
 from adiawalk.integrators import (
     EXP_INTEGRATOR,
+    ORACLE_MAX_SUBSTEPS,
     PF1,
     PF2,
     PF2_SIMPLIFIED,
@@ -21,6 +22,7 @@ from adiawalk.integrators import (
     IntegratorKind,
     ProblemConstants,
     SplittingCoefficients,
+    WalkFamily,
     build_walk_family,
     commutator_combo,
     exact_step_propagator,
@@ -33,8 +35,8 @@ from adiawalk.integrators import (
     walk_family_from_operators,
     walk_operator,
 )
-from adiawalk.linalg import operator_norm
-from adiawalk.schedules import eval_schedule, linear_schedule, schedule_values
+from adiawalk.linalg import HermitianOperator, operator_norm
+from adiawalk.schedules import eval_schedule, glue_schedule, linear_schedule, schedule_values
 
 LINEAR = linear_schedule()
 
@@ -56,10 +58,12 @@ def expm_pf2(h0, h1, f: float, h: float) -> np.ndarray:
     return e0h @ scipy.linalg.expm(-1j * h * f * h1) @ e0h
 
 
-def ode_propagator(h0, h1, sched, h: float, s: float, ds: float) -> np.ndarray:
+def ode_propagator(
+    h0, h1, sched, h: float, s: float, ds: float, *, rtol: float = 1e-11, atol: float = 1e-12
+) -> np.ndarray:
     """Time-ordered propagator via scipy's adaptive ODE solver.
 
-    Independent of the substep-doubling construction it validates.
+    Independent of the Strang-substep construction it validates.
     """
     n = h0.shape[0]
 
@@ -70,7 +74,7 @@ def ode_propagator(h0, h1, sched, h: float, s: float, ds: float) -> np.ndarray:
 
     sol = scipy.integrate.solve_ivp(
         rhs, (0.0, h), np.eye(n, dtype=complex).ravel(),
-        rtol=1e-11, atol=1e-12, method="DOP853",
+        rtol=rtol, atol=atol, method="DOP853",
     )
     return sol.y[:, -1].reshape(n, n)
 
@@ -95,6 +99,11 @@ def random_pair(seed: int, n: int = 4):
         return (a + a.conj().T) / 2
 
     return herm(), herm()
+
+
+def random_hermitian(rng, n: int) -> np.ndarray:
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2.0
 
 
 def loglog_slope(hs, errs) -> float:
@@ -296,6 +305,48 @@ def test_oracle_raises_when_capped_early():
         exact_step_propagator(h0, h1, LINEAR, 3.0, 0.0, 0.5, tol=1e-14, max_substeps=4)
 
 
+def test_oracle_matches_tight_ode_solver():
+    # windows of up to a tenth of the schedule, so the time ordering matters
+    worst = 0.0
+    for seed in range(10):
+        h0, h1 = random_pair(300 + seed)
+        alpha = operator_norm(h0) + operator_norm(h1)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            h = rng.uniform(0.1, 1.0) / alpha
+            s, ds = rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.1)
+            u = exact_step_propagator(h0, h1, LINEAR, h, s, ds)
+            ref = ode_propagator(h0, h1, LINEAR, h, s, ds, rtol=1e-13, atol=1e-15)
+            worst = max(worst, operator_norm(u - ref))
+    h0, h1 = random_pair(310)
+    glue = glue_schedule()
+    u = exact_step_propagator(h0, h1, glue, 0.3, 0.02, 0.1)
+    ref = ode_propagator(h0, h1, glue, 0.3, 0.02, 0.1, rtol=1e-13, atol=1e-15)
+    worst = max(worst, operator_norm(u - ref))
+    assert worst < 1e-11, worst
+
+
+def test_oracle_work_is_bounded():
+    # the first 25 problems of the exponential step-error baseline
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        h0, h1 = random_hermitian(rng, n), random_hermitian(rng, n)
+        alpha = operator_norm(h0) + operator_norm(h1)
+        t_total = rng.uniform(10.0, 1000.0)
+        h = rng.uniform(0.1, 1.0) / alpha
+        s = rng.uniform(0.0, t_total - h) / t_total
+        exact_step_propagator(h0, h1, LINEAR, h, s, h / t_total, max_substeps=64)
+
+
+def test_oracle_rejects_substep_cap_above_limit():
+    h0, h1 = random_pair(35)
+    with pytest.raises(ValueError, match="max_substeps"):
+        exact_step_propagator(
+            h0, h1, LINEAR, 0.5, 0.1, 0.05, max_substeps=2 * ORACLE_MAX_SUBSTEPS
+        )
+
+
 # ---------------------------------------------------------------------------
 # convergence orders
 
@@ -317,9 +368,8 @@ def test_spf_convergence_small_steps(order, expected):
 
 @pytest.mark.parametrize("order,scale", [(6, (2.4, 1.8, 1.2, 0.9)), (8, (4.0, 3.0, 2.0, 1.5))])
 def test_spf_convergence_high_orders(order, scale):
-    # these errors sit below the substep-doubling roundoff plateau, so the
-    # reference comes from scipy's expm instead (ds=0 means the exact step is
-    # just exp(-i h H(s))); steps are scaled by 1/alpha to compare spectra
+    # with ds = 0 the exact step is just exp(-i h H(s)), so scipy's expm is
+    # the reference; steps are scaled by 1/alpha to compare spectra
     h0, h1 = random_pair(42)
     alpha = operator_norm(h0) + operator_norm(h1)
     s = 0.3
@@ -457,3 +507,13 @@ def test_family_from_explicit_operators():
     assert np.array_equal(fam.walk(1), qs[1])
     with pytest.raises(ValueError, match="unitary"):
         walk_family_from_operators(np.stack([qs[0], 1.1 * qs[1]]))
+
+
+def test_non_finite_walks_fail_the_unitarity_checks():
+    with pytest.raises(ValueError, match="unitary"):
+        walk_family_from_operators(np.full((3, 2, 2), np.nan))
+    h0, h1 = random_pair(66, n=2)
+    fam = WalkFamily(td=2, h=math.nan, dim=2, kind=PF1, h0=HermitianOperator(h0),
+                     h1=HermitianOperator(h1), schedule=LINEAR)
+    with pytest.raises(RuntimeError, match="unitarity"):
+        fam.block(0, 3)
