@@ -28,6 +28,7 @@ from .schedules import (
     build_grover_schedule,
     glue_schedule,
     linear_schedule,
+    schedule_values,
 )
 from .integrators import (
     GaplessError,
@@ -144,7 +145,8 @@ def _run_spectrum_scan(params, rng, threads):
     h = _as_float(params, "h", lo=1e-6)
     model = build_toy(kind, eps)
     s = np.linspace(0.0, 1.0, grid + 1)
-    hs = (1.0 - s)[:, None, None] * model.h0.matrix + s[:, None, None] * model.h1.matrix
+    f = schedule_values(model.schedule, s)[0]
+    hs = (1.0 - f)[:, None, None] * model.h0.matrix + f[:, None, None] * model.h1.matrix
     bands = np.linalg.eigvalsh(hs)
     fam = build_walk_family(model.h0, model.h1, model.schedule, parse_integrator_tag(tag), h, grid)
     track = track_eigenpaths(fam)
@@ -276,7 +278,8 @@ def _run_step_size_report(params, rng, threads):
     consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(o for o in orders if o <= 6))
 
     s_nodes = np.linspace(0.0, 1.0, grid + 1)
-    hs = (1.0 - s_nodes)[:, None, None] * h0.matrix + s_nodes[:, None, None] * h1.matrix
+    f_nodes = schedule_values(sched, s_nodes)[0]
+    hs = (1.0 - f_nodes)[:, None, None] * h0.matrix + f_nodes[:, None, None] * h1.matrix
     w = np.linalg.eigvalsh(hs)
     gaps = w[:, 1] - w[:, 0]
     i_star = int(np.argmin(gaps))

@@ -81,7 +81,7 @@ class EvolutionResult:
 
     def __post_init__(self):
         psi = np.asarray(self.final_state, dtype=complex)
-        if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
+        if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"final state norm drifted to {np.linalg.norm(psi)!r}")
         object.__setattr__(self, "final_state", psi)
         object.__setattr__(self, "fidelities", np.asarray(self.fidelities, dtype=float))
@@ -105,7 +105,7 @@ def evolve(
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
         raise ValueError(f"state dim {psi.shape[0]} does not match family dim {family.dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
         raise ValueError("initial state must be normalized")
     td = family.td
     trajectory = None

@@ -12,7 +12,8 @@ Implemented kinds:
   f'(s) = d_{N,p} * Delta(f)^p for the two-level search gap
   Delta(f) = sqrt((1-2f)^2 (1-mu) + mu) with mu = 1/N.  p = 1 has a
   closed form; 1 < p < 2 is tabulated by quadrature of the inverse map
-  and inverted by bisection.
+  s(f) and inverted by safeguarded Newton steps from a cubic Hermite
+  guess, for N up to 2^64.
 * ``tabulated``: monotone (s, f) samples with interpolated values and
   finite-difference derivatives, for diagnostics.
 
@@ -33,7 +34,11 @@ GLUE_GL_POINTS = 20
 POWER_SEGMENTS = 4096
 POWER_REFINE = 4
 POWER_GL_POINTS = 10
-POWER_BISECTIONS = 48
+POWER_CORE_FRACTION = 0.25
+POWER_GRADING = 2.0
+POWER_MAX_N = 2 ** 64  # the gap width 1/sqrt(N) still spans 2^21 ulp of f = 1/2
+POWER_NEWTON_CAP = 48
+POWER_NEWTON_ULPS = 4
 FD_SPACING = 1e-5
 ENDPOINT_TOL = 1e-10
 
@@ -127,15 +132,78 @@ def _d_constant_p1(n: int) -> float:
     return math.sqrt(n / (n - 1.0)) * math.log(math.sqrt(n) + math.sqrt(n - 1.0))
 
 
+@lru_cache(maxsize=1)
+def _power_rule():
+    return np.polynomial.legendre.leggauss(POWER_GL_POINTS)
+
+
+def _shifted_gap(u, mu: float, origin):
+    """grover_gap_of_f(origin + u), computed from the offset u so that it
+    keeps its relative precision near the gap minimum (origin = 1/2)."""
+    g = 2.0 * u  # 2u - (1 - 2 origin) is exactly -(1 - 2f)
+    g -= 1.0 - 2.0 * origin
+    g *= g
+    g *= 1.0 - mu
+    g += mu
+    return np.sqrt(g, out=g)
+
+
+def _power_partial(u_lo, u_hi, mu: float, p: float, origin):
+    """Gauss-Legendre integral of Delta^{-p} over f in origin + [u_lo, u_hi],
+    vectorized over segments (origin broadcasts against u_lo).  The
+    arithmetic runs in place: a search block evaluates 65,536 segments."""
+    nodes, wts = _power_rule()
+    halfs = (u_hi - u_lo) / 2
+    pts = halfs[..., None] * nodes
+    pts += ((u_lo + u_hi) / 2)[..., None]
+    vals = _shifted_gap(pts, mu, np.asarray(origin)[..., None])
+    del pts
+    vals **= -p
+    vals *= halfs[..., None] * wts
+    return vals.sum(axis=-1)
+
+
+def _power_core_offsets(n: int):
+    """Offsets x = f - 1/2 in [0, w0] that grade the central table segment
+    of width w0 when the gap width 1/sqrt(n) is smaller than w0 allows.
+
+    Steps of at most POWER_CORE_FRACTION/sqrt(n) cover |x| < 1/sqrt(n),
+    then segments grow geometrically, at most POWER_GRADING-fold, out to
+    w0, so the gap's complex zeros at x = +-i/(2 sqrt(n)) stay at least
+    three half-widths from the centre of every 10-point rule.  None where
+    the table's own segments already resolve the gap (n <= 2^24).
+    """
+    w0 = 1.0 / (POWER_SEGMENTS * POWER_REFINE)
+    root = 1.0 / math.sqrt(n)
+    if POWER_CORE_FRACTION * root >= w0:
+        return None
+    inner = min(root, w0)
+    xs = np.linspace(0.0, inner, math.ceil(inner / (POWER_CORE_FRACTION * root)) + 1)
+    if root < w0:
+        m = math.ceil(math.log(w0 / root) / math.log(POWER_GRADING))
+        xs = np.concatenate([xs, root * (w0 / root) ** (np.arange(1, m + 1) / m)])
+    xs[-1] = w0
+    return xs
+
+
 @lru_cache(maxsize=64)
 def _power_table(n: int, p: float):
-    """f-grid edges, normalized s nodes, and the normalizer d for 1 < p < 2.
+    """Table segments, normalized s nodes and the normalizer d for 1 < p < 2.
 
     The f grid has POWER_SEGMENTS uniform segments, refined 4x inside the
-    window |f - 1/2| < 2/sqrt(n) where the gap minimum lives.  s(f) is the
+    window |f - 1/2| < 2/sqrt(n) where the gap minimum lives; for n > 2^24
+    the central refined segments are graded further down to the gap width
+    (``_power_core_offsets``).  Segment k spans f in origin[k] + [lo[k],
+    hi[k]]: origin is 0, except on the graded segments, which are held as
+    offsets from 1/2 because f cannot resolve them.  s(f) is the
     cumulative Gauss-Legendre integral of Delta^{-p}, normalized by its
     total, which is exactly d_{n,p}.
     """
+    if n > POWER_MAX_N:
+        raise ValueError(
+            f"power p > 1 schedules are tabulated for N <= 2^{POWER_MAX_N.bit_length() - 1}, "
+            f"got N = {n}"
+        )
     mu = 1.0 / n
     window = 2.0 / math.sqrt(n)
     base = np.linspace(0.0, 1.0, POWER_SEGMENTS + 1)
@@ -145,18 +213,22 @@ def _power_table(n: int, p: float):
             pieces.append(np.linspace(a, b, POWER_REFINE + 1)[1:])
         else:
             pieces.append(np.array([b]))
-    f_edges = np.concatenate(pieces)
+    x = np.concatenate(pieces) - 0.5  # exact: the edges are multiples of 2^-14
 
-    nodes, wts = np.polynomial.legendre.leggauss(POWER_GL_POINTS)
-    mids = (f_edges[:-1] + f_edges[1:]) / 2
-    halfs = np.diff(f_edges) / 2
-    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
-    seg = (halfs[:, None] * wts[None, :] * grover_gap_of_f(pts, mu) ** (-p)).sum(axis=1)
+    origin = np.zeros(len(x) - 1)
+    core = _power_core_offsets(n)
+    if core is not None:
+        inner = core[1:-1]
+        x = np.sort(np.concatenate([x[np.abs(x) >= core[-1]], -inner, [0.0], inner]))
+        origin = np.where(np.maximum(-x[:-1], x[1:]) <= core[-1], 0.5, 0.0)
+    lo = x[:-1] + (0.5 - origin)
+    hi = x[1:] + (0.5 - origin)
+    seg = _power_partial(lo, hi, mu, p, origin)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     d = float(cum[-1])
     s_nodes = cum / d
     s_nodes[-1] = 1.0
-    return f_edges, s_nodes, d
+    return lo, hi, origin, s_nodes, d
 
 
 def grover_d_constant(n: int, p: float = 1.0) -> float:
@@ -168,7 +240,7 @@ def grover_d_constant(n: int, p: float = 1.0) -> float:
         raise ValueError(f"power p must lie in [1, 2), got {p}")
     if p == 1.0:
         return _d_constant_p1(n)
-    return _power_table(int(n), float(p))[2]
+    return _power_table(int(n), float(p))[-1]
 
 
 def _power_values_p1(s: np.ndarray, mu: float):
@@ -182,35 +254,65 @@ def _power_values_p1(s: np.ndarray, mu: float):
     return np.clip(f, 0.0, 1.0), df, d2f
 
 
-def _power_partial(f_lo, f_hi, mu: float, p: float):
-    """Gauss-Legendre integral of Delta^{-p} over [f_lo, f_hi], vectorized."""
-    nodes, wts = np.polynomial.legendre.leggauss(POWER_GL_POINTS)
-    mids = (f_lo + f_hi) / 2
-    halfs = (f_hi - f_lo) / 2
-    pts = mids[..., None] + halfs[..., None] * nodes
-    vals = grover_gap_of_f(pts, mu) ** (-p)
-    return (halfs[..., None] * wts * vals).sum(axis=-1)
+def _hermite_guess(s, s0, s1, u0, u1, d, mu: float, p: float, origin):
+    """Cubic Hermite interpolant of u(s) on [s0, s1] from the end values and
+    the closed-form slopes du/ds = d Delta^p, clipped into [u0, u1]."""
+    width = s1 - s0
+    t = (s - s0) / width
+    m0 = width * d * _shifted_gap(u0, mu, origin) ** p
+    m1 = width * d * _shifted_gap(u1, mu, origin) ** p
+    t2 = t * t
+    u = ((2.0 * t - 3.0) * t2 + 1.0) * u0 + ((t - 2.0) * t + 1.0) * t * m0 \
+        + (3.0 - 2.0 * t) * t2 * u1 + (t - 1.0) * t2 * m1
+    return np.clip(u, u0, u1)
 
 
 def _power_values_tabulated(s: np.ndarray, n: int, p: float):
-    f_edges, s_nodes, d = _power_table(n, p)
+    """Invert s(f) on the table by Newton steps on f' = d Delta(f)^p.
+
+    Each point starts from the cubic Hermite interpolant of its table
+    segment (node values and the closed-form node slopes) and solves
+    _power_partial(lo, u) = (s - s_lo) d from the segment's left edge,
+    the equation the table was built from.  A bracket shrinks with the
+    sign of every residual, and a step that leaves it is replaced by the
+    bracket midpoint.  A point stops once its update is within
+    POWER_NEWTON_ULPS ulp of f; one still moving after POWER_NEWTON_CAP
+    iterations raises RuntimeError.
+    """
+    seg_lo, seg_hi, seg_origin, s_nodes, d = _power_table(n, p)
     mu = 1.0 / n
     idx = np.clip(np.searchsorted(s_nodes, s, side="right") - 1, 0, len(s_nodes) - 2)
-    lo = f_edges[idx]
-    hi = f_edges[idx + 1]
+    base = seg_lo[idx]
+    lo = base.copy()
+    hi = seg_hi[idx]
+    origin = seg_origin[idx]
     target = (s - s_nodes[idx]) * d
-    base_lo = np.copy(lo)
-    for _ in range(POWER_BISECTIONS):
-        mid = (lo + hi) / 2
-        val = _power_partial(base_lo, mid, mu, p)
-        take = val <= target
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    f = (lo + hi) / 2
-    gap = grover_gap_of_f(f, mu)
+
+    u = _hermite_guess(s, s_nodes[idx], s_nodes[idx + 1], lo, hi, d, mu, p, origin)
+    todo = np.arange(len(s))
+    for _ in range(POWER_NEWTON_CAP):
+        ua, la, ha = u[todo], lo[todo], hi[todo]
+        oa = origin[todo]
+        r = _power_partial(base[todo], ua, mu, p, oa) - target[todo]
+        low = r <= 0.0
+        la = np.where(low, ua, la)
+        ha = np.where(low, ha, ua)
+        new = ua - r * _shifted_gap(ua, mu, oa) ** p
+        new = np.where((new >= la) & (new <= ha), new, (la + ha) / 2)
+        u[todo], lo[todo], hi[todo] = new, la, ha
+        todo = todo[np.abs(new - ua) > POWER_NEWTON_ULPS * np.spacing(oa + new)]
+        if not todo.size:
+            break
+    else:
+        raise RuntimeError(
+            f"schedule inversion left {todo.size} of {len(s)} points unconverged after "
+            f"{POWER_NEWTON_CAP} Newton steps (N = {n}, p = {p})"
+        )
+    f = origin + u
+    gap = _shifted_gap(u, mu, origin)
     df = d * gap ** p
     # chain rule through the defining ODE: f'' = d^2 p Delta^{2p-1} dDelta/df
-    d2f = -2.0 * d * d * p * (1.0 - 2.0 * f) * (1.0 - mu) * gap ** (2.0 * p - 2.0)
+    d2f = -2.0 * d * d * p * ((1.0 - 2.0 * origin) - 2.0 * u) * (1.0 - mu) * gap ** (2.0 * p - 2.0)
     return np.clip(f, 0.0, 1.0), df, d2f
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, config handling, deterministic CSV."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from adiawalk import cli
+from adiawalk.schedules import glue_schedule, schedule_values
 from adiawalk.spectral import TrackingAmbiguityError
 
 
@@ -283,3 +285,50 @@ def test_spectrum_scan_smoke(tmp_path):
         ["s"] + [f"h_band_{k}" for k in range(4)] + [f"w_band_{k}" for k in range(4)]
     )
     assert len(rows) == 51
+
+
+def glue_scheduled_toys(monkeypatch):
+    """Make every toy model the CLI builds run on the glue schedule, so that
+    H(s) and H(f(s)) differ."""
+    build = cli.build_toy
+    monkeypatch.setattr(
+        cli, "build_toy",
+        lambda kind, eps=0.0: dataclasses.replace(build(kind, eps), schedule=glue_schedule()),
+    )
+    return build("toy1", 0.05)
+
+
+def test_spectrum_scan_bands_follow_the_schedule(tmp_path, monkeypatch):
+    model = glue_scheduled_toys(monkeypatch)
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"experiment": "spectrum-scan",
+         "parameters": {"model": "toy1", "eps": 0.05, "grid": 50, "integrator": "exp"}},
+    )
+    out = tmp_path / "scan.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = split_output(out)
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    f = schedule_values(glue_schedule(), table[:, 0])[0]
+    hs = (1.0 - f)[:, None, None] * model.h0.matrix + f[:, None, None] * model.h1.matrix
+    assert np.max(np.abs(table[:, 1:5] - np.linalg.eigvalsh(hs))) < 1e-12
+
+
+def test_step_size_report_gap_follows_the_schedule(tmp_path, monkeypatch):
+    model = glue_scheduled_toys(monkeypatch)
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"experiment": "step-size-report",
+         "parameters": {"source": "toy1", "eps": 0.05, "grid": 50, "kinds": ["exp"]}},
+    )
+    out = tmp_path / "report.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = split_output(out)
+    row = dict(zip(header.split(","), rows[0].split(",")))
+    f = schedule_values(glue_schedule(), np.linspace(0.0, 1.0, 51))[0]
+    hs = (1.0 - f)[:, None, None] * model.h0.matrix + f[:, None, None] * model.h1.matrix
+    w = np.linalg.eigvalsh(hs)
+    gap_star = np.min(w[:, 1] - w[:, 0])
+    # the exp walk's guaranteed gap is h times the minimal Hamiltonian gap
+    assert float(row["gap_lower"]) == pytest.approx(float(row["h_recommended"]) * gap_star,
+                                                    rel=1e-12)

@@ -144,6 +144,15 @@ def test_evolve_input_validation():
         evolve(fam, ground_state(fam.h0), track_eigenpaths(other))
 
 
+def test_non_finite_states_fail_the_norm_checks():
+    # abs(nan - 1) > tol is False, so the checks must read "not <= tol"
+    nan_state = np.array([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="norm"):
+        EvolutionResult(final_state=nan_state[:2], leakage=0.0, fidelities=np.array([1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        evolve(toy_family(3), nan_state)
+
+
 # ---------------------------------------------------------------------------
 # ideal adiabatic reference
 

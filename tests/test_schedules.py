@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adiawalk import schedules
 from adiawalk.schedules import (
     Schedule,
     ScheduleSample,
@@ -46,6 +47,42 @@ def quad_power_normalizer(n: int, p: float) -> float:
     val, _ = quad(lambda f: ((1.0 - 2.0 * f) ** 2 * (1.0 - mu) + mu) ** (-p / 2.0),
                   0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
     return val
+
+
+def sinh_power_normalizer(n: int, p: float) -> float:
+    """int_0^1 Delta(f)^{-p} df after 1 - 2f = sqrt(mu/(1-mu)) sinh(u), which
+    turns the integrand into the smooth cosh(u)^{1-p} at any n."""
+    mu = 1.0 / n
+    top = math.asinh(math.sqrt((1.0 - mu) / mu))
+    val, _ = quad(lambda u: math.cosh(u) ** (1.0 - p), 0.0, top, epsabs=0.0, epsrel=1e-13,
+                  limit=400)
+    return val * mu ** ((1.0 - p) / 2.0) / math.sqrt(1.0 - mu)
+
+
+def bisect_power_inverse(n: int, p: float, s: np.ndarray) -> np.ndarray:
+    """Reference f(s) for 1 < p < 2: bisection on _power_partial from the
+    table segment's left edge until the bracket is two adjacent floats,
+    then the bracket end with the smaller residual."""
+    seg_lo, seg_hi, seg_origin, s_nodes, d = schedules._power_table(n, p)
+    mu = 1.0 / n
+    idx = np.clip(np.searchsorted(s_nodes, s, side="right") - 1, 0, len(s_nodes) - 2)
+    base, origin = seg_lo[idx], seg_origin[idx]
+    target = (s - s_nodes[idx]) * d
+
+    def residual(u):
+        return schedules._power_partial(base, u, mu, p, origin) - target
+
+    lo, hi = base.copy(), np.where(target > 0.0, seg_hi[idx], base)
+    mid = (lo + hi) / 2
+    live = (mid != lo) & (mid != hi)
+    while live.any():
+        below = residual(mid) <= 0.0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+        mid = (lo + hi) / 2
+        live = (mid != lo) & (mid != hi)
+    u = np.where(np.abs(residual(lo)) <= np.abs(residual(hi)), lo, hi)
+    return origin + u
 
 
 def centered_fd(values_of, s: np.ndarray, delta: float = 1e-6) -> np.ndarray:
@@ -186,6 +223,50 @@ def test_power_schedule_midpoint_slope_hits_gap_minimum():
         d = grover_d_constant(n, p)
         df_mid = schedule_values(build_grover_schedule(n, p), 0.5)[1]
         assert abs(df_mid / d - n ** (-p / 2.0)) < 1e-8
+
+
+@pytest.mark.parametrize("p", (1.2, 1.5, 1.9))
+def test_d_constant_p_greater_one_resolves_large_n(p):
+    # the table grades its central segments down to the gap width 1/sqrt(n)
+    for log2n in (8, 20, 32, 40, 60):
+        n = 2 ** log2n
+        assert grover_d_constant(n, p) == pytest.approx(sinh_power_normalizer(n, p), rel=1e-12)
+
+
+def test_power_schedule_satisfies_its_ode_at_large_n():
+    # f near 1/2 carries an ulp of 1.1e-16 while f' there is d N^{-p/2}, so
+    # the difference quotient uses delta = 1e-5 and compares relatively
+    n = 2 ** 40
+    s = np.linspace(1e-2, 1.0 - 1e-2, 1001)
+    for p in (1.2, 1.5, 1.9):
+        sched = build_grover_schedule(n, p)
+        df = schedule_values(sched, s)[1]
+        fd = centered_fd(lambda x: schedule_values(sched, x)[0], s, delta=1e-5)
+        assert np.max(np.abs(fd / df - 1.0)) < 1e-5
+
+
+def test_power_schedule_rejects_n_beyond_the_table():
+    build_grover_schedule(schedules.POWER_MAX_N, 1.5)
+    with pytest.raises(ValueError, match="tabulated for N"):
+        build_grover_schedule(schedules.POWER_MAX_N + 1, 1.5)
+
+
+@pytest.mark.parametrize("log2n", (8, 12, 18, 20))
+@pytest.mark.parametrize("p", (1.2, 1.5, 1.9))
+def test_power_inversion_matches_bisection(log2n, p):
+    n = 2 ** log2n
+    s_nodes = schedules._power_table(n, p)[3]
+    s = np.concatenate([np.linspace(0.0, 1.0, 2049), s_nodes[1:-1:7]])
+    f = schedule_values(build_grover_schedule(n, p), s)[0]
+    f_ref = bisect_power_inverse(n, p, s)
+    assert np.all(np.abs(f - f_ref) <= 2.0 * np.spacing(f_ref))
+
+
+def test_power_inversion_raises_at_its_iteration_cap(monkeypatch):
+    sched = build_grover_schedule(4096, 1.5)
+    monkeypatch.setattr(schedules, "POWER_NEWTON_CAP", 1)
+    with pytest.raises(RuntimeError, match="unconverged"):
+        schedule_values(sched, np.linspace(0.0, 1.0, 101))
 
 
 def test_power_schedule_symmetry_and_monotonicity():
