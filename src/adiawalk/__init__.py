@@ -46,11 +46,11 @@ from .integrators import (
     GaplessError,
     IntegratorKind,
     ProblemConstants,
-    SplittingCoefficients,
     WalkFamily,
     build_walk_family,
     commutator_combo,
     exact_step_propagator,
+    hamiltonian_bands,
     nested_commutator_sum,
     parse_integrator_tag,
     problem_constants,
@@ -71,6 +71,7 @@ from .spectral import (
     finite_difference_norm,
     gap_perturbation_bounds,
     hamiltonian_gap_profile,
+    lowest_phase_gap,
     track_eigenpaths,
     walk_gap_profile,
 )

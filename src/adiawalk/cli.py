@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .linalg import EigensolverError, HermitianOperator, arc_distance_angles
+from .linalg import EigensolverError, HermitianOperator
 from .schedules import (
     build_grover_schedule,
     glue_schedule,
@@ -33,12 +33,18 @@ from .schedules import (
 from .integrators import (
     GaplessError,
     build_walk_family,
+    hamiltonian_bands,
     parse_integrator_tag,
     problem_constants,
     recommended_step_size,
     walk_operator,
 )
-from .spectral import TrackingAmbiguityError, track_eigenpaths
+from .spectral import (
+    TrackingAmbiguityError,
+    gap_perturbation_bounds,
+    lowest_phase_gap,
+    track_eigenpaths,
+)
 from .evolution import GapCollapseError, boundary_vs_interior_scaling
 from .grover import GroverInstance, effective_hamiltonians, qaoa_angles, scaling_experiment
 from .toymodels import (
@@ -145,9 +151,7 @@ def _run_spectrum_scan(params, rng, threads):
     h = _as_float(params, "h", lo=1e-6)
     model = build_toy(kind, eps)
     s = np.linspace(0.0, 1.0, grid + 1)
-    f = schedule_values(model.schedule, s)[0]
-    hs = (1.0 - f)[:, None, None] * model.h0.matrix + f[:, None, None] * model.h1.matrix
-    bands = np.linalg.eigvalsh(hs)
+    bands = hamiltonian_bands(model.h0, model.h1, schedule_values(model.schedule, s)[0])
     fam = build_walk_family(model.h0, model.h1, model.schedule, parse_integrator_tag(tag), h, grid)
     track = track_eigenpaths(fam)
     dim = bands.shape[1]
@@ -203,13 +207,7 @@ def _run_grover_scaling(params, rng, threads):
     if not target < 1.0:
         raise ConfigError(f"parameter 'target_error' must be below 1, got {target}")
 
-    def one(nm):
-        n, m = nm
-        return scaling_experiment([n], [m], sched_kind, target, p=p)[0]
-
-    pairs = [(n, m) for n in n_list for m in m_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        cells = list(pool.map(one, pairs))
+    cells = scaling_experiment(n_list, m_list, sched_kind, target, p=p)
     cells.sort(key=lambda c: (c.n, c.m))
     rows = [
         (
@@ -278,9 +276,7 @@ def _run_step_size_report(params, rng, threads):
     consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(o for o in orders if o <= 6))
 
     s_nodes = np.linspace(0.0, 1.0, grid + 1)
-    f_nodes = schedule_values(sched, s_nodes)[0]
-    hs = (1.0 - f_nodes)[:, None, None] * h0.matrix + f_nodes[:, None, None] * h1.matrix
-    w = np.linalg.eigvalsh(hs)
+    w = hamiltonian_bands(h0, h1, schedule_values(sched, s_nodes)[0])
     gaps = w[:, 1] - w[:, 0]
     i_star = int(np.argmin(gaps))
     s_star = float(s_nodes[i_star])
@@ -298,14 +294,11 @@ def _run_step_size_report(params, rng, threads):
             if kind.method == "exp":
                 lo = hi = h_rec * gap_star
             else:
-                from .spectral import gap_perturbation_bounds
-
                 order = 2 if kind.effective_order <= 2 else kind.effective_order
                 lo, hi = gap_perturbation_bounds(h0, h1, sched, s_star, h_rec, order=order)
         measure_kind = parse_integrator_tag("pf2-simplified") if tag == "pf2" else kind
         wmat = walk_operator(h0, h1, sched, measure_kind, h_rec, s_star).matrix
-        theta = np.sort(-np.angle(np.linalg.eigvals(wmat)))
-        measured = float(np.min(arc_distance_angles(theta[:1], theta[1:])))
+        measured = float(lowest_phase_gap(wmat))
         rows.append((tag, float(h_rec), float(lo), float(hi), measured, int(gapless)))
     rows.sort(key=lambda r: r[0])
     cols = ["kind", "h_recommended", "gap_lower", "gap_upper", "gap_measured", "gapless"]

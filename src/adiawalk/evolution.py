@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HermitianOperator, chain_product, normal_eig
-from .integrators import WalkFamily
-from .spectral import EigenpathTrack
+from .integrators import EXP_INTEGRATOR, WalkFamily, build_walk_family
+from .schedules import glue_schedule
+from .spectral import EigenpathTrack, track_eigenpaths
 
 PROJECTOR_TOL = 1e-10
 STATE_NORM_TOL = 1e-9
@@ -100,7 +101,9 @@ def evolve(
     With a track, leakage is measured against the tracked group's final
     projector and fidelities against the tracked final eigenbasis.
     Without one, the final walk operator is diagonalized on the spot and
-    its ascending-phase eigenbasis used instead (ground path first).
+    its ascending-phase eigenbasis used instead (ground path first); the
+    leakage is then the norm of the non-ground amplitudes, which keeps
+    its relative precision where 1 - |ground amplitude|^2 would cancel.
     """
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
@@ -135,7 +138,7 @@ def evolve(
         order = np.argsort(theta)
         basis = dec.eigenvectors[:, order]
         fidelities = np.abs(basis.conj().T @ psi)
-        leakage = float(np.sqrt(max(1.0 - fidelities[0] ** 2, 0.0)))
+        leakage = float(np.linalg.norm(fidelities[1:]))
     return EvolutionResult(
         final_state=psi, leakage=leakage, fidelities=fidelities, trajectory=trajectory
     )
@@ -337,10 +340,6 @@ def boundary_vs_interior_scaling(
     superpolynomially while the interior metric keeps a roughly 1/td
     decay; a linear schedule keeps the boundary at 1/td as a control.
     """
-    from .integrators import EXP_INTEGRATOR, build_walk_family
-    from .schedules import glue_schedule
-    from .spectral import track_eigenpaths
-
     if j_max < 1:
         raise ValueError("the first comparison iterate is needed")
     sched = glue_schedule() if schedule is None else schedule

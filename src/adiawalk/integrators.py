@@ -1,16 +1,25 @@
 """One-step propagators for interpolating Hamiltonians.
 
 Given H(s) = (1 - f(s)) H0 + f(s) H1 and a step size h, a walk operator
-is one of
+is either ``exp``, W = exp(-i h H(s)), or a product formula: an ordered
+product of factors exp(-i h w g_k H_k), one endpoint operator each, with
+weight w and g_0 = 1 - f, g_1 = f (Childs, Su, Tran, Wiebe and Zhu,
+PRX 11, 011020 (2021)).  A method is its list of (operator, weight)
+factors plus the offset, 0 or 1/2 of a step, at which it reads the
+schedule:
 
-* ``exp``: W = exp(-i h H(s)),
-* ``pf1``: W = exp(-i h f H1) exp(-i h (1-f) H0),
+* ``pf1`` and ``spf1``: exp(-i h f H1) exp(-i h (1-f) H0), offset 0,
 * ``pf2``: the Strang splitting exp(-i h (1-f) H0 / 2) exp(-i h f H1)
-  exp(-i h (1-f) H0 / 2), with the schedule read at the step midpoint by
-  default or at the left endpoint in the simplified variant,
-* ``spf(p)``: the simplified p-th order splitting built from the
-  Trotter-Suzuki fractal recursion, with every schedule evaluation at the
-  step's left endpoint.
+  exp(-i h (1-f) H0 / 2) at the step midpoint; ``pf2-simplified`` and
+  ``spf2`` are the same list at offset 0,
+* ``spf(p)``, p = 4, 6, 8: the Trotter-Suzuki fractal recursion on the
+  Strang list with adjacent factors of one operator merged, offset 0.
+
+One private kernel, ``_walk_stack``, turns a factor list and a vector of
+schedule values into a stack of walks; ``walk_operator``, ``WalkFamily``,
+the reference propagator and the toy-model gap table all call it.
+``hamiltonian_bands`` is the only code that assembles and diagonalizes
+H(s).
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
@@ -32,7 +41,6 @@ from .linalg import (
     HermitianOperator,
     UnitaryOperator,
     chain_product,
-    expm_i_hermitian,
     operator_norm,
 )
 from .schedules import Schedule, schedule_values
@@ -43,6 +51,7 @@ WALK_UNITARITY_TOL = 1e-10
 MATERIALIZE_LIMIT = 2 ** 22  # complex entries held by an eager family
 ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
+PF1_FACTORS = ((1, 1.0), (0, 1.0))  # exp(-i h f H1) exp(-i h (1-f) H0)
 
 __all__ = [
     "GaplessError",
@@ -53,8 +62,8 @@ __all__ = [
     "PF2_SIMPLIFIED",
     "spf",
     "parse_integrator_tag",
-    "SplittingCoefficients",
     "suzuki_coefficients",
+    "hamiltonian_bands",
     "walk_operator",
     "WalkFamily",
     "build_walk_family",
@@ -112,6 +121,21 @@ class IntegratorKind:
             return 2
         return int(self.order)
 
+    @property
+    def factors(self) -> tuple:
+        """Ordered (operator, weight) factors of one walk, leftmost first;
+        empty for ``exp``."""
+        if self.method == "exp":
+            return ()
+        if self.effective_order == 1:
+            return PF1_FACTORS
+        return suzuki_coefficients(self.effective_order)
+
+    @property
+    def offset(self) -> float:
+        """Fraction of the step after s at which the walk reads the schedule."""
+        return 0.5 if self.method == "pf2" and self.midpoint else 0.0
+
 
 EXP_INTEGRATOR = IntegratorKind("exp")
 PF1 = IntegratorKind("pf1")
@@ -140,35 +164,21 @@ def parse_integrator_tag(tag: str) -> IntegratorKind:
     raise ValueError(f"bad integrator tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class SplittingCoefficients:
-    """Stage weights (alpha_k, beta_k) of a splitting; both column sums 1."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        stages = tuple((float(a), float(b)) for a, b in self.stages)
-        sa = sum(a for a, _ in stages)
-        sb = sum(b for _, b in stages)
-        if abs(sa - 1.0) > COEFFICIENT_SUM_TOL or abs(sb - 1.0) > COEFFICIENT_SUM_TOL:
-            raise ValueError(f"stage sums off: sum(alpha) = {sa!r}, sum(beta) = {sb!r}")
-        object.__setattr__(self, "stages", stages)
-
-    def __len__(self) -> int:
-        return len(self.stages)
-
-
 @lru_cache(maxsize=8)
-def suzuki_coefficients(order: int) -> SplittingCoefficients:
-    """Fractal Trotter-Suzuki stages for even orders 2, 4, 6, 8.
+def suzuki_coefficients(order: int) -> tuple:
+    """Fractal Trotter-Suzuki factors for even orders 2, 4, 6, 8.
 
+    S_2 is the Strang list ((H0, 1/2), (H1, 1), (H0, 1/2)) and
     S_{2k}(h) = S_{2k-2}(u_k h)^2 S_{2k-2}((1-4u_k) h) S_{2k-2}(u_k h)^2
     with u_k = 1 / (4 - 4^{1/(2k-1)}); adjacent exponentials of the same
-    operator are merged before the stage list is read off.
+    operator are merged.  Returns the ordered (operator, weight) factors,
+    operator 0 for H0 and 1 for H1 and weights in units of h.  They
+    alternate between the operators, start and end with H0, and each
+    operator's weights sum to 1.
     """
     if order not in (2, 4, 6, 8):
         raise ValueError(f"supported orders are 2, 4, 6, 8, got {order}")
-    seq = [(0, 0.5), (1, 1.0), (0, 0.5)]  # (operator index, weight in units of h)
+    seq = [(0, 0.5), (1, 1.0), (0, 0.5)]
     current = 2
     while current < order:
         current += 2
@@ -183,48 +193,67 @@ def suzuki_coefficients(order: int) -> SplittingCoefficients:
             else:
                 merged.append((op, w))
         seq = merged
-    stages = []
-    for i in range(0, len(seq), 2):
-        op, w = seq[i]
-        if op != 0:
-            raise RuntimeError("splitting sequence lost its H0/H1 alternation")
-        beta = seq[i + 1][1] if i + 1 < len(seq) else 0.0
-        stages.append((w, beta))
-    return SplittingCoefficients(tuple(stages))
+    if any(op != i % 2 for i, (op, _) in enumerate(seq)) or seq[-1][0] != 0:
+        raise RuntimeError("splitting sequence lost its H0/H1 alternation")
+    for op in (0, 1):
+        total = sum(w for o, w in seq if o == op)
+        if abs(total - 1.0) > COEFFICIENT_SUM_TOL:
+            raise RuntimeError(f"weights of H{op} sum to {total!r}, not 1")
+    return tuple(seq)
 
 
 # ---------------------------------------------------------------------------
-# single walk operators
+# the walk kernel
 
-def _eig_pair(H0, H1):
-    m0 = HermitianOperator(getattr(H0, "matrix", H0)).matrix
-    m1 = HermitianOperator(getattr(H1, "matrix", H1)).matrix
+def _hermitian(H) -> np.ndarray:
+    """Matrix of H, validated unless H is a HermitianOperator already."""
+    if isinstance(H, HermitianOperator):
+        return H.matrix
+    return HermitianOperator(getattr(H, "matrix", H)).matrix
+
+
+def _endpoints(H0, H1):
+    """(matrix, eigenvalues, eigenvectors) of H0 and of H1, validated."""
+    m0, m1 = _hermitian(H0), _hermitian(H1)
     if m0.shape != m1.shape:
         raise ValueError(f"dimension mismatch: {m0.shape} vs {m1.shape}")
-    w0, v0 = np.linalg.eigh(m0)
-    w1, v1 = np.linalg.eigh(m1)
-    return (w0, v0), (w1, v1)
+    return tuple((m, *np.linalg.eigh(m)) for m in (m0, m1))
 
 
-def _splitting_stack(eig, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
-    """Product-formula walks at step h, one per schedule value in ``f``."""
-    (w0, v0), (w1, v1) = eig
+def hamiltonian_bands(H0, H1, f, *, vectors: bool = False):
+    """Ascending eigenvalues of H = (1 - f) H0 + f H1 for every schedule
+    value in ``f`` (a scalar or an array; the bands follow on a last
+    axis).  With ``vectors`` the eigenvectors come too, as from eigh."""
+    f = np.asarray(f, dtype=float)
+    hs = (1.0 - f)[..., None, None] * _hermitian(H0) + f[..., None, None] * _hermitian(H1)
+    return np.linalg.eigh(hs) if vectors else np.linalg.eigvalsh(hs)
 
-    def phases(w, v, weight, g):  # exp(-i h weight g_n H) for every n
-        ph = np.exp(-1j * h * weight * np.outer(g, w))
-        return np.einsum("ik,nk,jk->nij", v, ph, v.conj())
 
-    if kind.method == "pf2":
-        e0h = phases(w0, v0, 0.5, 1.0 - f)
-        return e0h @ phases(w1, v1, 1.0, f) @ e0h
-    if kind.method == "pf1" or kind.order == 1:
-        return phases(w1, v1, 1.0, f) @ phases(w0, v0, 1.0, 1.0 - f)
+def _read_points(kind: IntegratorKind, s: np.ndarray, ds: float | None) -> np.ndarray:
+    """Schedule times at which the walks of steps s (of width ds) read f."""
+    if not kind.offset:
+        return s
+    if ds is None:
+        raise ValueError("midpoint pf2 needs the step ds = 1/T_d")
+    return np.minimum(s + kind.offset * ds, 1.0)
+
+
+def _walk_stack(ends, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
+    """Walks at step h, one per schedule value in ``f``.
+
+    ``ends`` is what ``_endpoints`` returns.  A product formula multiplies
+    its factors left to right, each exponentiated in its operator's
+    eigenbasis; ``exp`` diagonalizes every H(f) instead.
+    """
+    if kind.method == "exp":
+        w, v = hamiltonian_bands(ends[0][0], ends[1][0], f, vectors=True)
+        return np.einsum("nik,nk,njk->nij", v, np.exp(-1j * h * w), v.conj())
     acc = None
-    for alpha, beta in suzuki_coefficients(int(kind.order)).stages:
-        e0 = phases(w0, v0, alpha, 1.0 - f)
-        acc = e0 if acc is None else acc @ e0
-        if beta != 0.0:
-            acc = acc @ phases(w1, v1, beta, f)
+    for op, weight in kind.factors:
+        _, w, v = ends[op]
+        ph = np.exp(-1j * h * weight * np.outer(f if op else 1.0 - f, w))
+        e = np.einsum("ik,nk,jk->nij", v, ph, v.conj())
+        acc = e if acc is None else acc @ e
     return acc
 
 
@@ -238,30 +267,16 @@ def walk_operator(
     *,
     ds: float | None = None,
 ) -> UnitaryOperator:
-    """One walk operator W(s) at step size h.
+    """One walk operator W(s) at step size h: the walk kernel at one s, so
+    W(j/T_d) with ds = 1/T_d is step j of the family.
 
     ``ds`` is the step in schedule time (1/T_d for a family) and is only
     required by the midpoint pf2 variant.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
-    eig = _eig_pair(H0, H1)
-
-    if kind.method == "exp":
-        f, _, _ = schedule_values(sched, float(s))
-        (w0, v0), (w1, v1) = eig
-        m0 = (v0 * w0) @ v0.conj().T
-        m1 = (v1 * w1) @ v1.conj().T
-        hs = (1.0 - f) * m0 + f * m1
-        return expm_i_hermitian(HermitianOperator(hs), h)
-
-    s_eval = float(s)
-    if kind.method == "pf2" and kind.midpoint:
-        if ds is None:
-            raise ValueError("midpoint pf2 needs the step ds = 1/T_d")
-        s_eval = min(s_eval + float(ds) / 2.0, 1.0)
-    f = schedule_values(sched, np.array([s_eval]))[0]
-    return UnitaryOperator(_splitting_stack(eig, kind, h, f)[0])
+    f = schedule_values(sched, _read_points(kind, np.array([float(s)]), ds))[0]
+    return UnitaryOperator(_walk_stack(_endpoints(H0, H1), kind, h, f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +299,17 @@ class WalkFamily:
     h1: HermitianOperator | None = None
     schedule: Schedule | None = None
     _walks: np.ndarray | None = field(default=None, repr=False)
-    _eig: tuple | None = field(default=None, repr=False)
+    _ends: tuple | None = field(default=None, repr=False)
 
     @property
     def s_grid(self) -> np.ndarray:
         return np.arange(self.td + 1) / self.td
 
-    def _eig_cache(self):
-        if self._eig is None:
-            self._eig = _eig_pair(self.h0, self.h1)
-        return self._eig
-
     def _build_block(self, s: np.ndarray) -> np.ndarray:
-        kind = self.kind
-        h = self.h
-        if kind.method == "exp":
-            f = schedule_values(self.schedule, s)[0]
-            m0 = self.h0.matrix
-            m1 = self.h1.matrix
-            hs = (1.0 - f)[:, None, None] * m0 + f[:, None, None] * m1
-            w, v = np.linalg.eigh(hs)
-            ph = np.exp(-1j * h * w)
-            return np.einsum("nik,nk,njk->nij", v, ph, v.conj())
-
-        if kind.method == "pf2" and kind.midpoint:
-            s = np.minimum(s + 1.0 / (2.0 * self.td), 1.0)
-        f = schedule_values(self.schedule, s)[0]
-        return _splitting_stack(self._eig_cache(), kind, h, f)
+        if self._ends is None:
+            self._ends = _endpoints(self.h0, self.h1)
+        f = schedule_values(self.schedule, _read_points(self.kind, s, 1.0 / self.td))[0]
+        return _walk_stack(self._ends, self.kind, self.h, f)
 
     def block(self, j0: int, j1: int) -> np.ndarray:
         """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
@@ -405,11 +404,11 @@ def exact_step_propagator(
         raise ValueError(
             f"max_substeps must be in [1, {ORACLE_MAX_SUBSTEPS}], got {max_substeps}"
         )
-    eig = _eig_pair(H0, H1)
+    ends = _endpoints(H0, H1)
 
     def chain(m: int) -> np.ndarray:
         f = schedule_values(sched, np.minimum(s + ds * (np.arange(m) + 0.5) / m, 1.0))[0]
-        return chain_product(_splitting_stack(eig, PF2, h / m, f))
+        return chain_product(_walk_stack(ends, PF2, h / m, f))
 
     row = [chain(1)]
     dprev = math.inf
@@ -439,10 +438,7 @@ def nested_commutator_sum(H0, H1, p: int) -> float:
     """Sum over gamma in {0,1}^(p+1) of ||[H_{gamma_p}, ..., [H_{gamma_1}, H_{gamma_0}]]||."""
     if not 1 <= p <= 6:
         raise ValueError(f"supported p is 1..6, got {p}")
-    m = (
-        HermitianOperator(getattr(H0, "matrix", H0)).matrix,
-        HermitianOperator(getattr(H1, "matrix", H1)).matrix,
-    )
+    m = (_hermitian(H0), _hermitian(H1))
     total = 0.0
     for gamma in itertools.product((0, 1), repeat=p + 1):
         term = m[gamma[0]]
@@ -454,8 +450,7 @@ def nested_commutator_sum(H0, H1, p: int) -> float:
 
 def commutator_combo(H0, H1) -> float:
     """2 ||[H1, [H1, H0]]|| + ||[H0, [H0, H1]]||, the second-order width."""
-    m0 = HermitianOperator(getattr(H0, "matrix", H0)).matrix
-    m1 = HermitianOperator(getattr(H1, "matrix", H1)).matrix
+    m0, m1 = _hermitian(H0), _hermitian(H1)
     c = m0 @ m1 - m1 @ m0
     c110 = m1 @ (-c) - (-c) @ m1  # [H1, [H1, H0]]
     c001 = m0 @ c - c @ m0  # [H0, [H0, H1]]
@@ -494,10 +489,7 @@ def problem_constants(
     h0 = HermitianOperator(getattr(H0, "matrix", H0))
     h1 = HermitianOperator(getattr(H1, "matrix", H1))
     alpha = operator_norm(h0) + operator_norm(h1)
-    s = np.linspace(0.0, 1.0, grid + 1)
-    f = schedule_values(sched, s)[0]
-    hs = (1.0 - f)[:, None, None] * h0.matrix + f[:, None, None] * h1.matrix
-    w = np.linalg.eigvalsh(hs)
+    w = hamiltonian_bands(h0, h1, schedule_values(sched, np.linspace(0.0, 1.0, grid + 1))[0])
     delta_star = float(np.min(w[:, 1] - w[:, 0]))
     tilde = {int(p): nested_commutator_sum(h0, h1, int(p)) for p in orders if p <= 6}
     return ProblemConstants(

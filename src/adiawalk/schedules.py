@@ -76,9 +76,15 @@ def _glue_integrand(t):
     return out
 
 
+@lru_cache(maxsize=2)
+def _gauss_rule(points: int):
+    """Gauss-Legendre nodes and weights; leggauss costs 0.2-0.4 ms a call."""
+    return np.polynomial.legendre.leggauss(points)
+
+
 @lru_cache(maxsize=1)
 def _glue_table():
-    nodes, wts = np.polynomial.legendre.leggauss(GLUE_GL_POINTS)
+    nodes, wts = _gauss_rule(GLUE_GL_POINTS)
     edges = np.linspace(0.0, 1.0, GLUE_SEGMENTS + 1)
     mids = (edges[:-1] + edges[1:]) / 2
     halfs = np.diff(edges) / 2
@@ -96,7 +102,7 @@ def glue_constant_ce() -> float:
 def _glue_cumulative(s: np.ndarray) -> np.ndarray:
     """Unnormalized int_0^s of the glue integrand, piecewise Gauss-Legendre."""
     edges, cum, _ = _glue_table()
-    nodes, wts = np.polynomial.legendre.leggauss(GLUE_GL_POINTS)
+    nodes, wts = _gauss_rule(GLUE_GL_POINTS)
     idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, GLUE_SEGMENTS - 1)
     a = edges[idx]
     mids = (a + s) / 2
@@ -132,11 +138,6 @@ def _d_constant_p1(n: int) -> float:
     return math.sqrt(n / (n - 1.0)) * math.log(math.sqrt(n) + math.sqrt(n - 1.0))
 
 
-@lru_cache(maxsize=1)
-def _power_rule():
-    return np.polynomial.legendre.leggauss(POWER_GL_POINTS)
-
-
 def _shifted_gap(u, mu: float, origin):
     """grover_gap_of_f(origin + u), computed from the offset u so that it
     keeps its relative precision near the gap minimum (origin = 1/2)."""
@@ -152,7 +153,7 @@ def _power_partial(u_lo, u_hi, mu: float, p: float, origin):
     """Gauss-Legendre integral of Delta^{-p} over f in origin + [u_lo, u_hi],
     vectorized over segments (origin broadcasts against u_lo).  The
     arithmetic runs in place: a search block evaluates 65,536 segments."""
-    nodes, wts = _power_rule()
+    nodes, wts = _gauss_rule(POWER_GL_POINTS)
     halfs = (u_hi - u_lo) / 2
     pts = halfs[..., None] * nodes
     pts += ((u_lo + u_hi) / 2)[..., None]

@@ -17,8 +17,8 @@ from math import comb
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import HermitianOperator, normal_eig, operator_norm
-from .integrators import WalkFamily, commutator_combo, nested_commutator_sum
+from .linalg import HermitianOperator, arc_distance_angles, normal_eig, operator_norm
+from .integrators import WalkFamily, commutator_combo, hamiltonian_bands, nested_commutator_sum
 from .schedules import Schedule, schedule_values
 
 OVERLAP_FLOOR = 0.5
@@ -34,6 +34,7 @@ __all__ = [
     "GapProfile",
     "walk_gap_profile",
     "hamiltonian_gap_profile",
+    "lowest_phase_gap",
     "finite_difference_norm",
     "ck_profiles",
     "gap_perturbation_bounds",
@@ -245,16 +246,20 @@ def hamiltonian_gap_profile(
     Bands are labeled by ascending eigenvalue at each point; the group is
     resolved at s = 0 and kept as sorted-index bands throughout.
     """
-    h0 = HermitianOperator(getattr(H0, "matrix", H0)).matrix
-    h1 = HermitianOperator(getattr(H1, "matrix", H1)).matrix
-    group = _resolve_p_group(p_selector, h0.shape[0])
     s = np.linspace(0.0, 1.0, grid + 1)
-    f = schedule_values(sched, s)[0]
-    w = np.linalg.eigvalsh((1.0 - f)[:, None, None] * h0 + f[:, None, None] * h1)
-    comp = [q for q in range(h0.shape[0]) if q not in group]
+    w = hamiltonian_bands(H0, H1, schedule_values(sched, s)[0])
+    group = _resolve_p_group(p_selector, w.shape[1])
+    comp = [q for q in range(w.shape[1]) if q not in group]
     diff = np.abs(w[:, group][:, :, None] - w[:, comp][:, None, :])
     fixed = _zero_floor(diff.min(axis=(1, 2)))
     return GapProfile(fixed=fixed, multistep=None, minima={"fixed": float(fixed.min())})
+
+
+def lowest_phase_gap(walks) -> np.ndarray:
+    """Arc distance from the lowest eigenphase of each walk in a stack (or
+    of one walk) to the nearest of its other eigenphases, untracked."""
+    theta = np.sort(-np.angle(np.linalg.eigvals(walks)), axis=-1)
+    return arc_distance_angles(theta[..., :1], theta[..., 1:]).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,7 @@ def gap_perturbation_bounds(
     alpha = operator_norm(h0) + operator_norm(h1)
     if h > 1.0 / alpha + 1e-12:
         raise ValueError(f"h = {h} exceeds 1/alpha = {1.0 / alpha}")
-    f, _, _ = schedule_values(sched, float(s))
-    w = np.linalg.eigvalsh((1.0 - f) * h0.matrix + f * h1.matrix)
+    w = hamiltonian_bands(h0, h1, schedule_values(sched, float(s))[0])
     gap_h = float(w[1] - w[0])
     if order <= 2:
         width = (h ** 3 / 95.0) * commutator_combo(h0, h1)

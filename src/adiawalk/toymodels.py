@@ -19,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    HermitianOperator,
-    arc_distance_angles,
-    expm_i_hermitian,
-    logm_unitary,
-)
+from .linalg import HermitianOperator, expm_i_hermitian, logm_unitary
 from .schedules import Schedule, linear_schedule, schedule_values
-from .integrators import PF1, build_walk_family
+from .integrators import PF1, _endpoints, _walk_stack, build_walk_family, hamiltonian_bands
+from .spectral import lowest_phase_gap
 from .evolution import evolve, ground_state
 
 DEFAULT_EPSILONS = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 0.0)
@@ -158,8 +154,11 @@ class GapTableRow:
 
 def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     """Minimal Hamiltonian gap and minimal walk angular gap over the
-    schedule, one row per eps; the walk is the first-order splitting at
-    h = 1 and its gap is measured from the lowest-phase path.
+    schedule, one row per eps, on grid + 1 evenly spaced points.
+
+    The walk is the first-order splitting at h = 1, built by the walk
+    kernel from the same schedule values as the bands.  Its gap is the
+    untracked arc from the lowest eigenphase to the nearest other one.
     """
     if eps_list is None:
         eps_list = DEFAULT_EPSILONS
@@ -168,20 +167,10 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     for eps in eps_list:
         model = build_toy(kind, float(eps))
         f = schedule_values(model.schedule, s)[0]
-        m0 = model.h0.matrix
-        m1 = model.h1.matrix
-        hs = (1.0 - f)[:, None, None] * m0 + f[:, None, None] * m1
-        w = np.linalg.eigvalsh(hs)
+        w = hamiltonian_bands(model.h0, model.h1, f)
         gap_h = float(np.min(w[:, 1] - w[:, 0]))
-
-        w0, v0 = np.linalg.eigh(m0)
-        w1, v1 = np.linalg.eigh(m1)
-        e0 = np.einsum("ik,nk,jk->nij", v0, np.exp(-1j * np.outer(1.0 - f, w0)), v0.conj())
-        e1 = np.einsum("ik,nk,jk->nij", v1, np.exp(-1j * np.outer(f, w1)), v1.conj())
-        lam = np.linalg.eigvals(e1 @ e0)
-        theta = np.sort(-np.angle(lam), axis=1)
-        arcs = arc_distance_angles(theta[:, :1], theta[:, 1:])
-        gap_w = float(np.min(arcs))
+        walks = _walk_stack(_endpoints(model.h0, model.h1), PF1, 1.0, f)
+        gap_w = float(np.min(lowest_phase_gap(walks)))
         if gap_w < GAP_ZERO_TOL:
             gap_w = 0.0
         if gap_h < GAP_ZERO_TOL:

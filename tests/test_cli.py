@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -332,3 +334,16 @@ def test_step_size_report_gap_follows_the_schedule(tmp_path, monkeypatch):
     # the exp walk's guaranteed gap is h times the minimal Hamiltonian gap
     assert float(row["gap_lower"]) == pytest.approx(float(row["h_recommended"]) * gap_star,
                                                     rel=1e-12)
+
+
+def test_experiment_driver_table_matches_the_cli():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    names = [name for name, *_ in driver.RUNS]
+    assert len(set(names)) == len(names)
+    for name, experiment, overrides, seed in driver.RUNS:
+        assert experiment in cli.EXPERIMENTS, name
+        assert set(overrides) <= set(cli.EXPERIMENTS[experiment][1]), name
+        assert isinstance(seed, int), name

@@ -23,7 +23,7 @@ from adiawalk.integrators import (
     walk_family_from_operators,
 )
 from adiawalk.linalg import normal_eig
-from adiawalk.schedules import linear_schedule
+from adiawalk.schedules import glue_schedule, linear_schedule
 from adiawalk.spectral import EigenpathTrack, track_eigenpaths
 from adiawalk.toymodels import build_toy, four_level_pair
 
@@ -117,6 +117,21 @@ def test_evolve_trackless_measures_final_walk_basis():
     expected = final_basis_overlaps(fam, res.final_state)
     assert np.allclose(res.fidelities, expected, atol=1e-12)
     assert res.leakage == pytest.approx(math.sqrt(max(1.0 - expected[0] ** 2, 0.0)), abs=1e-12)
+
+
+def test_trackless_leakage_resolves_below_roundoff_of_the_ground_amplitude():
+    # At f = 1 the pf1 walk is exp(-i h H1), so the final walk basis is H1's
+    # eigenbasis and the leakage is the state's component off H1's ground
+    # state.  At h = 0.5 the state norm drifts by 7.7e-13, enough to push
+    # the ground amplitude to 1 and sqrt(1 - |amplitude|^2) to 0.0.
+    h0, h1 = four_level_pair()
+    for h, expected in ((0.5, 9.56e-7), (1.0, 1.08e-6)):
+        fam = build_walk_family(h0, h1, glue_schedule(), PF1, h, int(1600 / h))
+        res = evolve(fam, ground_state(h0))
+        g1 = ground_state(h1)
+        off_ground = np.linalg.norm(res.final_state - g1 * (g1.conj() @ res.final_state))
+        assert res.leakage == pytest.approx(off_ground, rel=1e-6)
+        assert res.leakage == pytest.approx(expected, rel=1e-2)
 
 
 def test_evolve_with_track_measures_tracked_projector():

@@ -21,11 +21,11 @@ from adiawalk.integrators import (
     GaplessError,
     IntegratorKind,
     ProblemConstants,
-    SplittingCoefficients,
     WalkFamily,
     build_walk_family,
     commutator_combo,
     exact_step_propagator,
+    hamiltonian_bands,
     nested_commutator_sum,
     parse_integrator_tag,
     problem_constants,
@@ -36,7 +36,14 @@ from adiawalk.integrators import (
     walk_operator,
 )
 from adiawalk.linalg import HermitianOperator, operator_norm
-from adiawalk.schedules import eval_schedule, glue_schedule, linear_schedule, schedule_values
+from adiawalk.schedules import (
+    bc_composite_schedule,
+    eval_schedule,
+    glue_schedule,
+    linear_schedule,
+    schedule_values,
+)
+from adiawalk.toymodels import four_level_pair
 
 LINEAR = linear_schedule()
 
@@ -137,31 +144,32 @@ def test_effective_orders():
 
 
 # ---------------------------------------------------------------------------
-# splitting coefficients
+# factor lists
+
+ALL_TAGS = ("exp", "pf1", "pf2", "pf2-simplified", "spf1", "spf2", "spf4", "spf6", "spf8")
+
 
 def test_suzuki_order2_is_strang():
-    stages = suzuki_coefficients(2).stages
-    assert stages == ((0.5, 1.0), (0.5, 0.0))
+    assert suzuki_coefficients(2) == ((0, 0.5), (1, 1.0), (0, 0.5))
 
 
 def test_suzuki_fractal_constant():
     # first fractal weight 1 / (4 - 4^(1/3))
-    stages = suzuki_coefficients(4).stages
+    factors = suzuki_coefficients(4)
     u2 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-    assert stages[0][0] == pytest.approx(u2 / 2.0, abs=1e-15)
-    assert stages[0][1] == pytest.approx(u2, abs=1e-15)
+    assert factors[0] == (0, pytest.approx(u2 / 2.0, abs=1e-15))
+    assert factors[1] == (1, pytest.approx(u2, abs=1e-15))
 
 
 def test_suzuki_stage_counts_after_merging():
-    expected = {2: 2, 4: 6, 6: 26, 8: 126}
+    expected = {2: 3, 4: 11, 6: 51, 8: 251}
     for order, count in expected.items():
-        coeffs = suzuki_coefficients(order)
-        assert len(coeffs) == count
-        sa = sum(a for a, _ in coeffs.stages)
-        sb = sum(b for _, b in coeffs.stages)
-        assert sa == pytest.approx(1.0, abs=1e-12)
-        assert sb == pytest.approx(1.0, abs=1e-12)
-        assert coeffs.stages[-1][1] == 0.0  # trailing exponential is in H0
+        factors = suzuki_coefficients(order)
+        assert len(factors) == count
+        # alternating, starting and ending with H0
+        assert [op for op, _ in factors] == [i % 2 for i in range(count)]
+        for op in (0, 1):
+            assert sum(w for o, w in factors if o == op) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_suzuki_rejects_odd_orders():
@@ -171,9 +179,49 @@ def test_suzuki_rejects_odd_orders():
         suzuki_coefficients(10)
 
 
-def test_splitting_coefficients_validate_sums():
-    with pytest.raises(ValueError, match="stage sums"):
-        SplittingCoefficients(((0.5, 1.0), (0.4, 0.0)))
+def test_aliases_share_one_factor_list():
+    assert spf(1).factors == PF1.factors == ((1, 1.0), (0, 1.0))
+    assert spf(2).factors == PF2_SIMPLIFIED.factors == PF2.factors == suzuki_coefficients(2)
+    assert EXP_INTEGRATOR.factors == ()
+    assert PF2.offset == 0.5
+    assert all(parse_integrator_tag(t).offset == 0.0 for t in ALL_TAGS if t != "pf2")
+
+
+def test_alias_families_are_bitwise_equal():
+    h0, h1 = four_level_pair()
+    for sched in (LINEAR, glue_schedule(), bc_composite_schedule()):
+        for a, b in ((PF1, spf(1)), (PF2_SIMPLIFIED, spf(2))):
+            fa = build_walk_family(h0, h1, sched, a, 0.7, 23)
+            fb = build_walk_family(h0, h1, sched, b, 0.7, 23)
+            assert np.array_equal(fa.walks, fb.walks)
+
+
+def test_walk_operator_is_the_family_kernel_at_one_point():
+    h0, h1 = four_level_pair()
+    td = 9
+    for sched in (LINEAR, glue_schedule(), bc_composite_schedule()):
+        for tag in ALL_TAGS:
+            kind = parse_integrator_tag(tag)
+            fam = build_walk_family(h0, h1, sched, kind, 0.7, td)
+            for j in range(td + 1):
+                w = walk_operator(h0, h1, sched, kind, 0.7, j / td, ds=1.0 / td).matrix
+                assert np.array_equal(w, fam.walk(j)), (tag, sched.kind, j)
+
+
+def test_hamiltonian_bands_match_pointwise_eigvalsh():
+    h0, h1 = four_level_pair()
+    glue = glue_schedule()
+    s = np.linspace(0.0, 1.0, 41)
+    f = schedule_values(glue, s)[0]
+    bands = hamiltonian_bands(h0, h1, f)
+    for i, s_i in enumerate(s):
+        fi = schedule_values(glue, float(s_i))[0]
+        ref = np.linalg.eigvalsh((1.0 - fi) * h0.matrix + fi * h1.matrix)
+        assert np.max(np.abs(bands[i] - ref)) < 1e-14
+    w, v = hamiltonian_bands(h0, h1, f, vectors=True)
+    assert np.max(np.abs(w - bands)) < 1e-14
+    hs = (1.0 - f)[:, None, None] * h0.matrix + f[:, None, None] * h1.matrix
+    assert np.max(np.abs(hs @ v - v * w[:, None, :])) < 1e-13
 
 
 # ---------------------------------------------------------------------------
