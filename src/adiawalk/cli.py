@@ -68,28 +68,26 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_int(params, key, lo=None, hi=None):
-    v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
-        raise ConfigError(f"parameter {key!r} must be an integer, got {v!r}")
-    v = int(v)
+def _bounded(key, v, lo, hi):
     if lo is not None and v < lo:
         raise ConfigError(f"parameter {key!r} must be >= {lo}, got {v}")
     if hi is not None and v > hi:
         raise ConfigError(f"parameter {key!r} must be <= {hi}, got {v}")
     return v
+
+
+def _as_int(params, key, lo=None, hi=None):
+    v = params[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+        raise ConfigError(f"parameter {key!r} must be an integer, got {v!r}")
+    return _bounded(key, int(v), lo, hi)
 
 
 def _as_float(params, key, lo=None, hi=None):
     v = params[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigError(f"parameter {key!r} must be a finite number, got {v!r}")
-    v = float(v)
-    if lo is not None and v < lo:
-        raise ConfigError(f"parameter {key!r} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"parameter {key!r} must be <= {hi}, got {v}")
-    return v
+    return _bounded(key, float(v), lo, hi)
 
 
 def _as_choice(params, key, choices):
@@ -274,14 +272,7 @@ def _run_step_size_report(params, rng, threads):
     orders = sorted({parse_integrator_tag(k).effective_order for k in kinds if k.startswith("spf")}
                     | {1, 2})
     consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(o for o in orders if o <= 6))
-
-    s_nodes = np.linspace(0.0, 1.0, grid + 1)
-    w = hamiltonian_bands(h0, h1, schedule_values(sched, s_nodes)[0])
-    gaps = w[:, 1] - w[:, 0]
-    i_star = int(np.argmin(gaps))
-    s_star = float(s_nodes[i_star])
-    gap_star = float(gaps[i_star])
-    gapless = consts.delta_star <= GAPLESS_TOL
+    s_star, gapless = consts.s_star, consts.delta_star <= GAPLESS_TOL
 
     rows = []
     for tag in sorted(set(kinds)):
@@ -292,7 +283,7 @@ def _run_step_size_report(params, rng, threads):
         else:
             h_rec = recommended_step_size(consts, kind)
             if kind.method == "exp":
-                lo = hi = h_rec * gap_star
+                lo = hi = h_rec * consts.delta_star
             else:
                 order = 2 if kind.effective_order <= 2 else kind.effective_order
                 lo, hi = gap_perturbation_bounds(h0, h1, sched, s_star, h_rec, order=order)

@@ -17,7 +17,11 @@ schedule:
 
 One private kernel, ``_walk_stack``, turns a factor list and a vector of
 schedule values into a stack of walks; ``walk_operator``, ``WalkFamily``,
-the reference propagator and the toy-model gap table all call it.
+the reference propagator and the toy-model gap table all call it.  Each
+factor is a phase vector D_i in its operator's eigenbasis, so a walk is
+V_a D_1 X D_2 X' ... D_k V_b^dag, started in the first factor's basis,
+with X, X' alternating between the fixed links C = V1^dag V0 and C^dag:
+phase scalings and right multiplications by constant matrices only.
 ``hamiltonian_bands`` is the only code that assembles and diagonalizes
 H(s).
 
@@ -113,9 +117,7 @@ class IntegratorKind:
     @property
     def effective_order(self) -> int:
         """Splitting order used by the step-size formulas."""
-        if self.method == "exp":
-            return 1
-        if self.method == "pf1":
+        if self.method in ("exp", "pf1"):
             return 1
         if self.method == "pf2":
             return 2
@@ -148,14 +150,9 @@ def spf(order: int) -> IntegratorKind:
 
 
 def parse_integrator_tag(tag: str) -> IntegratorKind:
-    if tag == "exp":
-        return EXP_INTEGRATOR
-    if tag == "pf1":
-        return PF1
-    if tag == "pf2":
-        return PF2
-    if tag == "pf2-simplified":
-        return PF2_SIMPLIFIED
+    named = {k.tag: k for k in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED)}
+    if tag in named:
+        return named[tag]
     if tag.startswith("spf"):
         try:
             return spf(int(tag[3:]))
@@ -241,20 +238,30 @@ def _read_points(kind: IntegratorKind, s: np.ndarray, ds: float | None) -> np.nd
 def _walk_stack(ends, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
     """Walks at step h, one per schedule value in ``f``.
 
-    ``ends`` is what ``_endpoints`` returns.  A product formula multiplies
-    its factors left to right, each exponentiated in its operator's
-    eigenbasis; ``exp`` diagonalizes every H(f) instead.
+    ``ends`` is what ``_endpoints`` returns.  A product formula starts in
+    its first factor's eigenbasis as V_a D_1, the columns of V_a scaled by
+    the phases exp(-i h w g(f) lambda).  Each later factor right-multiplies
+    by the link into its own basis, C = V1^dag V0 after H1 or C^dag after
+    H0, and scales columns in place; a last product by V_b^dag leaves the
+    last factor's basis.  Only the phases vary with f, so each product is
+    one (n d, d) @ (d, d) GEMM by a constant matrix, never a batched product
+    of two varying stacks.  ``exp`` diagonalizes every H(f) instead.
     """
     if kind.method == "exp":
         w, v = hamiltonian_bands(ends[0][0], ends[1][0], f, vectors=True)
         return np.einsum("nik,nk,njk->nij", v, np.exp(-1j * h * w), v.conj())
+    c = ends[1][2].conj().T @ ends[0][2]  # C = V1^dag V0
+    links = (c.conj().T, c)  # out of the H0 and out of the H1 eigenbasis
     acc = None
     for op, weight in kind.factors:
         _, w, v = ends[op]
-        ph = np.exp(-1j * h * weight * np.outer(f if op else 1.0 - f, w))
-        e = np.einsum("ik,nk,jk->nij", v, ph, v.conj())
-        acc = e if acc is None else acc @ e
-    return acc
+        ph = np.exp(-1j * h * weight * np.outer(f if op else 1.0 - f, w))[:, None, :]
+        if acc is None:
+            acc = v * ph
+        else:
+            acc = (acc.reshape(-1, v.shape[0]) @ links[1 - op]).reshape(acc.shape)
+            acc *= ph
+    return (acc.reshape(-1, v.shape[0]) @ v.conj().T).reshape(acc.shape)
 
 
 def walk_operator(
@@ -282,6 +289,13 @@ def walk_operator(
 # ---------------------------------------------------------------------------
 # walk families
 
+def _check_unitary(ws: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` unless max |W^dag W - I| <= WALK_UNITARITY_TOL (NaN fails)."""
+    dev = float(np.max(np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(ws.shape[-1]))))
+    if not dev <= WALK_UNITARITY_TOL:
+        raise error(f"{message}: deviation {dev:.3e}")
+
+
 @dataclass
 class WalkFamily:
     """Grid {W(j/T_d)} for j = 0..T_d, possibly built lazily in blocks.
@@ -305,23 +319,17 @@ class WalkFamily:
     def s_grid(self) -> np.ndarray:
         return np.arange(self.td + 1) / self.td
 
-    def _build_block(self, s: np.ndarray) -> np.ndarray:
-        if self._ends is None:
-            self._ends = _endpoints(self.h0, self.h1)
-        f = schedule_values(self.schedule, _read_points(self.kind, s, 1.0 / self.td))[0]
-        return _walk_stack(self._ends, self.kind, self.h, f)
-
     def block(self, j0: int, j1: int) -> np.ndarray:
         """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
         if not 0 <= j0 < j1 <= self.td + 1:
             raise ValueError(f"bad block range [{j0}, {j1}) for td = {self.td}")
         if self._walks is not None:
             return self._walks[j0:j1]
-        s = np.arange(j0, j1) / self.td
-        ws = self._build_block(s)
-        dev = float(np.max(np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(self.dim))))
-        if not dev <= WALK_UNITARITY_TOL:
-            raise RuntimeError(f"walk block lost unitarity: deviation {dev:.3e}")
+        if self._ends is None:
+            self._ends = _endpoints(self.h0, self.h1)
+        s = _read_points(self.kind, np.arange(j0, j1) / self.td, 1.0 / self.td)
+        ws = _walk_stack(self._ends, self.kind, self.h, schedule_values(self.schedule, s)[0])
+        _check_unitary(ws, RuntimeError, "walk block lost unitarity")
         return ws
 
     def walk(self, j: int) -> np.ndarray:
@@ -366,9 +374,7 @@ def walk_family_from_operators(walks, h: float = 1.0) -> WalkFamily:
     ws = np.asarray(walks, dtype=complex)
     if ws.ndim != 3 or ws.shape[1] != ws.shape[2] or ws.shape[0] < 2:
         raise ValueError(f"expected a stack of at least 2 square matrices, got {ws.shape}")
-    dev = float(np.max(np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(ws.shape[1]))))
-    if not dev <= WALK_UNITARITY_TOL:
-        raise ValueError(f"entry not unitary: deviation {dev:.3e}")
+    _check_unitary(ws, ValueError, "entry not unitary")
     return WalkFamily(td=ws.shape[0] - 1, h=float(h), dim=ws.shape[1], _walks=ws)
 
 
@@ -465,6 +471,7 @@ class ProblemConstants:
     delta_star: float
     comm_combo: float
     alpha_tilde: dict
+    s_star: float | None = None  # grid point of the minimal gap, when measured
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -484,19 +491,20 @@ def problem_constants(
     grid: int = 1000,
     orders: tuple = (1, 2, 4),
 ) -> ProblemConstants:
-    """Measure alpha, the minimal ground gap of H(s) over the grid, and
-    the commutator sums needed by the step-size rules."""
-    h0 = HermitianOperator(getattr(H0, "matrix", H0))
-    h1 = HermitianOperator(getattr(H1, "matrix", H1))
+    """Measure alpha, the minimal ground gap of H(s) over the grid and
+    where it sits, and the commutator sums needed by the step-size rules."""
+    h0, h1 = _hermitian(H0), _hermitian(H1)
     alpha = operator_norm(h0) + operator_norm(h1)
-    w = hamiltonian_bands(h0, h1, schedule_values(sched, np.linspace(0.0, 1.0, grid + 1))[0])
-    delta_star = float(np.min(w[:, 1] - w[:, 0]))
+    s = np.linspace(0.0, 1.0, grid + 1)
+    w = hamiltonian_bands(h0, h1, schedule_values(sched, s)[0])
+    i_star = int(np.argmin(w[:, 1] - w[:, 0]))
     tilde = {int(p): nested_commutator_sum(h0, h1, int(p)) for p in orders if p <= 6}
     return ProblemConstants(
         alpha=alpha,
-        delta_star=delta_star,
+        delta_star=float(w[i_star, 1] - w[i_star, 0]),
         comm_combo=commutator_combo(h0, h1),
         alpha_tilde=tilde,
+        s_star=float(s[i_star]),
     )
 
 

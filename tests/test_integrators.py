@@ -22,6 +22,8 @@ from adiawalk.integrators import (
     IntegratorKind,
     ProblemConstants,
     WalkFamily,
+    _endpoints,
+    _walk_stack,
     build_walk_family,
     commutator_combo,
     exact_step_propagator,
@@ -293,6 +295,29 @@ def test_spf_order_one_is_pf1():
     assert np.array_equal(a, b)
 
 
+def grover_pair(n: int = 8, marked: int = 3):
+    """H0 = I - |u><u| and H1 = I - |m><m|: both spectra are degenerate."""
+    u = np.full(n, 1.0 / math.sqrt(n))
+    e = np.eye(n)[marked]
+    return np.eye(n) - np.outer(u, u), np.eye(n) - np.outer(e, e)
+
+
+@pytest.mark.parametrize("pair", ["random", "grover"])
+@pytest.mark.parametrize(
+    "tag", ["exp", "pf1", "pf2", "pf2-simplified", "spf1", "spf2", "spf4", "spf6", "spf8"]
+)
+def test_walk_kernel_matches_expm_product_of_its_factors(tag, pair):
+    h0, h1 = random_pair(29, n=5) if pair == "random" else grover_pair()
+    kind = parse_integrator_tag(tag)
+    f = np.array([0.0, 0.23, 0.5, 0.81, 1.0])
+    stack = _walk_stack(_endpoints(h0, h1), kind, 0.7, f)
+    for walk, fk in zip(stack, f):
+        ref = expm_mix(h0, h1, fk, 0.7) if not kind.factors else np.eye(len(h0))
+        for op, weight in kind.factors:
+            ref = ref @ scipy.linalg.expm(-1j * 0.7 * weight * (h1 * fk if op else h0 * (1.0 - fk)))
+        assert np.max(np.abs(walk - ref)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # second-order error bound
 
@@ -467,6 +492,7 @@ def test_problem_constants_on_search_pair():
     assert consts.alpha == pytest.approx(2.0, abs=1e-12)
     # minimal gap sqrt(mu) at f = 1/2
     assert consts.delta_star == pytest.approx(0.25, abs=1e-4)
+    assert consts.s_star == 0.5
     assert set(consts.alpha_tilde) == {1, 2, 4}
     assert consts.alpha_tilde[1] == pytest.approx(2.0 * math.sqrt(15.0) / 16.0, rel=1e-10)
 
