@@ -160,7 +160,7 @@ def _run_spectrum_scan(params, rng, threads):
         (float(s[i]), *map(float, bands[i]), *map(float, track.phases[i]))
         for i in range(len(s))
     ]
-    return cols, rows, None
+    return cols, rows, {"min_overlap": track.min_overlap}
 
 
 def _run_fidelity_sweep(params, rng, threads):

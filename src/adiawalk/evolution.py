@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import HermitianOperator, chain_product, normal_eig
 from .integrators import EXP_INTEGRATOR, WalkFamily, build_walk_family
 from .schedules import glue_schedule
-from .spectral import EigenpathTrack, track_eigenpaths
+from .spectral import EigenpathTrack, _label_order, track_eigenpaths
 
 PROJECTOR_TOL = 1e-10
 STATE_NORM_TOL = 1e-9
@@ -73,7 +73,7 @@ def _projector_stack(track: EigenpathTrack) -> np.ndarray:
 @dataclass(frozen=True)
 class EvolutionResult:
     """Final state with its leakage out of the target group and the
-    amplitude overlaps against the final eigenbasis (ascending phase)."""
+    amplitude overlaps against the final eigenbasis (ground path first)."""
 
     final_state: np.ndarray
     leakage: float
@@ -101,9 +101,11 @@ def evolve(
     With a track, leakage is measured against the tracked group's final
     projector and fidelities against the tracked final eigenbasis.
     Without one, the final walk operator is diagonalized on the spot and
-    its ascending-phase eigenbasis used instead (ground path first); the
-    leakage is then the norm of the non-ground amplitudes, which keeps
-    its relative precision where 1 - |ground amplitude|^2 would cancel.
+    its eigenbasis labeled as step 0 of a track would be, ground path
+    first: by energy against H(f(1)) for a family with endpoints, by
+    ascending phase otherwise.  The leakage is then the norm of the
+    non-ground amplitudes, which keeps its relative precision where
+    1 - |ground amplitude|^2 would cancel.
     """
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
@@ -134,8 +136,7 @@ def evolve(
         fidelities = np.abs(track.vectors[td].conj().T @ psi)
     else:
         dec = normal_eig(family.walk(td))
-        theta = -np.angle(dec.eigenvalues)
-        order = np.argsort(theta)
+        order = _label_order(family, td, dec.eigenvectors, -np.angle(dec.eigenvalues))
         basis = dec.eigenvectors[:, order]
         fidelities = np.abs(basis.conj().T @ psi)
         leakage = float(np.linalg.norm(fidelities[1:]))
@@ -154,16 +155,30 @@ class IdealAdiabaticFamily:
     ``v_rotations[j]`` is the unitary part of S(j) = P(j+1)P(j) +
     Q(j+1)Q(j); the adiabatic walks are V(j) W(j) and ``adiabatic_evolution``
     their running product, which intertwines the endpoint projectors up to
-    ``intertwining_residual``.
+    ``intertwining_residual``.  S(j) and V(j) W(j) are not kept: each
+    (td, d, d) stack held here adds to the peak memory of the Volterra
+    diagnostics built on top.
     """
 
     projectors: np.ndarray
-    s_operators: np.ndarray
     singular_values: np.ndarray
     v_rotations: np.ndarray
-    adiabatic_walks: np.ndarray
     adiabatic_evolution: np.ndarray
     intertwining_residual: float
+
+
+def _max_norm(x: np.ndarray) -> float:
+    """Largest spectral norm over a stack of matrices."""
+    return float(np.linalg.svd(x, compute_uv=False)[:, 0].max())
+
+
+def _running_product(ws: np.ndarray) -> np.ndarray:
+    """Stack of ws[n-1] @ ... @ ws[0] for n = 0..len(ws), multiplied in order."""
+    out = np.empty((len(ws) + 1, *ws.shape[1:]), dtype=complex)
+    out[0] = np.eye(ws.shape[-1])
+    for j in range(len(ws)):
+        out[j + 1] = ws[j] @ out[j]
+    return out
 
 
 def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAdiabaticFamily:
@@ -172,30 +187,26 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
         raise ValueError("track does not match the family")
     d = family.dim
     eye = np.eye(d)
+    # Intermediate stacks are released as soon as they are used, so that
+    # the ideal family and the Volterra series stay the only large arrays.
     p = _projector_stack(track)
     q = eye - p
     s = p[1:] @ p[:-1] + q[1:] @ q[:-1]
-    gram = s @ s.conj().transpose(0, 2, 1)
-    w, r = np.linalg.eigh(gram)
+    del q
+    w, r = np.linalg.eigh(s @ s.conj().transpose(0, 2, 1))
     if np.min(w) < SINGULAR_FLOOR:
         j = int(np.argmin(np.min(w, axis=1)))
         raise GapCollapseError(
             f"projector overlap collapsed at step {j}: "
             f"smallest singular value {np.sqrt(max(np.min(w), 0.0)):.3e}"
         )
-    inv_sqrt = np.einsum("nik,nk,njk->nij", r, 1.0 / np.sqrt(w), r.conj())
-    v = inv_sqrt @ s
+    v = np.einsum("nik,nk,njk->nij", r, 1.0 / np.sqrt(w), r.conj()) @ s
+    del r, s
     vdev = float(np.max(np.abs(v.conj().transpose(0, 2, 1) @ v - eye)))
     if vdev > ROTATION_UNITARITY_TOL:
         raise RuntimeError(f"polar rotation lost unitarity: deviation {vdev:.3e}")
-    wa = np.empty((td, d, d), dtype=complex)
-    ua = np.empty((td + 1, d, d), dtype=complex)
-    ua[0] = eye
-    for j in range(td):
-        wa[j] = v[j] @ family.walk(j)
-        ua[j + 1] = wa[j] @ ua[j]
-    resid_ops = ua @ p[0] - p @ ua
-    residual = float(np.linalg.svd(resid_ops, compute_uv=False)[:, 0].max())
+    ua = _running_product(v @ family.block(0, td))
+    residual = _max_norm(ua @ p[0] - p @ ua)
     if residual > INTERTWINING_TOL:
         raise RuntimeError(
             f"adiabatic evolution fails to intertwine the projectors: {residual:.3e}"
@@ -203,10 +214,8 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
     sv = np.sqrt(np.maximum(w, 0.0))
     return IdealAdiabaticFamily(
         projectors=p,
-        s_operators=s,
         singular_values=sv,
         v_rotations=v,
-        adiabatic_walks=wa,
         adiabatic_evolution=ua,
         intertwining_residual=residual,
     )
@@ -219,14 +228,14 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
 class VolterraDiagnostics:
     """Discrete comparison series between U and its adiabatic reference.
 
-    ``omega[n]`` solves the exact running-sum recursion and equals
-    U_A(n)^dag U(n) to roundoff; ``omega_terms[j]`` is the j-th iterate of
-    that recursion started from the identity.  The off-diagonal profiles
-    take the initial-frame block Q(0) X P(0) of each operator.
+    ``omega[n]`` solves the exact running-sum recursion, with kernel
+    K(n) = td (I - Theta(n)) and Theta(n) = U_A(n+1)^dag V(n)^dag U_A(n+1),
+    and equals U_A(n)^dag U(n) to roundoff; ``omega_terms[j]`` is the j-th
+    iterate of that recursion started from the identity.  The off-diagonal
+    profiles take the initial-frame block Q(0) X P(0) of each operator.
+    The kernel is dropped once the series are built.
     """
 
-    theta: np.ndarray
-    kernel: np.ndarray
     omega: np.ndarray
     omega_terms: np.ndarray
     off_diag_omega: np.ndarray
@@ -251,16 +260,11 @@ def volterra_diagnostics(
         raise ValueError("j_max must be nonnegative")
     eye = np.eye(d)
 
-    u = np.empty((td + 1, d, d), dtype=complex)
-    u[0] = eye
-    for j in range(td):
-        u[j + 1] = family.walk(j) @ u[j]
-
     ua = ideal.adiabatic_evolution
     ua1 = ua[1:]
-    vh = ideal.v_rotations.conj().transpose(0, 2, 1)
-    theta = ua1.conj().transpose(0, 2, 1) @ vh @ ua1
-    kernel = td * (eye - theta)
+    kernel = td * (
+        eye - ua1.conj().transpose(0, 2, 1) @ ideal.v_rotations.conj().transpose(0, 2, 1) @ ua1
+    )
 
     omega = np.empty((td + 1, d, d), dtype=complex)
     omega[0] = eye
@@ -272,13 +276,17 @@ def volterra_diagnostics(
     terms = np.empty((j_max + 1, td + 1, d, d), dtype=complex)
     terms[0] = eye
     for j in range(1, j_max + 1):
-        prod = kernel @ terms[j - 1, :-1]
-        csum = np.cumsum(prod, axis=0)
+        csum = kernel @ terms[j - 1, :-1]  # summed, scaled and subtracted in place
+        np.cumsum(csum, axis=0, out=csum)
+        csum /= td
         terms[j, 0] = eye
-        terms[j, 1:] = eye - csum / td
+        np.subtract(eye, csum, out=terms[j, 1:])
+        del csum
+    del kernel
 
-    check = ua.conj().transpose(0, 2, 1) @ u
-    residual = float(np.linalg.svd(omega - check, compute_uv=False)[:, 0].max())
+    check = ua.conj().transpose(0, 2, 1) @ _running_product(family.block(0, td))
+    residual = _max_norm(np.subtract(omega, check, out=check))
+    del check
     if residual > SERIES_IDENTITY_TOL:
         raise RuntimeError(f"comparison recursion drifted from U_A^dag U: {residual:.3e}")
     unit_dev = float(np.max(np.abs(omega.conj().transpose(0, 2, 1) @ omega - eye)))
@@ -290,8 +298,6 @@ def volterra_diagnostics(
     off_omega = _offdiag_profile(omega, p0, q0)
     off_terms = np.stack([_offdiag_profile(terms[j], p0, q0) for j in range(j_max + 1)])
     return VolterraDiagnostics(
-        theta=theta,
-        kernel=kernel,
         omega=omega,
         omega_terms=terms,
         off_diag_omega=off_omega,
@@ -324,6 +330,17 @@ def _loglog_slope(td: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(td), np.log(np.maximum(y, 1e-300)), 1)[0])
 
 
+def _offdiag_endpoints(H0, H1, sched, td: int, j_max: int, p_selector):
+    """First-iterate off-diagonal profile and the last off-diagonal of the
+    full comparison operator, exp walks at h = 1 over td steps.  Nothing
+    of one step count outlives its call, and the track is released before
+    the comparison series is built, which keeps peak memory down."""
+    fam = build_walk_family(H0, H1, sched, EXP_INTEGRATOR, 1.0, td)
+    ideal = ideal_adiabatic_family(track_eigenpaths(fam, p_selector), fam)
+    diag = volterra_diagnostics(ideal, fam, j_max=j_max)
+    return diag.off_diag_terms[1], float(diag.off_diag_omega[-1])
+
+
 def boundary_vs_interior_scaling(
     H0,
     H1,
@@ -350,12 +367,9 @@ def boundary_vs_interior_scaling(
     b_term1 = np.empty(len(tds))
     b_full = np.empty(len(tds))
     for i, td in enumerate(tds):
-        fam = build_walk_family(H0, H1, sched, EXP_INTEGRATOR, 1.0, td)
-        track = track_eigenpaths(fam, p_selector)
-        diag = volterra_diagnostics(ideal_adiabatic_family(track, fam), fam, j_max=j_max)
-        interior[i] = float(diag.off_diag_terms[1].max())
-        b_term1[i] = float(diag.off_diag_terms[1][-1])
-        b_full[i] = float(diag.off_diag_omega[-1])
+        term1, b_full[i] = _offdiag_endpoints(H0, H1, sched, td, j_max, p_selector)
+        interior[i] = float(term1.max())
+        b_term1[i] = float(term1[-1])
     tarr = np.asarray(tds, dtype=float)
     metrics = {"interior": interior, "boundary_term1": b_term1, "boundary_full": b_full}
     slopes = {name: _loglog_slope(tarr, y) for name, y in metrics.items()}

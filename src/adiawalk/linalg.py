@@ -4,6 +4,13 @@ Eigendecompositions, matrix exponentials and logarithms of unitaries,
 operator norms, and arc geometry on the unit circle.  Everything works on
 dense square matrices (dimension up to a few dozen) in double precision.
 
+Normal (in practice unitary) matrices are diagonalized by one batched
+kernel over an (n, d, d) stack: ``np.linalg.eig``, Loewdin
+re-orthonormalization V (V^dag V)^(-1/2) of its eigenvectors (it repairs
+the non-orthogonal vectors eig returns inside a degenerate eigenspace),
+and eigenvalues diag(V^dag W V).  An orthonormality and a reconstruction
+check then raise ``EigensolverError`` naming the first failing matrix.
+
 Phase conventions used throughout the package:
 
 * ``logm_unitary(U)`` returns Theta with ``U = exp(i Theta)`` and every
@@ -25,7 +32,6 @@ UNITARITY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 NORMALITY_TOL = 1e-8
-CLUSTER_RTOL = 1e-9
 BRANCH_CUT_TOL = 1e-12
 UNIT_MODULUS_TOL = 1e-8
 
@@ -159,46 +165,49 @@ def hermitian_eig(H) -> NormalEigenDecomposition:
     return dec
 
 
+def _check_stack(dev: np.ndarray, tol: float, what: str) -> None:
+    """Raise EigensolverError at the first matrix whose ``dev`` is not <= tol (NaN fails)."""
+    bad = np.flatnonzero(~(dev <= tol))
+    if bad.size:
+        i = int(bad[0])
+        raise EigensolverError(f"normal_eig: {what} {dev[i]:.3e} at index {i}")
+
+
+def _normal_eig_stack(ws: np.ndarray):
+    """Eigenvalues (n, d) and orthonormal eigenvectors (n, d, d), as columns,
+    of every normal matrix in the stack ``ws``; see the module docstring."""
+    try:
+        _, v = np.linalg.eig(ws)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eig failed on a {ws.shape} stack: {exc}") from exc
+    vh = v.conj().transpose(0, 2, 1)
+    g, r = np.linalg.eigh(vh @ v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = v @ ((r / np.sqrt(g)[:, None, :]) @ r.conj().transpose(0, 2, 1))
+    vh = v.conj().transpose(0, 2, 1)
+    lam = np.einsum("nik,nik->nk", v.conj(), ws @ v)
+    ortho = np.abs(vh @ v - np.eye(ws.shape[-1])).max(axis=(1, 2))
+    _check_stack(ortho, ORTHONORMALITY_TOL, "orthonormality deviation")
+    recon = np.abs((v * lam[:, None, :]) @ vh - ws).max(axis=(1, 2))
+    _check_stack(recon, RECONSTRUCTION_TOL, "reconstruction residual")
+    return lam, v
+
+
 def normal_eig(U) -> NormalEigenDecomposition:
     """Eigendecomposition of a normal (typically unitary) matrix.
 
-    Two-stage procedure: diagonalize the Hermitian part (U + U^dag)/2,
-    then diagonalize the anti-Hermitian part within each degenerate
-    cluster of the first stage.  This resolves conjugate eigenvalue pairs
-    e^{+-i theta} whose real parts coincide, which a single Hermitian
-    solve cannot separate.
+    The one-matrix case of the batched kernel: ``np.linalg.eig``, Loewdin
+    re-orthonormalization of its eigenvectors, eigenvalues diag(V^dag U V),
+    then the orthonormality and reconstruction checks.  Eigenvalues come
+    in no particular order.
     """
     m = _coerce(U)
     scale = max(1.0, float(np.max(np.abs(m))))
     normality = float(np.max(np.abs(m @ m.conj().T - m.conj().T @ m)))
     if normality > NORMALITY_TOL * scale:
         raise ValueError(f"matrix not normal: commutator deviation {normality:.3e}")
-
-    herm = (m + m.conj().T) / 2
-    skew = (m - m.conj().T) / 2j
-    try:
-        w, v = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigh failed on dim {m.shape[0]}: {exc}") from exc
-
-    # Rotate inside each near-degenerate cluster of the Hermitian part so
-    # the skew part becomes diagonal there as well.
-    ctol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))))
-    n = m.shape[0]
-    boundaries = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > ctol] + [n]
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi - lo < 2:
-            continue
-        block = v[:, lo:hi]
-        sub = block.conj().T @ skew @ block
-        sub = (sub + sub.conj().T) / 2
-        _, rot = np.linalg.eigh(sub)
-        v[:, lo:hi] = block @ rot
-
-    lam = np.einsum("ik,ik->k", v.conj(), m @ v)
-    dec = NormalEigenDecomposition(lam, v)
-    _check_reconstruction(dec, m, "normal_eig")
-    return dec
+    lam, v = _normal_eig_stack(m[None])
+    return NormalEigenDecomposition(lam[0], v[0])
 
 
 def expm_i_hermitian(H, scale: float = 1.0) -> UnitaryOperator:

@@ -17,14 +17,16 @@ from math import comb
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import HermitianOperator, arc_distance_angles, normal_eig, operator_norm
+from .linalg import HermitianOperator, _normal_eig_stack, arc_distance_angles, operator_norm
 from .integrators import WalkFamily, commutator_combo, hamiltonian_bands, nested_commutator_sum
 from .schedules import Schedule, schedule_values
 
 OVERLAP_FLOOR = 0.5
 OVERLAP_TIE_TOL = 1e-9
 GAP_ZERO_TOL = 1e-14
-TRACK_BLOCK = 4096
+TRACK_BLOCK = 256  # walks per batched eigensolve; larger blocks raise peak memory, not speed
+# above the tie tolerance and the eigenvectors' orthonormality tolerance
+FAST_MATCH_MARGIN = 1e-6
 
 __all__ = [
     "TrackingAmbiguityError",
@@ -107,8 +109,9 @@ class EigenpathTrack:
     """Continuously labeled eigenphases and eigenvectors over a step grid.
 
     ``phases[j, q]`` is the unwrapped phase of path q at step j (paths are
-    labeled by their phase order at step 0) and ``vectors[j, :, q]`` the
-    matching unit eigenvector with phase chosen for continuity in j.
+    labeled ground first at step 0, see ``_label_order``) and
+    ``vectors[j, :, q]`` the matching unit eigenvector with phase chosen
+    for continuity in j.
     """
 
     phases: np.ndarray
@@ -139,12 +142,37 @@ class EigenpathTrack:
         return tuple(q for q in range(self.dim) if q not in self.p_group)
 
 
+def _label_order(family: WalkFamily, j: int, vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Column order that labels the eigenvectors ``vecs`` of walk j.
+
+    A family that carries H0 and H1 orders them by their overlap-weighted
+    energy sum_k |<u_k|v>|^2 E_k against the eigenpairs (E_k, u_k) of
+    H(f(j/td)), ground first; this stays right once h * lambda wraps past
+    pi.  A family built from raw operators orders them by phase.
+    """
+    if family.h0 is None:
+        return np.argsort(theta)
+    f = schedule_values(family.schedule, j / family.td)[0]
+    w, u = hamiltonian_bands(family.h0, family.h1, f, vectors=True)
+    return np.argsort(w @ np.abs(u.conj().T @ vecs) ** 2)
+
+
 def track_eigenpaths(family: WalkFamily, p_selector="ground") -> EigenpathTrack:
     """Follow every eigenpath of the family across j = 0..td.
 
-    Step 0 fixes the labels in ascending phase order; each later step is
-    matched to the previous one by greedy maximal vector overlap, with a
-    hard floor of 0.5 on the matched amplitude.
+    Step 0 fixes the labels (``_label_order``).  Each block of
+    ``TRACK_BLOCK`` walks takes one batched eigensolve and one batched
+    product for the overlaps of consecutive eigenbases, the previous
+    block's last basis prepended.  Fast path: if every row of a step's
+    overlap matrix peaks above |overlap|^2 = 1/2 + FAST_MATCH_MARGIN, the
+    row argmax is a permutation and the one the greedy matcher would pick.
+    Other steps go through ``_match_columns``: greedy maximal overlap with
+    a floor of 0.5 on the matched amplitude, ties broken by phase.  Label
+    maps are composed only where a step's permutation is not the identity.
+    Phases are unwrapped by a cumulative sum of wrapped differences, then
+    snapped to the raw phase plus a multiple of 2 pi; vector phases follow
+    a cumulative sum of the matched overlap angles, so each vector has a
+    real positive overlap with its predecessor.
     """
     td = family.td
     dim = family.dim
@@ -152,32 +180,55 @@ def track_eigenpaths(family: WalkFamily, p_selector="ground") -> EigenpathTrack:
     phases = np.empty((td + 1, dim))
     vectors = np.empty((td + 1, dim, dim), dtype=complex)
     worst = 1.0
-    prev_t = None
-    prev_v = None
+    identity = np.arange(dim)
+    last = None  # raw vectors, raw phases, label map, tracked phases, vector angles
     for j0 in range(0, td + 1, TRACK_BLOCK):
         j1 = min(j0 + TRACK_BLOCK, td + 1)
-        ws = family.block(j0, j1)
-        for j in range(j0, j1):
-            dec = normal_eig(ws[j - j0])
-            theta = -np.angle(dec.eigenvalues)
-            vecs = dec.eigenvectors
-            if prev_t is None:
-                order = np.argsort(theta)
-                theta = theta[order]
-                vecs = vecs[:, order]
+        lam, v = _normal_eig_stack(family.block(j0, j1))
+        theta = -np.angle(lam)
+        if last is None:
+            perm = _label_order(family, 0, v[0], theta[0])
+            phases[0] = theta[0, perm]
+            vectors[0] = v[0][:, perm]
+            last = (v[0], theta[0], perm, phases[0], np.zeros(dim))
+            v, theta, j0 = v[1:], theta[1:], 1
+            if j0 == j1:
+                continue
+        v_prev, t_prev, p_last, t_last, a_last = last
+        vs = np.concatenate([v_prev[None], v])
+        ts = np.concatenate([t_prev[None], theta])
+        ovs = vs[:-1].conj().transpose(0, 2, 1) @ vs[1:]  # [i, column at j - 1, column at j]
+        amp = np.abs(ovs)
+        rel = amp.argmax(axis=2)
+        best = amp.max(axis=2)
+        fast = (best ** 2).min(axis=1) > 0.5 + FAST_MATCH_MARGIN
+        if fast.any():
+            worst = min(worst, float(best[fast].min()))
+        n = j1 - j0
+        perms = np.empty((n, dim), dtype=np.intp)
+        perm, start = p_last, 0
+        for i in np.flatnonzero(~fast | np.any(rel != identity, axis=1)):
+            perms[start:i] = perm
+            if fast[i]:
+                perm = rel[i, perm]
             else:
-                perm, w = _match_columns(prev_v, prev_t, vecs, theta, wrap=True, step=j)
+                perm, w = _match_columns(
+                    vs[i][:, perm], ts[i, perm], vs[i + 1], ts[i + 1], wrap=True, step=j0 + i
+                )
                 worst = min(worst, w)
-                theta = theta[perm]
-                vecs = vecs[:, perm]
-                # unwrap onto the previous sheet and align vector phases
-                theta = prev_t + ((theta - prev_t + np.pi) % (2.0 * np.pi) - np.pi)
-                ov = np.einsum("ik,ik->k", prev_v.conj(), vecs)
-                vecs = vecs * np.exp(-1j * np.angle(ov))
-            phases[j] = theta
-            vectors[j] = vecs
-            prev_t = theta
-            prev_v = vecs
+            start = i
+        perms[start:] = perm
+        before = np.concatenate([p_last[None], perms[:-1]])
+        raw = np.take_along_axis(theta, perms, axis=1)
+        diff = raw - np.take_along_axis(ts[:-1], before, axis=1)
+        steps = np.concatenate([t_last[None], (diff + np.pi) % (2.0 * np.pi) - np.pi])
+        est = np.cumsum(steps, axis=0)[1:]  # sequential, so blocks do not change roundoff
+        phases[j0:j1] = raw + 2.0 * np.pi * np.round((est - raw) / (2.0 * np.pi))
+        turns = -np.angle(ovs[np.arange(n)[:, None], before, perms])
+        angles = np.cumsum(np.concatenate([a_last[None], turns]), axis=0)[1:]
+        vecs = np.take_along_axis(v, perms[:, None, :], axis=2)
+        vectors[j0:j1] = vecs * np.exp(1j * angles)[:, None, :]
+        last = (v[-1], theta[-1], perms[-1], phases[j1 - 1], angles[-1])
     return EigenpathTrack(phases=phases, vectors=vectors, p_group=group, min_overlap=worst)
 
 
@@ -185,8 +236,12 @@ def track_eigenpaths(family: WalkFamily, p_selector="ground") -> EigenpathTrack:
 # gap profiles
 
 def _wrapped_arc(diff: np.ndarray) -> np.ndarray:
-    red = np.abs(diff) % (2.0 * np.pi)
-    return np.pi - np.abs(red - np.pi)
+    """pi - ||diff| mod 2 pi - pi|, computed in place in ``diff`` (a temporary)."""
+    np.abs(diff, out=diff)
+    np.remainder(diff, 2.0 * np.pi, out=diff)
+    np.subtract(diff, np.pi, out=diff)
+    np.abs(diff, out=diff)
+    return np.subtract(np.pi, diff, out=diff)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ GAP_ZERO_TOL = 1e-14
 MIDPOINT_WALK_TOL = 1e-10
 MIDPOINT_HAM_TOL = 1e-12
 TOY_KINDS = ("toy1", "toy2")
+GAP_TABLE_CHUNK = 256  # grid points per band and walk stack (64 KiB at d = 4)
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -159,6 +160,9 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     The walk is the first-order splitting at h = 1, built by the walk
     kernel from the same schedule values as the bands.  Its gap is the
     untracked arc from the lowest eigenphase to the nearest other one.
+    Both are taken ``GAP_TABLE_CHUNK`` points at a time, which bounds the
+    memory a worker thread of the CLI holds on to after it is done and
+    keeps it the same from one run to the next.
     """
     if eps_list is None:
         eps_list = DEFAULT_EPSILONS
@@ -167,10 +171,13 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     for eps in eps_list:
         model = build_toy(kind, float(eps))
         f = schedule_values(model.schedule, s)[0]
-        w = hamiltonian_bands(model.h0, model.h1, f)
-        gap_h = float(np.min(w[:, 1] - w[:, 0]))
-        walks = _walk_stack(_endpoints(model.h0, model.h1), PF1, 1.0, f)
-        gap_w = float(np.min(lowest_phase_gap(walks)))
+        ends = _endpoints(model.h0, model.h1)
+        gap_h = gap_w = np.inf
+        for c in range(0, len(f), GAP_TABLE_CHUNK):
+            fc = f[c:c + GAP_TABLE_CHUNK]
+            w = hamiltonian_bands(model.h0, model.h1, fc)
+            gap_h = min(gap_h, float(np.min(w[:, 1] - w[:, 0])))
+            gap_w = min(gap_w, float(np.min(lowest_phase_gap(_walk_stack(ends, PF1, 1.0, fc)))))
         if gap_w < GAP_ZERO_TOL:
             gap_w = 0.0
         if gap_h < GAP_ZERO_TOL:

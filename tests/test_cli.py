@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from adiawalk import cli
+from adiawalk.integrators import PF1, build_walk_family
 from adiawalk.schedules import glue_schedule, schedule_values
-from adiawalk.spectral import TrackingAmbiguityError
+from adiawalk.spectral import TrackingAmbiguityError, track_eigenpaths
+from adiawalk.toymodels import build_toy
 
 
 def run_cli(args):
@@ -287,6 +289,23 @@ def test_spectrum_scan_smoke(tmp_path):
         ["s"] + [f"h_band_{k}" for k in range(4)] + [f"w_band_{k}" for k in range(4)]
     )
     assert len(rows) == 51
+
+
+def test_spectrum_scan_sidecar_records_min_overlap(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"experiment": "spectrum-scan", "parameters": {"grid": 50}},
+    )
+    out = tmp_path / "scan.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "scan.csv.json").read_text())
+    model = build_toy("toy1", 0.05)
+    fam = build_walk_family(model.h0, model.h1, model.schedule, PF1, 1.0, 50)
+    assert sidecar["min_overlap"] == track_eigenpaths(fam).min_overlap
+    assert 0.5 <= sidecar["min_overlap"] <= 1.0
+    first = (tmp_path / "scan.csv.json").read_bytes()
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 0
+    assert (tmp_path / "scan.csv.json").read_bytes() == first
 
 
 def glue_scheduled_toys(monkeypatch):

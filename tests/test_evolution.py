@@ -2,6 +2,7 @@
 discrete comparison series."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ def test_trackless_leakage_resolves_below_roundoff_of_the_ground_amplitude():
         assert res.leakage == pytest.approx(expected, rel=1e-2)
 
 
+def test_ground_labels_hold_once_the_walk_phases_wrap():
+    # Scaled by 3, the pair's H0 spectrum is {1.5, 2.4, 3.6, 4.2}: at h = 1
+    # the spread 2.7 stays below pi but h * lambda runs past it, so the
+    # lowest wrapped phase is not the ground path.  At f = 1 the exp walk
+    # is exp(-i H1), so the true leakage is the component off H1's ground.
+    h0, h1 = four_level_pair()
+    a, b = 3.0 * h0.matrix, 3.0 * h1.matrix
+    fam = build_walk_family(a, b, LINEAR, EXP_INTEGRATOR, 1.0, 2000)
+    psi0 = ground_state(a)
+    res = evolve(fam, psi0)
+    g1 = ground_state(b)
+    off_ground = np.linalg.norm(res.final_state - g1 * (g1.conj() @ res.final_state))
+    assert off_ground == pytest.approx(5.73e-4, rel=1e-2)
+    assert res.leakage == pytest.approx(off_ground, rel=1e-6)
+    tracked = evolve(fam, psi0, track_eigenpaths(fam))
+    assert tracked.leakage == pytest.approx(off_ground, rel=1e-6)
+
+
 def test_evolve_with_track_measures_tracked_projector():
     fam = toy_family(25)
     track = track_eigenpaths(fam)
@@ -259,6 +278,23 @@ def test_volterra_iterates_converge_to_omega():
     devs = [float(np.abs(diag.omega_terms[j] - diag.omega).max()) for j in range(7)]
     assert devs[6] <= 1e-3
     assert devs[6] < devs[2] < devs[0]
+
+
+def test_volterra_path_keeps_few_walk_stacks_alive():
+    # Peak numpy memory of the ideal family plus its j_max = 2 series, in
+    # units of one (td + 1, d, d) complex stack: 10.2 here, 16.2 when S(j),
+    # V(j) W(j), Theta and the kernel were kept and the series' temporaries
+    # were not released.
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, glue_schedule(), EXP_INTEGRATOR, 1.0, 400)
+    track = track_eigenpaths(fam)
+    tracemalloc.start()
+    try:
+        volterra_diagnostics(ideal_adiabatic_family(track, fam), fam, j_max=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * fam.walks[0].nbytes * (fam.td + 1)
 
 
 def test_volterra_validation():

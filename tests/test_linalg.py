@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from adiawalk.linalg import (
     BranchCutWarning,
+    EigensolverError,
     HermitianOperator,
     NormalEigenDecomposition,
     UnitaryOperator,
+    _normal_eig_stack,
     angular_distance,
     arc_distance_angles,
     chain_product,
@@ -150,8 +152,8 @@ def test_normal_eig_matches_charpoly_on_random_unitary():
 
 
 def test_normal_eig_separates_conjugate_phase_pairs():
-    # e^{+i t} and e^{-i t} share a real part; the Hermitian stage alone
-    # cannot split them, the skew stage must.
+    # e^{+i t} and e^{-i t} share a real part, so a solver working on the
+    # Hermitian part (U + U^dag)/2 alone cannot split them.
     rng = np.random.default_rng(13)
     t = 0.8
     phases = np.array([t, -t, 0.3])
@@ -160,6 +162,37 @@ def test_normal_eig_separates_conjugate_phase_pairs():
     dec = normal_eig(u)
     assert match_multisets(dec.eigenvalues, np.exp(1j * phases)) < 1e-10
     assert np.max(np.abs(dec.reconstruct() - u)) < 1e-10
+
+
+def test_normal_eig_orthonormalizes_a_repeated_eigenvalue():
+    # np.linalg.eig returns non-orthogonal vectors inside a degenerate
+    # eigenspace; the Loewdin step must repair them.
+    rng = np.random.default_rng(15)
+    phases = np.array([0.3, 0.3, 0.3, -1.0])
+    raw_dev = 0.0
+    for _ in range(20):
+        q = random_unitary(rng, 4)
+        u = (q * np.exp(1j * phases)) @ q.conj().T
+        v = np.linalg.eig(u)[1]
+        raw_dev = max(raw_dev, float(np.max(np.abs(v.conj().T @ v - np.eye(4)))))
+        dec = normal_eig(u)
+        vecs = dec.eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) <= 1e-10
+        assert np.max(np.abs(dec.reconstruct() - u)) <= 1e-10
+        assert match_multisets(dec.eigenvalues, np.exp(1j * phases)) < 1e-10
+    assert raw_dev > 1e-3  # the repair is needed on these draws
+
+
+def test_normal_eig_stack_names_the_failing_matrix():
+    rng = np.random.default_rng(16)
+    good = [random_unitary(rng, 3) for _ in range(3)]
+    skewed = np.diag([1.0, 1j, -1.0]).astype(complex)
+    skewed[0, 1] = 0.5  # not normal: eig's vectors are not orthogonal
+    with pytest.raises(EigensolverError, match="reconstruction residual .* at index 2"):
+        _normal_eig_stack(np.stack([good[0], good[1], skewed, good[2]]))
+    lam, v = _normal_eig_stack(np.stack(good))
+    for k in range(3):
+        assert np.max(np.abs((v[k] * lam[k]) @ v[k].conj().T - good[k])) <= 1e-10
 
 
 def test_normal_eig_rejects_non_normal():

@@ -18,7 +18,8 @@ from adiawalk.integrators import (
     walk_operator,
 )
 from adiawalk.linalg import chain_product, normal_eig, operator_norm
-from adiawalk.schedules import linear_schedule, schedule_values
+from adiawalk.schedules import glue_schedule, linear_schedule, schedule_values
+from adiawalk import spectral
 from adiawalk.spectral import (
     EigenpathTrack,
     StepCountWarning,
@@ -47,9 +48,30 @@ def wrapped_arc(x: float) -> float:
 
 
 def sorted_step_phases(family, j: int) -> np.ndarray:
-    """Principal eigenphases of W(j/td), sorted, with no continuity logic."""
-    dec = normal_eig(family.walk(j))
-    return np.sort(-np.angle(dec.eigenvalues))
+    """Principal eigenphases of W(j/td), sorted, with no continuity logic
+    and no code shared with the tracker's eigensolver."""
+    return np.sort(-np.angle(np.linalg.eigvals(family.walk(j))))
+
+
+def sequential_track(family):
+    """Per-step tracking loop: labels in ascending phase order at step 0,
+    then one eigensolve and one greedy match per step, each step unwrapped
+    onto the previous sheet and its vector phases aligned to it."""
+    dec = normal_eig(family.walk(0))
+    theta = -np.angle(dec.eigenvalues)
+    order = np.argsort(theta)
+    phases, vectors, worst = [theta[order]], [dec.eigenvectors[:, order]], 1.0
+    for j in range(1, family.td + 1):
+        dec = normal_eig(family.walk(j))
+        theta, vecs = -np.angle(dec.eigenvalues), dec.eigenvectors
+        perm, w = spectral._match_columns(vectors[-1], phases[-1], vecs, theta, wrap=True, step=j)
+        worst = min(worst, w)
+        theta, vecs = theta[perm], vecs[:, perm]
+        theta = phases[-1] + ((theta - phases[-1] + np.pi) % (2.0 * np.pi) - np.pi)
+        vecs = vecs * np.exp(-1j * np.angle(np.einsum("ik,ik->k", vectors[-1].conj(), vecs)))
+        phases.append(theta)
+        vectors.append(vecs)
+    return np.array(phases), np.array(vectors), worst
 
 
 def brute_difference_norm(family, k: int, j: int) -> float:
@@ -149,6 +171,125 @@ def test_tracking_ambiguity_on_basis_jump():
     fam = walk_family_from_operators(np.stack([w0, w1]))
     with pytest.raises(TrackingAmbiguityError, match="step 1"):
         track_eigenpaths(fam)
+
+
+def test_tracking_ambiguity_when_row_maxima_form_a_permutation():
+    # Every row of |O| peaks in a different column, so the row argmax is a
+    # permutation, but row 5 peaks at 0.454: the step must fail the fast
+    # test and the matcher must stop at the 0.5 floor.
+    rounded = np.array([
+        [-0.263, 0.265, 0.365, -0.091, -0.809, 0.254],
+        [-0.142, -0.382, 0.328, -0.295, 0.331, 0.728],
+        [-0.096, 0.075, -0.636, -0.749, -0.127, 0.062],
+        [0.839, 0.087, 0.352, -0.393, -0.066, -0.078],
+        [-0.138, -0.792, 0.159, -0.19, -0.269, -0.469],
+        [0.422, -0.379, -0.454, 0.392, -0.378, 0.419],
+    ])
+    u, _, vt = np.linalg.svd(rounded)
+    o = u @ vt  # the nearest orthogonal matrix, within 3e-4 of the rounded one
+    assert sorted(np.abs(o).argmax(axis=1)) == list(range(6))
+    assert np.abs(o).max(axis=1).min() < 0.46
+    phi = np.linspace(0.1, 2.6, 6)
+    w0 = np.diag(np.exp(-1j * phi))
+    w1 = (o * np.exp(-1j * phi)) @ o.T
+    fam = walk_family_from_operators(np.stack([w0, w0, w1]))
+    with pytest.raises(TrackingAmbiguityError, match="step 2"):
+        track_eigenpaths(fam)
+
+
+def test_unwraps_phases_across_the_branch_cut():
+    a = np.linspace(2.5, 3.8, 27)  # -arg(e^{-ia}) jumps from pi to -pi near a = pi
+    track = track_eigenpaths(symmetric_phase_family(a))
+    assert np.allclose(track.phases[:, 0], -a, atol=1e-14)
+    assert np.allclose(track.phases[:, 1], a, atol=1e-14)
+
+
+def test_tracked_vectors_have_real_positive_consecutive_overlaps():
+    model = build_toy("toy1", 0.05)
+    fam = build_walk_family(model.h0, model.h1, LINEAR, PF2, 1.0, 80)
+    track = track_eigenpaths(fam)
+    ov = np.einsum("nik,nik->nk", track.vectors[:-1].conj(), track.vectors[1:])
+    assert np.max(np.abs(ov.imag)) <= 1e-12
+    assert np.min(ov.real) >= track.min_overlap - 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,eps,integrator,td",
+    [("toy1", 0.0, PF1, 50), ("toy2", 0.05, PF1, 50), ("toy2", 0.05, PF2, 400)],
+    ids=["toy1-eps0-pf1-50", "toy2-pf1-50", "toy2-pf2-400"],
+)
+def test_tracks_glue_families_near_f_one(kind, eps, integrator, td):
+    # The glue schedule approaches f = 1 so slowly that the last walks hold
+    # a mirror pair of eigenphases near +-1 rad whose cosines differ by
+    # 1e-7 or less; a solver that splits them through the Hermitian part
+    # mixes their vectors and fails its reconstruction check there.
+    model = build_toy(kind, eps)
+    fam = build_walk_family(model.h0, model.h1, glue_schedule(), integrator, 1.0, td)
+    track = track_eigenpaths(fam)
+    for j in range(td + 1):
+        wrapped = np.sort(np.angle(np.exp(1j * track.phases[j])))
+        assert np.allclose(wrapped, sorted_step_phases(fam, j), atol=1e-9)
+
+
+def rotated_step_family():
+    """Walks diag(e^{-i phi}) for steps 0..5, then the same phases on the
+    columns of O = R_z(40 deg) R_x(55 deg) for steps 6..11.
+
+    |O| = [[.766, .369, .527], [.643, .439, .628], [0, .819, .574]]: rows
+    0 and 1 both peak in column 0 and row 1 peaks at |O|^2 = 0.41 < 1/2,
+    so step 6 fails the fast test and the greedy matcher must decide.  It
+    takes (2, 1) = .819, then (0, 0) = .766, then (1, 2) = cos 40 sin 55.
+    """
+    phi = np.array([0.2, 0.9, 2.0])
+    a, b = np.radians(40.0), np.radians(55.0)
+    rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
+    rx = np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)], [0, np.sin(b), np.cos(b)]])
+    o = rz @ rx
+    w0 = np.diag(np.exp(-1j * phi))
+    w1 = (o * np.exp(-1j * phi)) @ o.T
+    return walk_family_from_operators(np.stack([w0] * 6 + [w1] * 6))
+
+
+@pytest.mark.parametrize("block", [spectral.TRACK_BLOCK, 6, 4])
+def test_fallback_step_matches_the_greedy_assignment(block, monkeypatch):
+    monkeypatch.setattr(spectral, "TRACK_BLOCK", block)
+    track = track_eigenpaths(rotated_step_family())
+    assert np.allclose(track.phases[:6], [0.2, 0.9, 2.0], atol=1e-14)
+    # label 1 (column 1 at step 0) moves to column 2, label 2 to column 1
+    assert np.allclose(track.phases[6:], [0.2, 2.0, 0.9], atol=1e-14)
+    expected = math.cos(math.radians(40.0)) * math.sin(math.radians(55.0))
+    assert track.min_overlap == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["toy1-pf1", "toy2-glue-pf2", "rotated-step"])
+def test_batched_tracking_matches_the_per_step_loop(case, monkeypatch):
+    if case == "rotated-step":
+        fam = rotated_step_family()
+    else:
+        model = build_toy(case[:4], 0.05)
+        sched = glue_schedule() if "glue" in case else LINEAR
+        fam = build_walk_family(model.h0, model.h1, sched, PF2 if "pf2" in case else PF1, 1.0, 90)
+    monkeypatch.setattr(spectral, "TRACK_BLOCK", 16)
+    track = track_eigenpaths(fam)
+    phases, vectors, worst = sequential_track(fam)
+    assert np.max(np.abs(track.phases - phases)) <= 1e-12
+    proj = np.einsum("niq,njq->nqij", track.vectors, track.vectors.conj())
+    ref = np.einsum("niq,njq->nqij", vectors, vectors.conj())
+    assert np.max(np.abs(proj - ref)) <= 1e-10
+    assert track.min_overlap == pytest.approx(worst, abs=1e-12)
+
+
+def test_tracks_do_not_depend_on_the_block_length(monkeypatch):
+    model = build_toy("toy1", 0.05)
+    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 60)
+    whole = track_eigenpaths(fam)
+    monkeypatch.setattr(spectral, "TRACK_BLOCK", 7)
+    split = track_eigenpaths(fam)
+    # the cumulative sums run on from the previous block, so the split
+    # changes no rounding
+    assert np.array_equal(split.phases, whole.phases)
+    assert np.array_equal(split.vectors, whole.vectors)
+    assert split.min_overlap == whole.min_overlap
 
 
 @pytest.mark.parametrize(

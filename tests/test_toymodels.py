@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from adiawalk import toymodels
 from adiawalk.toymodels import (
     DEFAULT_EPSILONS,
     TOY_KINDS,
@@ -120,6 +121,12 @@ def test_gap_table_default_rows():
     assert [r.eps for r in rows] == list(DEFAULT_EPSILONS)
     flagged = [r.eps for r in rows if r.flag]
     assert flagged == [0.01]
+
+
+def test_gap_table_rows_do_not_depend_on_the_chunk_length(monkeypatch):
+    whole = gap_table("toy1", eps_list=(0.05, 0.0), grid=2000)
+    monkeypatch.setattr(toymodels, "GAP_TABLE_CHUNK", 7)
+    assert gap_table("toy1", eps_list=(0.05, 0.0), grid=2000) == whole
 
 
 def test_gap_table_gaps_shrink_with_eps():
