@@ -13,7 +13,6 @@ from .linalg import (
     HermitianOperator,
     NormalEigenDecomposition,
     UnitaryOperator,
-    angular_distance,
     arc_distance_angles,
     chain_product,
     expm_i_hermitian,
@@ -24,19 +23,14 @@ from .linalg import (
 )
 from .schedules import (
     Schedule,
-    ScheduleSample,
     bc_composite_schedule,
     build_grover_schedule,
-    eval_schedule,
     glue_constant_ce,
     glue_schedule,
     grover_d_constant,
     grover_gap_of_f,
     linear_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
     schedule_values,
-    tabulated_schedule,
 )
 from .integrators import (
     EXP_INTEGRATOR,
@@ -68,9 +62,7 @@ from .spectral import (
     adiabatic_error_bound,
     ck_profiles,
     discrete_adiabatic_bound,
-    finite_difference_norm,
     gap_perturbation_bounds,
-    hamiltonian_gap_profile,
     lowest_phase_gap,
     track_eigenpaths,
     walk_gap_profile,

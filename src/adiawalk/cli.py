@@ -1,7 +1,7 @@
 """Command line front end: named experiments writing deterministic CSV.
 
-Usage: ``adiawalk <experiment> [--config FILE] [--out PATH] [--threads N]
-[--seed S]`` or ``adiawalk --list``.  Configs are JSON with the shape
+Usage: ``adiawalk <experiment> [--config FILE] [--out PATH] [--seed S]`` or
+``adiawalk --list``.  Configs are JSON with the shape
 {"experiment": ..., "parameters": {...}, "seed": ..., "output": ...};
 unknown keys anywhere are rejected.  Outputs carry '#' metadata lines
 (version, canonical config and its hash, RNG, timestamp) and are written
@@ -124,9 +124,9 @@ def _as_str_list(params, key, choices):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: params, rng, threads -> (columns, rows, sidecar | None)
+# experiment runners: params, rng -> (columns, rows, sidecar | None)
 
-def _run_gap_table(params, rng, threads):
+def _run_gap_table(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps_list = _as_number_list(params, "eps_list", lo=0.0)
     grid = _as_int(params, "grid", lo=10)
@@ -135,13 +135,14 @@ def _run_gap_table(params, rng, threads):
         row = gap_table(kind, [eps], grid=grid)[0]
         return (row.eps, row.gap_h, row.gap_w, row.flag)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # one eps per worker, one worker per core: numpy releases the GIL in the eigensolves
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         rows = list(pool.map(one, eps_list))
     rows.sort(key=lambda r: r[0])
     return ["eps", "gap_h", "gap_w", "flag"], rows, None
 
 
-def _run_spectrum_scan(params, rng, threads):
+def _run_spectrum_scan(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps = _as_float(params, "eps", lo=0.0, hi=0.1)
     grid = _as_int(params, "grid", lo=10)
@@ -163,7 +164,7 @@ def _run_spectrum_scan(params, rng, threads):
     return cols, rows, {"min_overlap": track.min_overlap}
 
 
-def _run_fidelity_sweep(params, rng, threads):
+def _run_fidelity_sweep(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps = _as_float(params, "eps", lo=0.0, hi=0.1)
     t_list = _as_number_list(params, "t_list", lo=1.0)
@@ -176,7 +177,7 @@ def _run_fidelity_sweep(params, rng, threads):
     return ["h", "t", "td", "fidelity_ground", "fidelity_excited"], rows, None
 
 
-def _run_volterra(params, rng, threads):
+def _run_volterra(params, rng):
     sched_kind = _as_choice(params, "schedule", ("glue", "linear"))
     td_list = _as_number_list(params, "td_list", integral=True, lo=2)
     j_max = _as_int(params, "j_max", lo=1, hi=6)
@@ -194,7 +195,7 @@ def _run_volterra(params, rng, threads):
     return ["td", "interior_max", "boundary_term1", "boundary_full"], rows, sidecar
 
 
-def _run_grover_scaling(params, rng, threads):
+def _run_grover_scaling(params, rng):
     sched_kind = _as_choice(params, "schedule", ("power", "bc", "linear"))
     p = _as_float(params, "p", lo=1.0)
     if p >= 2.0:
@@ -233,7 +234,7 @@ def _run_grover_scaling(params, rng, threads):
     return ["N", "M", "schedule", "target_error", "T_required", "normalized_ratio"], rows, sidecar
 
 
-def _run_qaoa_export(params, rng, threads):
+def _run_qaoa_export(params, rng):
     n = _as_int(params, "n", lo=2)
     m = _as_int(params, "m", lo=1)
     p = _as_float(params, "p", lo=1.0)
@@ -264,7 +265,7 @@ def _step_size_source(params, rng):
     return h0, h1, linear_schedule()
 
 
-def _run_step_size_report(params, rng, threads):
+def _run_step_size_report(params, rng):
     kinds = _as_str_list(params, "kinds", ("exp", "pf1", "pf2", "pf2-simplified",
                                            "spf1", "spf2", "spf4", "spf6", "spf8"))
     grid = _as_int(params, "grid", lo=10)
@@ -402,18 +403,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _resolve_threads(arg_threads):
-    if arg_threads is not None:
-        return max(1, int(arg_threads))
-    env = os.environ.get("ADIAWALK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"ADIAWALK_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adiawalk",
@@ -422,7 +411,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", nargs="?", help="experiment name (see --list)")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--threads", type=int, help="worker threads (env: ADIAWALK_THREADS)")
     parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
     parser.add_argument("--list", action="store_true", help="list experiments and exit")
     try:
@@ -462,14 +450,13 @@ def main(argv=None) -> int:
         out = args.out or cfg.get("output") or f"{experiment}.csv"
         if not isinstance(out, str):
             raise ConfigError(f"output must be a path string, got {out!r}")
-        threads = _resolve_threads(args.threads)
     except ConfigError as exc:
         print(f"adiawalk: {exc}", file=sys.stderr)
         return 2
 
     rng = np.random.Generator(np.random.PCG64(seed))
     try:
-        columns, rows, sidecar = runner(params, rng, threads)
+        columns, rows, sidecar = runner(params, rng)
     except ConfigError as exc:
         print(f"adiawalk: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, chain_product, normal_eig
-from .integrators import EXP_INTEGRATOR, WalkFamily, build_walk_family
+from .linalg import chain_product, normal_eig
+from .integrators import EXP_INTEGRATOR, WalkFamily, _hermitian, build_walk_family
 from .schedules import glue_schedule
 from .spectral import EigenpathTrack, _label_order, track_eigenpaths
 
@@ -47,8 +47,7 @@ class GapCollapseError(RuntimeError):
 
 def ground_state(H) -> np.ndarray:
     """Unit eigenvector of the smallest eigenvalue."""
-    m = HermitianOperator(getattr(H, "matrix", H)).matrix
-    _, v = np.linalg.eigh(m)
+    _, v = np.linalg.eigh(_hermitian(H))
     return np.ascontiguousarray(v[:, 0])
 
 
@@ -78,7 +77,6 @@ class EvolutionResult:
     final_state: np.ndarray
     leakage: float
     fidelities: np.ndarray
-    trajectory: np.ndarray | None = None
 
     def __post_init__(self):
         psi = np.asarray(self.final_state, dtype=complex)
@@ -88,15 +86,9 @@ class EvolutionResult:
         object.__setattr__(self, "fidelities", np.asarray(self.fidelities, dtype=float))
 
 
-def evolve(
-    family: WalkFamily,
-    initial,
-    track: EigenpathTrack | None = None,
-    *,
-    store_trajectory: bool = False,
-    block: int = EVOLVE_BLOCK,
-) -> EvolutionResult:
-    """Apply the td walk steps to ``initial``.
+def evolve(family: WalkFamily, initial, track: EigenpathTrack | None = None) -> EvolutionResult:
+    """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
+    walks at a time, each block released before the next is built.
 
     With a track, leakage is measured against the tracked group's final
     projector and fidelities against the tracked final eigenbasis.
@@ -113,20 +105,8 @@ def evolve(
     if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
         raise ValueError("initial state must be normalized")
     td = family.td
-    trajectory = None
-    if store_trajectory:
-        trajectory = np.empty((td + 1, family.dim), dtype=complex)
-        trajectory[0] = psi
-        for j0 in range(0, td, block):
-            j1 = min(j0 + block, td)
-            ws = family.block(j0, j1)
-            for j in range(j0, j1):
-                psi = ws[j - j0] @ psi
-                trajectory[j + 1] = psi
-    else:
-        for j0 in range(0, td, block):
-            ws = family.block(j0, min(j0 + block, td))
-            psi = chain_product(ws) @ psi
+    for j0 in range(0, td, EVOLVE_BLOCK):
+        psi = chain_product(family.block(j0, min(j0 + EVOLVE_BLOCK, td))) @ psi
 
     if track is not None:
         if track.steps != td or track.dim != family.dim:
@@ -140,9 +120,7 @@ def evolve(
         basis = dec.eigenvectors[:, order]
         fidelities = np.abs(basis.conj().T @ psi)
         leakage = float(np.linalg.norm(fidelities[1:]))
-    return EvolutionResult(
-        final_state=psi, leakage=leakage, fidelities=fidelities, trajectory=trajectory
-    )
+    return EvolutionResult(final_state=psi, leakage=leakage, fidelities=fidelities)
 
 
 # ---------------------------------------------------------------------------

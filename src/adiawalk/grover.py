@@ -115,21 +115,12 @@ def walk_closed_form(inst: GroverInstance, f, h: float = 1.0) -> np.ndarray:
     return w
 
 
-def _search_state(inst: GroverInstance, sched: Schedule, t: int) -> np.ndarray:
+def _search_state(inst: GroverInstance, f_blocks) -> np.ndarray:
+    """Reduced state after the first-order walks at h = 1, one block of
+    schedule values f at a time, from the uniform superposition."""
     mu = inst.mu
     psi = np.array([math.sqrt(mu), math.sqrt(1.0 - mu)], dtype=complex)
-    for j0 in range(0, t, SEARCH_BLOCK):
-        j1 = min(j0 + SEARCH_BLOCK, t)
-        f = schedule_values(sched, np.arange(j0, j1) / t)[0]
-        psi = chain_product(walk_closed_form(inst, f)) @ psi
-    return psi
-
-
-def _replay_state(inst: GroverInstance, gammas: np.ndarray) -> np.ndarray:
-    mu = inst.mu
-    psi = np.array([math.sqrt(mu), math.sqrt(1.0 - mu)], dtype=complex)
-    for j0 in range(0, len(gammas), SEARCH_BLOCK):
-        f = gammas[j0:j0 + SEARCH_BLOCK]
+    for f in f_blocks:
         psi = chain_product(walk_closed_form(inst, f)) @ psi
     return psi
 
@@ -179,7 +170,11 @@ def run_search(inst: GroverInstance, sched: Schedule, t: int) -> SearchResult:
     if t < 1:
         raise ValueError(f"need at least one step, got {t}")
     _maybe_warn_threshold(sched, t)
-    return _result_from_state(_search_state(inst, sched, t))
+    blocks = (
+        schedule_values(sched, np.arange(j0, min(j0 + SEARCH_BLOCK, t)) / t)[0]
+        for j0 in range(0, t, SEARCH_BLOCK)
+    )
+    return _result_from_state(_search_state(inst, blocks))
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,9 @@ def qaoa_angles(sched: Schedule, t: int) -> QaoaAngleSet:
 def qaoa_replay(inst: GroverInstance, angles: QaoaAngleSet) -> SearchResult:
     """Run the search from explicit angles; bit-identical to run_search
     when the angles came from the same schedule and step count."""
-    return _result_from_state(_replay_state(inst, angles.gammas))
+    g = angles.gammas
+    blocks = (g[j0:j0 + SEARCH_BLOCK] for j0 in range(0, len(g), SEARCH_BLOCK))
+    return _result_from_state(_search_state(inst, blocks))
 
 
 # ---------------------------------------------------------------------------

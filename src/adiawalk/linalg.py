@@ -33,7 +33,6 @@ ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 NORMALITY_TOL = 1e-8
 BRANCH_CUT_TOL = 1e-12
-UNIT_MODULUS_TOL = 1e-8
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -48,7 +47,6 @@ __all__ = [
     "expm_i_hermitian",
     "logm_unitary",
     "operator_norm",
-    "angular_distance",
     "arc_distance_angles",
     "chain_product",
 ]
@@ -250,17 +248,6 @@ def operator_norm(A) -> float:
     gram = m.conj().T @ m
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
-
-
-def angular_distance(z1: complex, z2: complex) -> float:
-    """Arc length between two points on the unit circle, in [0, pi]."""
-    z1 = complex(z1)
-    z2 = complex(z2)
-    for z in (z1, z2):
-        if abs(abs(z) - 1.0) > UNIT_MODULUS_TOL:
-            raise ValueError(f"not on the unit circle: |z| = {abs(z):.12f}")
-    half_chord = min(abs(z1 - z2) / 2.0, 1.0)
-    return float(2.0 * np.arcsin(half_chord))
 
 
 def arc_distance_angles(t1, t2):

@@ -14,8 +14,6 @@ Implemented kinds:
   closed form; 1 < p < 2 is tabulated by quadrature of the inverse map
   s(f) and inverted by safeguarded Newton steps from a cubic Hermite
   guess, for N up to 2^64.
-* ``tabulated``: monotone (s, f) samples with interpolated values and
-  finite-difference derivatives, for diagnostics.
 
 All schedules satisfy f(0) = 0 and f(1) = 1 to 1e-10 and are monotone
 nondecreasing.
@@ -39,27 +37,21 @@ POWER_GRADING = 2.0
 POWER_MAX_N = 2 ** 64  # the gap width 1/sqrt(N) still spans 2^21 ulp of f = 1/2
 POWER_NEWTON_CAP = 48
 POWER_NEWTON_ULPS = 4
-FD_SPACING = 1e-5
 ENDPOINT_TOL = 1e-10
 
-SCHEDULE_KINDS = ("linear", "glue", "bc-composite", "grover-power", "tabulated")
+SCHEDULE_KINDS = ("linear", "glue", "bc-composite", "grover-power")
 
 __all__ = [
     "Schedule",
-    "ScheduleSample",
     "SCHEDULE_KINDS",
     "linear_schedule",
     "glue_schedule",
     "bc_composite_schedule",
     "build_grover_schedule",
-    "tabulated_schedule",
-    "eval_schedule",
     "schedule_values",
     "glue_constant_ce",
     "grover_d_constant",
     "grover_gap_of_f",
-    "schedule_to_dict",
-    "schedule_from_dict",
 ]
 
 
@@ -321,26 +313,14 @@ def _power_values_tabulated(s: np.ndarray, n: int, p: float):
 # schedule objects
 
 @dataclass(frozen=True)
-class ScheduleSample:
-    """Value and first two derivatives of a schedule at one point."""
-
-    f: float
-    df: float
-    d2f: float
-
-    def __post_init__(self):
-        if self.df < -1e-12:
-            raise ValueError(f"schedule derivative must be nonnegative, got {self.df}")
-        object.__setattr__(self, "df", max(self.df, 0.0))
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """Immutable schedule; evaluate with eval_schedule or schedule_values."""
+    """Immutable schedule: a kind from SCHEDULE_KINDS and its parameters
+    (only ``grover-power`` takes any: N and p).  Construction checks the
+    kind, the parameters and the endpoints f(0) = 0, f(1) = 1; evaluate
+    with ``schedule_values``."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
-    _table: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -360,22 +340,6 @@ class Schedule:
             if not 1.0 <= p < 2.0:
                 raise ValueError(f"power p must lie in [1, 2), got {p}")
             params = {"N": n, "p": p}
-            if p > 1.0 and self._table is None:
-                object.__setattr__(self, "_table", _power_table(n, p))
-        elif self.kind == "tabulated":
-            extra = set(params) - {"s", "f"}
-            if extra:
-                raise ValueError(f"unexpected tabulated parameters: {sorted(extra)}")
-            s = np.asarray(params.get("s", ()), dtype=float)
-            f = np.asarray(params.get("f", ()), dtype=float)
-            if s.ndim != 1 or s.shape != f.shape or len(s) < 2:
-                raise ValueError("tabulated schedule needs matching 1-d s and f arrays")
-            if np.any(np.diff(s) <= 0):
-                raise ValueError("tabulated s grid must be strictly increasing")
-            if np.any(np.diff(f) < 0):
-                raise ValueError("tabulated f values must be nondecreasing")
-            params = {"s": tuple(map(float, s)), "f": tuple(map(float, f))}
-            object.__setattr__(self, "_table", (s, f))
         object.__setattr__(self, "parameters", params)
 
         f0 = _eval_array(self, np.array([0.0]))[0][0]
@@ -400,15 +364,6 @@ def build_grover_schedule(n: int, p: float = 1.0) -> Schedule:
     """Gap-adapted search schedule for an unstructured-search instance of
     size n (single marked state), with power p in [1, 2)."""
     return Schedule("grover-power", {"N": int(n), "p": float(p)})
-
-
-def tabulated_schedule(s, f) -> Schedule:
-    return Schedule("tabulated", {"s": tuple(map(float, s)), "f": tuple(map(float, f))})
-
-
-def _tabulated_f(table, s: np.ndarray) -> np.ndarray:
-    s_grid, f_grid = table
-    return np.interp(s, s_grid, f_grid)
 
 
 def _eval_array(sched: Schedule, s: np.ndarray):
@@ -437,17 +392,6 @@ def _eval_array(sched: Schedule, s: np.ndarray):
         if p == 1.0:
             return _power_values_p1(s, 1.0 / n)
         return _power_values_tabulated(s, n, p)
-    if sched.kind == "tabulated":
-        table = sched._table
-        delta = FD_SPACING
-        f = _tabulated_f(table, s)
-        c = np.clip(s, delta, 1.0 - delta)
-        fp = _tabulated_f(table, c + delta)
-        fm = _tabulated_f(table, c - delta)
-        fc = _tabulated_f(table, c)
-        df = (fp - fm) / (2.0 * delta)
-        d2f = (fp - 2.0 * fc + fm) / (delta * delta)
-        return f, df, d2f
     raise ValueError(f"unknown schedule kind {sched.kind!r}")
 
 
@@ -464,20 +408,3 @@ def schedule_values(sched: Schedule, s):
     if s.ndim == 0:
         return float(f[0]), float(df[0]), float(d2f[0])
     return f.reshape(s.shape), df.reshape(s.shape), d2f.reshape(s.shape)
-
-
-def eval_schedule(sched: Schedule, s: float) -> ScheduleSample:
-    """Evaluate one point; raises ValueError outside [0, 1]."""
-    f, df, d2f = schedule_values(sched, float(s))
-    return ScheduleSample(f=f, df=df, d2f=d2f)
-
-
-def schedule_to_dict(sched: Schedule) -> dict:
-    return {"kind": sched.kind, "parameters": dict(sched.parameters)}
-
-
-def schedule_from_dict(data: dict) -> Schedule:
-    extra = set(data) - {"kind", "parameters"}
-    if extra:
-        raise ValueError(f"unexpected schedule keys: {sorted(extra)}")
-    return Schedule(data["kind"], dict(data.get("parameters", {})))

@@ -17,8 +17,14 @@ from math import comb
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import HermitianOperator, _normal_eig_stack, arc_distance_angles, operator_norm
-from .integrators import WalkFamily, commutator_combo, hamiltonian_bands, nested_commutator_sum
+from .linalg import _normal_eig_stack, arc_distance_angles, operator_norm
+from .integrators import (
+    WalkFamily,
+    _hermitian,
+    commutator_combo,
+    hamiltonian_bands,
+    nested_commutator_sum,
+)
 from .schedules import Schedule, schedule_values
 
 OVERLAP_FLOOR = 0.5
@@ -35,9 +41,7 @@ __all__ = [
     "track_eigenpaths",
     "GapProfile",
     "walk_gap_profile",
-    "hamiltonian_gap_profile",
     "lowest_phase_gap",
-    "finite_difference_norm",
     "ck_profiles",
     "gap_perturbation_bounds",
     "discrete_adiabatic_bound",
@@ -255,7 +259,7 @@ class GapProfile:
     """
 
     fixed: np.ndarray
-    multistep: dict | None
+    multistep: dict
     minima: dict
 
     def fixed_min(self) -> float:
@@ -289,27 +293,6 @@ def walk_gap_profile(track: EigenpathTrack, ks=(0, 1, 2)) -> GapProfile:
     return GapProfile(fixed=fixed, multistep=multistep, minima=minima)
 
 
-def hamiltonian_gap_profile(
-    H0,
-    H1,
-    sched: Schedule,
-    grid: int = 1000,
-    p_selector="ground",
-) -> GapProfile:
-    """Spectral gap of H(s) = (1-f)H0 + fH1 on a uniform s grid.
-
-    Bands are labeled by ascending eigenvalue at each point; the group is
-    resolved at s = 0 and kept as sorted-index bands throughout.
-    """
-    s = np.linspace(0.0, 1.0, grid + 1)
-    w = hamiltonian_bands(H0, H1, schedule_values(sched, s)[0])
-    group = _resolve_p_group(p_selector, w.shape[1])
-    comp = [q for q in range(w.shape[1]) if q not in group]
-    diff = np.abs(w[:, group][:, :, None] - w[:, comp][:, None, :])
-    fixed = _zero_floor(diff.min(axis=(1, 2)))
-    return GapProfile(fixed=fixed, multistep=None, minima={"fixed": float(fixed.min())})
-
-
 def lowest_phase_gap(walks) -> np.ndarray:
     """Arc distance from the lowest eigenphase of each walk in a stack (or
     of one walk) to the nearest of its other eigenphases, untracked."""
@@ -319,19 +302,6 @@ def lowest_phase_gap(walks) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # difference norms
-
-def finite_difference_norm(family: WalkFamily, k: int, j: int) -> float:
-    """Spectral norm of the k-th forward difference of W at step j."""
-    if not 1 <= k <= 3:
-        raise ValueError(f"difference order must be 1..3, got {k}")
-    if not 0 <= j <= family.td - k:
-        raise ValueError(f"step {j} leaves no room for a {k}-step difference")
-    ws = family.block(j, j + k + 1)
-    acc = np.zeros_like(ws[0])
-    for m in range(k + 1):
-        acc = acc + ((-1) ** m) * comb(k, m) * ws[k - m]
-    return operator_norm(acc)
-
 
 def ck_profiles(family: WalkFamily, ks=(1, 2)) -> dict:
     """c_k(j) = td^k * ||k-th forward difference of W at j|| for all j."""
@@ -378,8 +348,7 @@ def gap_perturbation_bounds(
     formulas (their eigenphases coincide); higher even orders use the
     nested-commutator width.
     """
-    h0 = HermitianOperator(getattr(H0, "matrix", H0))
-    h1 = HermitianOperator(getattr(H1, "matrix", H1))
+    h0, h1 = _hermitian(H0), _hermitian(H1)
     alpha = operator_norm(h0) + operator_norm(h1)
     if h > 1.0 / alpha + 1e-12:
         raise ValueError(f"h = {h} exceeds 1/alpha = {1.0 / alpha}")
@@ -392,16 +361,11 @@ def gap_perturbation_bounds(
     return (max(h * gap_h - width, 0.0), h * gap_h + width)
 
 
-def _hat(x: np.ndarray) -> np.ndarray:
+def _neighbour_reduce(x: np.ndarray, op) -> np.ndarray:
+    """op (np.maximum or np.minimum) over the steps {j-1, j, j+1} clipped to x."""
     lo = np.concatenate(([x[0]], x[:-1]))
     hi = np.concatenate((x[1:], [x[-1]]))
-    return np.maximum(np.maximum(lo, x), hi)
-
-
-def _check(x: np.ndarray) -> np.ndarray:
-    lo = np.concatenate(([x[0]], x[:-1]))
-    hi = np.concatenate((x[1:], [x[-1]]))
-    return np.minimum(np.minimum(lo, x), hi)
+    return op(op(lo, x), hi)
 
 
 def discrete_adiabatic_bound(c1, c2, delta2, td: int, n: int | None = None) -> float:
@@ -415,7 +379,7 @@ def discrete_adiabatic_bound(c1, c2, delta2, td: int, n: int | None = None) -> f
     the value but carries a StepCountWarning.
     """
     if isinstance(delta2, GapProfile):
-        if delta2.multistep is None or 2 not in delta2.multistep:
+        if 2 not in delta2.multistep:
             raise ValueError("gap profile lacks the 2-step window")
         delta2 = delta2.multistep[2]
     c1 = np.asarray(c1, dtype=float)
@@ -428,9 +392,9 @@ def discrete_adiabatic_bound(c1, c2, delta2, td: int, n: int | None = None) -> f
     if np.any(delta2 <= 0.0):
         warnings.warn("2-step gap vanishes somewhere; bound is infinite", StepCountWarning)
         return float("inf")
-    c1h = _hat(c1)
-    c2h = _hat(c2)
-    d2c = _check(delta2)
+    c1h = _neighbour_reduce(c1, np.maximum)
+    c2h = _neighbour_reduce(c2, np.maximum)
+    d2c = _neighbour_reduce(delta2, np.minimum)
     ratio = float(np.max(4.0 * c1h / d2c[np.clip(np.arange(len(c1h)), 0, len(d2c) - 1)]))
     if td < ratio:
         warnings.warn(

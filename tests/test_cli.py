@@ -143,7 +143,6 @@ def test_seed_and_hash_metadata(tmp_path):
 
 
 def test_runs_are_deterministic_across_threads(tmp_path, monkeypatch):
-    monkeypatch.delenv("ADIAWALK_THREADS", raising=False)
     cfg = write_config(
         tmp_path / "c.json",
         {
@@ -153,8 +152,10 @@ def test_runs_are_deterministic_across_threads(tmp_path, monkeypatch):
     )
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    assert run_cli(["--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-    assert run_cli(["--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run_cli(["--config", cfg, "--out", str(out1)]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert run_cli(["--config", cfg, "--out", str(out2)]) == 0
     assert without_timestamp(out1) == without_timestamp(out2)
 
 
@@ -207,23 +208,11 @@ def test_cli_arguments_override_config(tmp_path):
     assert "# rng: pcg64 seed=9" in meta
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path / "c.json",
-        {"experiment": "gap-table", "parameters": {"eps_list": [0.05], "grid": 100}},
-    )
-    out = tmp_path / "t.csv"
-    monkeypatch.setenv("ADIAWALK_THREADS", "2")
-    assert run_cli(["--config", cfg, "--out", str(out)]) == 0
-    monkeypatch.setenv("ADIAWALK_THREADS", "abc")
-    assert run_cli(["--config", cfg, "--out", str(out)]) == 2
-
-
 # ---------------------------------------------------------------------------
 # failure paths and sidecars
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def exploding_runner(params, rng, threads):
+    def exploding_runner(params, rng):
         raise TrackingAmbiguityError("eigenpath matching ambiguous at step 3")
 
     runner, defaults, desc = cli.EXPERIMENTS["gap-table"]

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adiawalk import evolution
 from adiawalk.evolution import (
     EvolutionResult,
     GapCollapseError,
@@ -93,22 +94,31 @@ def test_evolve_matches_brute_product():
     assert np.allclose(res.final_state, brute_evolution_operator(fam, 20) @ psi0, atol=1e-12)
 
 
-def test_evolve_trajectory_rows_are_partial_products():
-    fam = toy_family(12)
-    psi0 = ground_state(fam.h0)
-    res = evolve(fam, psi0, store_trajectory=True)
-    assert res.trajectory.shape == (13, 4)
-    for n in (0, 5, 12):
-        assert np.allclose(res.trajectory[n], brute_evolution_operator(fam, n) @ psi0, atol=1e-12)
-    assert np.allclose(res.trajectory[12], res.final_state, atol=1e-15)
-
-
-def test_evolve_block_size_does_not_change_result():
+def test_evolve_block_size_does_not_change_result(monkeypatch):
     fam = toy_family(20)
     psi0 = ground_state(fam.h0)
     res_full = evolve(fam, psi0)
-    res_small = evolve(fam, psi0, block=3)
+    monkeypatch.setattr(evolution, "EVOLVE_BLOCK", 3)
+    res_small = evolve(fam, psi0)
     assert np.allclose(res_full.final_state, res_small.final_state, atol=1e-13)
+
+
+def test_evolve_keeps_one_walk_block_alive(monkeypatch):
+    # each block is released before the next one is built, so the peak is
+    # one block plus its construction and product temporaries
+    monkeypatch.setattr(evolution, "EVOLVE_BLOCK", 4096)
+    model = build_toy("toy2", 0.05)
+    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 3 * 4096,
+                            materialize=False)
+    psi0 = ground_state(fam.h0)
+    block_bytes = 4096 * fam.dim * fam.dim * 16
+    tracemalloc.start()
+    try:
+        evolve(fam, psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * block_bytes
 
 
 def test_evolve_trackless_measures_final_walk_basis():

@@ -40,7 +40,6 @@ from adiawalk.integrators import (
 from adiawalk.linalg import HermitianOperator, operator_norm
 from adiawalk.schedules import (
     bc_composite_schedule,
-    eval_schedule,
     glue_schedule,
     linear_schedule,
     schedule_values,
@@ -446,7 +445,7 @@ def test_spf_convergence_high_orders(order, scale):
     h0, h1 = random_pair(42)
     alpha = operator_norm(h0) + operator_norm(h1)
     s = 0.3
-    f = float(eval_schedule(LINEAR, s).f)
+    f = schedule_values(LINEAR, s)[0]
     hs = np.array(scale) / alpha
     errs = []
     for h in hs:

@@ -18,7 +18,6 @@ from adiawalk.linalg import (
     NormalEigenDecomposition,
     UnitaryOperator,
     _normal_eig_stack,
-    angular_distance,
     arc_distance_angles,
     chain_product,
     expm_i_hermitian,
@@ -267,14 +266,10 @@ def test_operator_norm_known_values():
 
 
 def test_angular_distance_known_pairs():
-    assert angular_distance(1.0, 1j) == pytest.approx(np.pi / 2, abs=1e-12)
-    assert angular_distance(1.0, -1.0) == pytest.approx(np.pi, abs=1e-12)
-    assert angular_distance(np.exp(0.3j), np.exp(0.3j)) == 0.0
-
-
-def test_angular_distance_rejects_off_circle():
-    with pytest.raises(ValueError, match="unit circle"):
-        angular_distance(2.0, 1.0)
+    # the angles of 1, i and -1
+    assert arc_distance_angles(0.0, np.pi / 2) == pytest.approx(np.pi / 2, abs=1e-12)
+    assert arc_distance_angles(0.0, np.pi) == pytest.approx(np.pi, abs=1e-12)
+    assert arc_distance_angles(0.3, 0.3) == 0.0
 
 
 def test_arc_distance_angles_wraps():
@@ -290,7 +285,9 @@ def test_arc_distance_matches_angular_distance():
     t2 = rng.uniform(-10, 10, size=30)
     arcs = arc_distance_angles(t1, t2)
     for a, b, d in zip(t1, t2, arcs):
-        assert d == pytest.approx(angular_distance(np.exp(1j * a), np.exp(1j * b)), abs=1e-10)
+        # arc length from the chord: 2 arcsin(|z1 - z2| / 2)
+        chord = min(abs(np.exp(1j * a) - np.exp(1j * b)) / 2.0, 1.0)
+        assert d == pytest.approx(2.0 * np.arcsin(chord), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

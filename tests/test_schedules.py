@@ -15,19 +15,14 @@ from scipy.integrate import quad
 from adiawalk import schedules
 from adiawalk.schedules import (
     Schedule,
-    ScheduleSample,
     bc_composite_schedule,
     build_grover_schedule,
-    eval_schedule,
     glue_constant_ce,
     glue_schedule,
     grover_d_constant,
     grover_gap_of_f,
     linear_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
     schedule_values,
-    tabulated_schedule,
 )
 
 
@@ -280,25 +275,7 @@ def test_power_schedule_symmetry_and_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# tabulated schedules and validation
-
-def test_tabulated_schedule_interpolates():
-    s_grid = np.linspace(0.0, 1.0, 11)
-    f_grid = s_grid ** 2
-    sched = tabulated_schedule(s_grid, f_grid)
-    f, df, _ = schedule_values(sched, 0.55)
-    assert f == pytest.approx(np.interp(0.55, s_grid, f_grid), abs=1e-14)
-    assert df == pytest.approx(2 * 0.55, abs=0.11)  # piecewise-linear slope
-
-
-def test_tabulated_schedule_rejects_bad_tables():
-    with pytest.raises(ValueError, match="increasing"):
-        tabulated_schedule([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        tabulated_schedule([0.0, 0.5, 1.0], [0.0, 0.8, 0.5])
-    with pytest.raises(ValueError, match="endpoints"):
-        tabulated_schedule([0.0, 1.0], [0.1, 1.0])
-
+# validation
 
 def test_schedule_validation_errors():
     with pytest.raises(ValueError, match="unknown schedule kind"):
@@ -318,17 +295,11 @@ def test_schedule_values_domain():
         schedule_values(linear_schedule(), np.array([-0.2, 0.5]))
 
 
-def test_schedule_sample_rejects_negative_slope():
-    with pytest.raises(ValueError, match="nonnegative"):
-        ScheduleSample(f=0.5, df=-1e-3, d2f=0.0)
-    assert ScheduleSample(f=0.5, df=-1e-14, d2f=0.0).df == 0.0
-
-
-def test_eval_schedule_scalar_form():
-    sample = eval_schedule(linear_schedule(), 0.3)
-    assert sample.f == pytest.approx(0.3)
-    assert sample.df == 1.0
-    assert sample.d2f == 0.0
+def test_schedule_values_scalar_form():
+    f, df, d2f = schedule_values(linear_schedule(), 0.3)
+    assert f == pytest.approx(0.3)
+    assert df == 1.0
+    assert d2f == 0.0
 
 
 def test_schedule_values_preserves_shape():
@@ -350,17 +321,12 @@ def test_schedule_values_preserves_shape():
         bc_composite_schedule(),
         build_grover_schedule(256, 1.0),
         build_grover_schedule(64, 1.5),
-        tabulated_schedule([0.0, 0.4, 1.0], [0.0, 0.3, 1.0]),
     ],
     ids=lambda s: s.kind + str(s.parameters.get("p", "")),
 )
 def test_schedule_round_trips_through_json(sched):
-    data = json.loads(json.dumps(schedule_to_dict(sched)))
-    back = schedule_from_dict(data)
+    data = json.loads(json.dumps({"kind": sched.kind, "parameters": sched.parameters}))
+    back = Schedule(data["kind"], data["parameters"])
     s = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(schedule_values(back, s)[0], schedule_values(sched, s)[0])
 
-
-def test_schedule_from_dict_rejects_extra_keys():
-    with pytest.raises(ValueError, match="unexpected"):
-        schedule_from_dict({"kind": "linear", "parameters": {}, "comment": "x"})

@@ -13,6 +13,7 @@ from adiawalk.integrators import (
     PF2,
     build_walk_family,
     commutator_combo,
+    hamiltonian_bands,
     nested_commutator_sum,
     walk_family_from_operators,
     walk_operator,
@@ -27,9 +28,7 @@ from adiawalk.spectral import (
     adiabatic_error_bound,
     ck_profiles,
     discrete_adiabatic_bound,
-    finite_difference_norm,
     gap_perturbation_bounds,
-    hamiltonian_gap_profile,
     track_eigenpaths,
     walk_gap_profile,
 )
@@ -359,52 +358,31 @@ def test_exp_walk_gap_is_scaled_hamiltonian_gap():
     h = 0.7
     fam = build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, h, 200)
     walk_gaps = walk_gap_profile(track_eigenpaths(fam), ks=(0,)).fixed
-    ham_gaps = hamiltonian_gap_profile(h0, h1, LINEAR, grid=200).fixed
+    w = hamiltonian_bands(h0, h1, schedule_values(LINEAR, np.linspace(0.0, 1.0, 201))[0])
+    ham_gaps = w[:, 1] - w[:, 0]
     assert np.max(np.abs(walk_gaps - h * ham_gaps)) <= 1e-10
 
 
 def test_hamiltonian_profile_matches_search_closed_form():
     inst = GroverInstance(64, 1)
     h0, h1 = effective_hamiltonians(inst)
-    prof = hamiltonian_gap_profile(h0, h1, LINEAR, grid=500)
-    s = np.linspace(0.0, 1.0, 501)
-    f = schedule_values(LINEAR, s)[0]
+    f = schedule_values(LINEAR, np.linspace(0.0, 1.0, 501))[0]
+    w = hamiltonian_bands(h0, h1, f)
     closed = gap_closed_forms(inst, f)[0]
-    assert np.max(np.abs(prof.fixed - closed)) <= 1e-12
+    assert np.max(np.abs((w[:, 1] - w[:, 0]) - closed)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # difference norms
 
-def test_finite_difference_matches_binomial_sum():
-    model = build_toy("toy2", 0.05)
-    fam = build_walk_family(model.h0, model.h1, LINEAR, PF2, 0.8, 30)
-    for k in (1, 2, 3):
-        for j in (0, 7, 27):
-            assert finite_difference_norm(fam, k, j) == pytest.approx(
-                brute_difference_norm(fam, k, j), abs=1e-13
-            )
-
-
-def test_finite_difference_validation():
-    model = build_toy("toy2", 0.05)
-    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 0.8, 10)
-    with pytest.raises(ValueError, match="difference order"):
-        finite_difference_norm(fam, 0, 0)
-    with pytest.raises(ValueError, match="difference order"):
-        finite_difference_norm(fam, 4, 0)
-    with pytest.raises(ValueError, match="no room"):
-        finite_difference_norm(fam, 2, 9)
-
-
 def test_ck_profiles_match_stepwise_norms():
     model = build_toy("toy2", 0.05)
     fam = build_walk_family(model.h0, model.h1, LINEAR, PF2, 0.8, 30)
-    cks = ck_profiles(fam, ks=(1, 2))
-    for k in (1, 2):
+    cks = ck_profiles(fam, ks=(1, 2, 3))
+    for k in (1, 2, 3):
         assert len(cks[k]) == fam.td + 1 - k
         for j in range(len(cks[k])):
-            expected = (fam.td ** k) * finite_difference_norm(fam, k, j)
+            expected = (fam.td ** k) * brute_difference_norm(fam, k, j)
             assert cks[k][j] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
