@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import chain_product, normal_eig
+from .linalg import chain_product, normal_eig, unitarity_deviation
 from .integrators import EXP_INTEGRATOR, WalkFamily, _hermitian, build_walk_family
 from .schedules import glue_schedule
 from .spectral import EigenpathTrack, _label_order, track_eigenpaths
@@ -180,8 +180,8 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
         )
     v = np.einsum("nik,nk,njk->nij", r, 1.0 / np.sqrt(w), r.conj()) @ s
     del r, s
-    vdev = float(np.max(np.abs(v.conj().transpose(0, 2, 1) @ v - eye)))
-    if vdev > ROTATION_UNITARITY_TOL:
+    vdev = float(unitarity_deviation(v).max())
+    if not vdev <= ROTATION_UNITARITY_TOL:
         raise RuntimeError(f"polar rotation lost unitarity: deviation {vdev:.3e}")
     ua = _running_product(v @ family.block(0, td))
     residual = _max_norm(ua @ p[0] - p @ ua)
@@ -267,8 +267,8 @@ def volterra_diagnostics(
     del check
     if residual > SERIES_IDENTITY_TOL:
         raise RuntimeError(f"comparison recursion drifted from U_A^dag U: {residual:.3e}")
-    unit_dev = float(np.max(np.abs(omega.conj().transpose(0, 2, 1) @ omega - eye)))
-    if unit_dev > SERIES_IDENTITY_TOL:
+    unit_dev = float(unitarity_deviation(omega).max())
+    if not unit_dev <= SERIES_IDENTITY_TOL:
         raise RuntimeError(f"comparison operator lost unitarity: {unit_dev:.3e}")
 
     p0 = ideal.projectors[0]

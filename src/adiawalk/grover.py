@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import STATE_NORM_TOL
-from .linalg import HermitianOperator, chain_product
+from .linalg import HermitianOperator, chain_product, steps_last_stack
 from .schedules import (
     Schedule,
     bc_composite_schedule,
@@ -101,13 +101,14 @@ def gap_closed_forms(inst: GroverInstance, f, h: float = 1.0):
 
 
 def walk_closed_form(inst: GroverInstance, f, h: float = 1.0) -> np.ndarray:
-    """First-order walk operator entries; batched over an array of f."""
+    """First-order walk operator entries; batched over an array of f, as a
+    steps-last stack."""
     f = np.asarray(f, dtype=float)
     mu = inst.mu
     c = math.sqrt(mu * (1.0 - mu))
     e = np.exp(-1j * h * (1.0 - f))
     ph1 = np.exp(-1j * h * f)
-    w = np.empty((*f.shape, 2, 2), dtype=complex)
+    w = steps_last_stack(np.empty((2, 2, *f.shape), dtype=complex))
     w[..., 0, 0] = e + (1.0 - e) * mu
     w[..., 0, 1] = (1.0 - e) * c
     w[..., 1, 0] = ph1 * (1.0 - e) * c

@@ -19,9 +19,14 @@ One private kernel, ``_walk_stack``, turns a factor list and a vector of
 schedule values into a stack of walks; ``walk_operator``, ``WalkFamily``,
 the reference propagator and the toy-model gap table all call it.  Each
 factor is a phase vector D_i in its operator's eigenbasis, so a walk is
-V_a D_1 X D_2 X' ... D_k V_b^dag, started in the first factor's basis,
-with X, X' alternating between the fixed links C = V1^dag V0 and C^dag:
-phase scalings and right multiplications by constant matrices only.
+V_a D_1 X D_2 X' ... D_k V_b^dag, built from the right, with X, X'
+alternating between the fixed links C = V1^dag V0 and C^dag: phase
+scalings and left multiplications by constant matrices only.  Its stacks
+are steps-last (see ``linalg``): each left multiplication is one GEMM
+whose output columns run over the steps, so the unitarity check of a
+lazily built block and its chain product run along the step axis.  A
+single walk is a GEMM of the same shape over one step, and comes out
+bitwise equal to the same step inside a family block.
 ``hamiltonian_bands`` is the only code that assembles and diagonalizes
 H(s).
 
@@ -46,6 +51,8 @@ from .linalg import (
     UnitaryOperator,
     chain_product,
     operator_norm,
+    steps_last_stack,
+    unitarity_deviation,
 )
 from .schedules import Schedule, schedule_values
 
@@ -236,32 +243,35 @@ def _read_points(kind: IntegratorKind, s: np.ndarray, ds: float | None) -> np.nd
 
 
 def _walk_stack(ends, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
-    """Walks at step h, one per schedule value in ``f``.
+    """Walks at step h, one per schedule value in ``f``, as a steps-last stack.
 
-    ``ends`` is what ``_endpoints`` returns.  A product formula starts in
-    its first factor's eigenbasis as V_a D_1, the columns of V_a scaled by
-    the phases exp(-i h w g(f) lambda).  Each later factor right-multiplies
-    by the link into its own basis, C = V1^dag V0 after H1 or C^dag after
-    H0, and scales columns in place; a last product by V_b^dag leaves the
-    last factor's basis.  Only the phases vary with f, so each product is
-    one (n d, d) @ (d, d) GEMM by a constant matrix, never a batched product
-    of two varying stacks.  ``exp`` diagonalizes every H(f) instead.
+    ``ends`` is what ``_endpoints`` returns.  A product formula is built
+    from its last factor leftwards: D_k V_b^dag, the rows of V_b^dag scaled
+    by the phases exp(-i h w g(f) lambda), is left-multiplied by the link
+    into each earlier factor's basis, C^dag = V0^dag V1 for an H0 factor or
+    C = V1^dag V0 for an H1 factor, and its rows are scaled in place; a
+    last product by V_a leaves the first factor's basis.  Only the
+    phases vary with f, so each product is one (d, d) @ (d, d n) GEMM by a
+    constant matrix, never a batched product of two varying stacks.  ``exp``
+    diagonalizes every H(f) instead.
     """
+    d = ends[0][0].shape[0]
     if kind.method == "exp":
         w, v = hamiltonian_bands(ends[0][0], ends[1][0], f, vectors=True)
-        return np.einsum("nik,nk,njk->nij", v, np.exp(-1j * h * w), v.conj())
+        ws = np.einsum("nik,nk,njk->ijn", v, np.exp(-1j * h * w), v.conj(), order="C")
+        return steps_last_stack(ws)
     c = ends[1][2].conj().T @ ends[0][2]  # C = V1^dag V0
-    links = (c.conj().T, c)  # out of the H0 and out of the H1 eigenbasis
+    links = (c.conj().T, c)  # into the H0 and into the H1 eigenbasis
     acc = None
-    for op, weight in kind.factors:
+    for op, weight in reversed(kind.factors):
         _, w, v = ends[op]
-        ph = np.exp(-1j * h * weight * np.outer(f if op else 1.0 - f, w))[:, None, :]
+        ph = np.exp(-1j * h * weight * np.outer(w, f if op else 1.0 - f))[:, None, :]
         if acc is None:
-            acc = v * ph
+            acc = np.ascontiguousarray(v.conj().T)[:, :, None] * ph  # C order: reshapes are views
         else:
-            acc = (acc.reshape(-1, v.shape[0]) @ links[1 - op]).reshape(acc.shape)
+            acc = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape)
             acc *= ph
-    return (acc.reshape(-1, v.shape[0]) @ v.conj().T).reshape(acc.shape)
+    return steps_last_stack((v @ acc.reshape(d, -1)).reshape(acc.shape))
 
 
 def walk_operator(
@@ -291,7 +301,7 @@ def walk_operator(
 
 def _check_unitary(ws: np.ndarray, error: type, message: str) -> None:
     """Raise ``error`` unless max |W^dag W - I| <= WALK_UNITARITY_TOL (NaN fails)."""
-    dev = float(np.max(np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(ws.shape[-1]))))
+    dev = float(unitarity_deviation(ws).max())
     if not dev <= WALK_UNITARITY_TOL:
         raise error(f"{message}: deviation {dev:.3e}")
 

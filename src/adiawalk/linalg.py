@@ -11,6 +11,25 @@ the non-orthogonal vectors eig returns inside a degenerate eigenspace),
 and eigenvalues diag(V^dag W V).  An orthonormality and a reconstruction
 check then raise ``EigensolverError`` naming the first failing matrix.
 
+Stacks of n small matrices are (n, d, d) arrays.  Batched ``@`` pays
+0.3-0.7 us of BLAS dispatch per matrix at d <= 6, so long stacks are
+reduced along their step axis, which is fastest when that axis is the
+innermost and contiguous one: a (d, d, n) array seen through its
+(n, d, d) view, ``steps_last_stack``, as the walk producers build them.
+``unitarity_deviation`` sums only the upper triangle of each Gram matrix,
+d(d+1)/2 step-axis dot products, on either layout.  ``chain_product``
+multiplies neighbour pairs by ``einsum`` on a steps-last stack of
+d <= ``EINSUM_CHAIN_MAX_DIM`` and by batched ``@`` otherwise.  Times in ms
+at n = 65,536 (2 cores, BLAS at 1 thread, min of 10):
+
+    d                              2     3     4     5     6
+    chain, batched @              27    29    22    44    43
+    chain, einsum, steps-last      2.7   8.8  22    50    79
+    chain, einsum, steps-first    25    18    43    76   115
+    check, full Gram by @         41    43    49    70    83
+    check, triangle, steps-last    2.7   7.0  15    30    64
+    check, triangle, steps-first   3.6   8.1  20    36    65
+
 Phase conventions used throughout the package:
 
 * ``logm_unitary(U)`` returns Theta with ``U = exp(i Theta)`` and every
@@ -33,6 +52,7 @@ ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 NORMALITY_TOL = 1e-8
 BRANCH_CUT_TOL = 1e-12
+EINSUM_CHAIN_MAX_DIM = 4  # largest d whose steps-last chains reduce by einsum
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -48,6 +68,8 @@ __all__ = [
     "logm_unitary",
     "operator_norm",
     "arc_distance_angles",
+    "steps_last_stack",
+    "unitarity_deviation",
     "chain_product",
 ]
 
@@ -66,7 +88,7 @@ def _coerce(a) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -98,8 +120,8 @@ class UnitaryOperator:
 
     def __post_init__(self):
         m = _coerce(self.matrix).copy()
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if dev > UNITARITY_TOL:
+        dev = float(unitarity_deviation(m))
+        if not dev <= UNITARITY_TOL:
             raise ValueError(f"not unitary: max |U^dag U - I| = {dev:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -122,8 +144,8 @@ class NormalEigenDecomposition:
         n = w.shape[0]
         if v.shape != (n, n):
             raise ValueError(f"shape mismatch: {w.shape} values, {v.shape} vectors")
-        dev = float(np.max(np.abs(v.conj().T @ v - np.eye(n))))
-        if dev > ORTHONORMALITY_TOL:
+        dev = float(unitarity_deviation(v))
+        if not dev <= ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
         w.flags.writeable = False
         v.flags.writeable = False
@@ -184,8 +206,7 @@ def _normal_eig_stack(ws: np.ndarray):
         v = v @ ((r / np.sqrt(g)[:, None, :]) @ r.conj().transpose(0, 2, 1))
     vh = v.conj().transpose(0, 2, 1)
     lam = np.einsum("nik,nik->nk", v.conj(), ws @ v)
-    ortho = np.abs(vh @ v - np.eye(ws.shape[-1])).max(axis=(1, 2))
-    _check_stack(ortho, ORTHONORMALITY_TOL, "orthonormality deviation")
+    _check_stack(unitarity_deviation(v), ORTHONORMALITY_TOL, "orthonormality deviation")
     recon = np.abs((v * lam[:, None, :]) @ vh - ws).max(axis=(1, 2))
     _check_stack(recon, RECONSTRUCTION_TOL, "reconstruction residual")
     return lam, v
@@ -256,23 +277,53 @@ def arc_distance_angles(t1, t2):
     return np.abs(d)
 
 
+def steps_last_stack(t: np.ndarray) -> np.ndarray:
+    """The (..., d, d) stack view of an array ``t`` laid out (d, d, ...),
+    whose step axes are innermost; see the module docstring."""
+    return t.transpose(*range(2, t.ndim), 0, 1)
+
+
+def unitarity_deviation(ws) -> np.ndarray:
+    """max |X^dag X - I| of every matrix X in a (..., d, d) stack, or of one
+    matrix, from the upper triangle of the Gram matrix; NaN in X gives NaN."""
+    ws = np.asarray(ws)
+    d = ws.shape[-1]
+    if ws.size == d * d:  # one matrix: one BLAS product beats d(d+1)/2 dots
+        m = ws.reshape(d, d)
+        return np.abs(m.conj().T @ m - np.eye(d)).max().reshape(ws.shape[:-2])
+    x = ws.transpose(ws.ndim - 2, ws.ndim - 1, *range(ws.ndim - 2))
+    dev = np.zeros(x.shape[2:])
+    for i in range(d):
+        xi = x[:, i].conj()
+        for j in range(i, d):
+            g = np.einsum("k...,k...->...", xi, x[:, j])
+            if i == j:
+                g -= 1.0
+            np.maximum(dev, np.abs(g), out=dev)  # np.maximum keeps NaN
+    return dev
+
+
 def chain_product(ws: np.ndarray) -> np.ndarray:
     """Ordered product ws[n-1] @ ... @ ws[0] via pairwise batched reduction.
 
     The first matrix in the stack is the first applied, matching the
-    left-multiplication convention of a discrete evolution.
+    left-multiplication convention of a discrete evolution.  A steps-last
+    stack of d <= ``EINSUM_CHAIN_MAX_DIM`` multiplies its pairs by einsum,
+    whose loops then run along the contiguous step axis; an odd last
+    matrix is folded into the last pair.
     """
     ws = np.asarray(ws)
     if ws.ndim == 2:
         return ws.copy()
     if ws.ndim != 3 or ws.shape[0] == 0:
         raise ValueError(f"expected a nonempty stack of matrices, got {ws.shape}")
+    by_einsum = ws.strides[0] == ws.itemsize and ws.shape[-1] <= EINSUM_CHAIN_MAX_DIM
     m = ws
     while m.shape[0] > 1:
         k = m.shape[0]
-        even = m[: k - (k % 2)]
-        paired = even[1::2] @ even[0::2]
+        odd, even = m[1 : k - k % 2 : 2], m[: k - k % 2 : 2]
+        paired = np.einsum("nij,njk->nik", odd, even) if by_einsum else odd @ even
         if k % 2:
-            paired = np.concatenate([paired, m[-1:]], axis=0)
+            paired[-1] = m[-1] @ paired[-1]
         m = paired
     return m[0]

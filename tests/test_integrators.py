@@ -590,3 +590,20 @@ def test_non_finite_walks_fail_the_unitarity_checks():
                      h1=HermitianOperator(h1), schedule=LINEAR)
     with pytest.raises(RuntimeError, match="unitarity"):
         fam.block(0, 3)
+    # one bad entry among unitary walks, in either stack layout: a NaN in the
+    # last column of the last step enters only late pairs of the Gram
+    # triangle, where a max() fold over per-pair maxima would drop it
+    rng = np.random.default_rng(67)
+    for d in (2, 6):
+        q, r = np.linalg.qr(rng.standard_normal((9, d, d)) + 1j * rng.standard_normal((9, d, d)))
+        qs = q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, None, :]
+        for ws in (qs, np.ascontiguousarray(qs.transpose(1, 2, 0)).transpose(2, 0, 1)):
+            walk_family_from_operators(ws)
+            bad = ws.copy(order="K")
+            bad[-1, -1, -1] = np.nan
+            with pytest.raises(ValueError, match="unitary"):
+                walk_family_from_operators(bad)
+            off = ws.copy(order="K")
+            off[4] *= 1.0 + 1e-10  # |W^dag W - I| = 2e-10 > WALK_UNITARITY_TOL
+            with pytest.raises(ValueError, match="unitary"):
+                walk_family_from_operators(off)

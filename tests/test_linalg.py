@@ -25,6 +25,8 @@ from adiawalk.linalg import (
     logm_unitary,
     normal_eig,
     operator_norm,
+    steps_last_stack,
+    unitarity_deviation,
 )
 
 
@@ -293,13 +295,20 @@ def test_arc_distance_matches_angular_distance():
 # ---------------------------------------------------------------------------
 # chain products
 
-def test_chain_product_order_and_shapes():
+@pytest.mark.parametrize("layout", ["steps-first", "steps-last"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_chain_product_order_and_shapes(d, layout):
     rng = np.random.default_rng(18)
-    ws = np.stack([random_unitary(rng, 3) for _ in range(7)])
-    ref = np.eye(3, dtype=complex)
-    for w in ws:  # step 0 applied first
-        ref = w @ ref
-    assert np.max(np.abs(chain_product(ws) - ref)) < 1e-12
+    for n in (2, 7, 13, 33):
+        ws = np.stack([random_unitary(rng, d) for _ in range(n)])
+        if layout == "steps-last":
+            ws = steps_last_stack(np.ascontiguousarray(ws.transpose(1, 2, 0)))
+            assert ws.strides[0] == ws.itemsize
+        ref = np.eye(d, dtype=complex)
+        for w in ws:  # step 0 applied first
+            ref = w @ ref
+        assert np.max(np.abs(chain_product(ws) - ref)) < 1e-12
+        assert np.max(np.abs(chain_product(ws[1:]) - ref @ ws[0].conj().T)) < 1e-12
 
 
 def test_chain_product_edge_cases():
@@ -309,6 +318,41 @@ def test_chain_product_edge_cases():
     assert np.array_equal(chain_product(w[None]), w)
     with pytest.raises(ValueError):
         chain_product(np.empty((0, 2, 2)))
+
+
+def test_unitarity_deviation_matches_the_full_gram_on_both_layouts():
+    rng = np.random.default_rng(20)
+    for d in (2, 3, 6):
+        ws = np.stack([random_unitary(rng, d) for _ in range(11)])
+        ws[3] *= 1.0 + 1e-7
+        ws[8, 0, -1] += 1e-5
+        ref = np.abs(ws.conj().transpose(0, 2, 1) @ ws - np.eye(d)).max(axis=(1, 2))
+        last = steps_last_stack(np.ascontiguousarray(ws.transpose(1, 2, 0)))
+        for stack in (ws, last):
+            assert np.max(np.abs(unitarity_deviation(stack) - ref)) < 1e-15
+        assert unitarity_deviation(ws[8]) == pytest.approx(ref[8], abs=1e-15)
+        assert unitarity_deviation(ws[8:9]).shape == (1,)
+        nan = last.copy(order="K")
+        nan[-1, -1, -1] = np.nan
+        dev = unitarity_deviation(nan)
+        assert np.isnan(dev[-1]) and np.all(dev[:-1] < 1e-4)
+
+
+def test_strided_complex_matrices_are_accepted():
+    # transposes and steps-last stack entries have a strided last axis
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q = random_unitary(rng, 4)
+    assert operator_norm(a.T) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert np.array_equal(UnitaryOperator(q.T).matrix, q.T)
+    dec = normal_eig(q.conj().T)
+    assert np.max(np.abs(dec.reconstruct() - q.conj().T)) < 1e-12
+    walk = steps_last_stack(np.ascontiguousarray(np.stack([q, q]).transpose(1, 2, 0)))[1]
+    assert np.array_equal(UnitaryOperator(walk).matrix, q)
+    bad = a.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(bad.T)
 
 
 # ---------------------------------------------------------------------------
