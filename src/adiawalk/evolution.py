@@ -10,10 +10,11 @@ schedule versus its endpoints).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .linalg import chain_product, normal_eig, unitarity_deviation
+from .linalg import chain_product, normal_eig, operator_norm, unitarity_deviation
 from .integrators import EXP_INTEGRATOR, WalkFamily, _hermitian, build_walk_family
 from .schedules import glue_schedule
 from .spectral import EigenpathTrack, _label_order, track_eigenpaths
@@ -59,7 +60,7 @@ def spectral_projector(track: EigenpathTrack, step: int) -> np.ndarray:
         float(np.max(np.abs(p - p.conj().T))),
         float(np.max(np.abs(p @ p - p))),
     )
-    if dev > PROJECTOR_TOL:
+    if not dev <= PROJECTOR_TOL:
         raise RuntimeError(f"projector validation failed at step {step}: deviation {dev:.3e}")
     return p
 
@@ -145,17 +146,23 @@ class IdealAdiabaticFamily:
     intertwining_residual: float
 
 
-def _max_norm(x: np.ndarray) -> float:
-    """Largest spectral norm over a stack of matrices."""
-    return float(np.linalg.svd(x, compute_uv=False)[:, 0].max())
-
-
 def _running_product(ws: np.ndarray) -> np.ndarray:
-    """Stack of ws[n-1] @ ... @ ws[0] for n = 0..len(ws), multiplied in order."""
-    out = np.empty((len(ws) + 1, *ws.shape[1:]), dtype=complex)
-    out[0] = np.eye(ws.shape[-1])
-    for j in range(len(ws)):
-        out[j + 1] = ws[j] @ out[j]
+    """Fresh stack of ws[n-1] @ ... @ ws[0] for n = 0..len(ws), in blocks of
+    b = ceil(sqrt(len(ws))) steps: the products within every block at once,
+    one batched product per position, then each block times the last
+    product before it; see the ``linalg`` module docstring."""
+    n = len(ws)
+    d = ws.shape[-1]
+    b = isqrt(n - 1) + 1 if n else 1
+    out = np.empty((n + 1, d, d), dtype=complex)
+    out[0] = np.eye(d)
+    out[1::b] = ws[::b]
+    for i in range(1, b):
+        step = ws[i::b]
+        np.matmul(step, out[i::b][: len(step)], out=out[i + 1::b])
+    for k in range(b, n, b):
+        blk = out[k + 1 : k + b + 1].reshape(-1, d)
+        blk[...] = blk @ out[k]
     return out
 
 
@@ -184,8 +191,8 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
     if not vdev <= ROTATION_UNITARITY_TOL:
         raise RuntimeError(f"polar rotation lost unitarity: deviation {vdev:.3e}")
     ua = _running_product(v @ family.block(0, td))
-    residual = _max_norm(ua @ p[0] - p @ ua)
-    if residual > INTERTWINING_TOL:
+    residual = float(operator_norm(ua @ p[0] - p @ ua).max())
+    if not residual <= INTERTWINING_TOL:
         raise RuntimeError(
             f"adiabatic evolution fails to intertwine the projectors: {residual:.3e}"
         )
@@ -206,12 +213,15 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
 class VolterraDiagnostics:
     """Discrete comparison series between U and its adiabatic reference.
 
-    ``omega[n]`` solves the exact running-sum recursion, with kernel
-    K(n) = td (I - Theta(n)) and Theta(n) = U_A(n+1)^dag V(n)^dag U_A(n+1),
-    and equals U_A(n)^dag U(n) to roundoff; ``omega_terms[j]`` is the j-th
-    iterate of that recursion started from the identity.  The off-diagonal
-    profiles take the initial-frame block Q(0) X P(0) of each operator.
-    The kernel is dropped once the series are built.
+    ``omega[n]`` solves the exact running-sum recursion Omega(n) =
+    I - (1/td) sum_{m<n} K(m) Omega(m), with kernel K(n) = td (I - Theta(n))
+    and Theta(n) = U_A(n+1)^dag V(n)^dag U_A(n+1), and equals U_A(n)^dag U(n)
+    to roundoff.  Its differences give Omega(n+1) = Theta(n) Omega(n), so
+    ``omega`` is the running product of the Theta(n), taken once the series
+    have used the kernel, which is turned back into Theta in place.
+    ``omega_terms[j]`` is the j-th iterate of the recursion started from the
+    identity.  The off-diagonal profiles take the initial-frame block
+    Q(0) X P(0) of each operator.
     """
 
     omega: np.ndarray
@@ -222,7 +232,14 @@ class VolterraDiagnostics:
 
 
 def _offdiag_profile(x: np.ndarray, p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(q0[None] @ x @ p0[None], compute_uv=False)[:, 0]
+    """||Q0 X P0|| for every X of an (n, d, d) stack.  When P0 = v v^dag has
+    rank 1, Q0 X P0 = (Q0 X v) v^dag has one nonzero singular value, the
+    vector norm |Q0 X v|; other ranks take the stacked operator norm."""
+    n, d, _ = x.shape
+    w, u = np.linalg.eigh(p0)
+    if np.count_nonzero(w > 0.5) != 1:
+        return operator_norm(q0 @ x @ p0)
+    return np.linalg.norm((x.reshape(-1, d) @ u[:, -1]).reshape(n, d) @ q0.T, axis=1)
 
 
 def volterra_diagnostics(
@@ -244,13 +261,6 @@ def volterra_diagnostics(
         eye - ua1.conj().transpose(0, 2, 1) @ ideal.v_rotations.conj().transpose(0, 2, 1) @ ua1
     )
 
-    omega = np.empty((td + 1, d, d), dtype=complex)
-    omega[0] = eye
-    acc = np.zeros((d, d), dtype=complex)
-    for n in range(1, td + 1):
-        acc = acc + kernel[n - 1] @ omega[n - 1]
-        omega[n] = eye - acc / td
-
     terms = np.empty((j_max + 1, td + 1, d, d), dtype=complex)
     terms[0] = eye
     for j in range(1, j_max + 1):
@@ -260,12 +270,15 @@ def volterra_diagnostics(
         terms[j, 0] = eye
         np.subtract(eye, csum, out=terms[j, 1:])
         del csum
+    kernel /= -td
+    kernel += eye  # now Theta(n) = I - K(n)/td
+    omega = _running_product(kernel)
     del kernel
 
     check = ua.conj().transpose(0, 2, 1) @ _running_product(family.block(0, td))
-    residual = _max_norm(np.subtract(omega, check, out=check))
+    residual = float(operator_norm(np.subtract(omega, check, out=check)).max())
     del check
-    if residual > SERIES_IDENTITY_TOL:
+    if not residual <= SERIES_IDENTITY_TOL:
         raise RuntimeError(f"comparison recursion drifted from U_A^dag U: {residual:.3e}")
     unit_dev = float(unitarity_deviation(omega).max())
     if not unit_dev <= SERIES_IDENTITY_TOL:

@@ -324,8 +324,7 @@ def ck_profiles(family: WalkFamily, ks=(1, 2)) -> dict:
             for m in range(k + 1):
                 off = k - m
                 acc += ((-1) ** m) * comb(k, m) * ws[off:off + n_here]
-            norms = np.linalg.svd(acc, compute_uv=False)[:, 0]
-            out[k][j0:hi + 1] = (td ** k) * norms
+            out[k][j0:hi + 1] = (td ** k) * operator_norm(acc)
     return out
 
 

@@ -23,7 +23,7 @@ from .linalg import HermitianOperator, expm_i_hermitian, logm_unitary
 from .schedules import Schedule, linear_schedule, schedule_values
 from .integrators import PF1, _endpoints, _walk_stack, build_walk_family, hamiltonian_bands
 from .spectral import lowest_phase_gap
-from .evolution import evolve, ground_state
+from .evolution import STATE_NORM_TOL, evolve, ground_state
 
 DEFAULT_EPSILONS = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 0.0)
 EPS_MAX = 0.1
@@ -218,12 +218,12 @@ def fidelity_sweep(t_list, h_list, *, eps: float = 0.0, kind: str = "toy2") -> l
                 model.h0, model.h1, model.schedule, PF1, float(h), td, materialize=False
             )
             res = evolve(fam, psi0)
-            fid0 = float(res.fidelities[0])
-            fid1 = float(res.fidelities[1])
-            if fid0 ** 2 + fid1 ** 2 > 1.0 + 1e-9:
+            norm = float(np.linalg.norm(res.fidelities))
+            if not abs(norm - 1.0) <= STATE_NORM_TOL:
                 raise RuntimeError(
-                    f"overlap amplitudes violate normalization at T = {t}, h = {h}"
+                    f"overlap amplitudes have norm {norm!r}, not 1, at T = {t}, h = {h}"
                 )
+            fid0, fid1 = (float(a) for a in res.fidelities[:2])
             rows.append(
                 FidelityRow(
                     t=float(t), h=float(h), td=td, fidelity_ground=fid0, fidelity_excited=fid1

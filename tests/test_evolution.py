@@ -55,6 +55,30 @@ def toy_family(td: int, h: float = 1.0):
     return build_walk_family(model.h0, model.h1, LINEAR, PF1, h, td)
 
 
+def sequential_running_product(ws: np.ndarray) -> np.ndarray:
+    """Prefix products ws[n-1] @ ... @ ws[0], one step at a time."""
+    out = [np.eye(ws.shape[-1], dtype=complex)]
+    for w in ws:
+        out.append(w @ out[-1])
+    return np.stack(out)
+
+
+def running_sum_omega(ideal, td: int) -> np.ndarray:
+    """Omega(n) = I - (1/td) sum_{m<n} K(m) Omega(m), with K(m) =
+    td (I - U_A(m+1)^dag V(m)^dag U_A(m+1)), by the running-sum loop."""
+    ua1 = ideal.adiabatic_evolution[1:]
+    d = ua1.shape[-1]
+    eye = np.eye(d)
+    kernel = td * (eye - ua1.conj().transpose(0, 2, 1)
+                   @ ideal.v_rotations.conj().transpose(0, 2, 1) @ ua1)
+    omega = [eye.astype(complex)]
+    acc = np.zeros((d, d), dtype=complex)
+    for n in range(td):
+        acc = acc + kernel[n] @ omega[n]
+        omega.append(eye - acc / td)
+    return np.stack(omega)
+
+
 # ---------------------------------------------------------------------------
 # states and projectors
 
@@ -288,6 +312,79 @@ def test_volterra_iterates_converge_to_omega():
     devs = [float(np.abs(diag.omega_terms[j] - diag.omega).max()) for j in range(7)]
     assert devs[6] <= 1e-3
     assert devs[6] < devs[2] < devs[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 400, 1601])
+def test_blocked_running_product_matches_the_sequential_loop(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    ws = np.linalg.qr(z)[0]
+    ref = sequential_running_product(ws)
+    last = np.ascontiguousarray(ws.transpose(1, 2, 0)).transpose(2, 0, 1)
+    for stack in (ws, last):
+        out = evolution._running_product(stack)
+        assert out.shape == (n + 1, 4, 4)
+        assert np.array_equal(out[0], np.eye(4)) and np.array_equal(out[1], ws[0])
+        assert not np.shares_memory(out, stack)
+        assert np.max(np.abs(out - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("td", [100, 1600])
+def test_blocked_omega_matches_the_running_sum_recursion(td):
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, glue_schedule(), EXP_INTEGRATOR, 1.0, td)
+    ideal = ideal_adiabatic_family(track_eigenpaths(fam), fam)
+    diag = volterra_diagnostics(ideal, fam, j_max=1)
+    assert np.max(np.abs(diag.omega - running_sum_omega(ideal, td))) <= 1e-11
+
+
+@pytest.mark.parametrize("group, rank", [("ground", 1), ((0, 1), 2)])
+def test_offdiag_profiles_match_svd(group, rank):
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, glue_schedule(), EXP_INTEGRATOR, 1.0, 300)
+    ideal = ideal_adiabatic_family(track_eigenpaths(fam, group), fam)
+    diag = volterra_diagnostics(ideal, fam, j_max=2)
+    p0 = ideal.projectors[0]
+    q0 = np.eye(4) - p0
+    assert round(np.trace(p0).real) == rank
+
+    def svd_profile(x):
+        return np.linalg.svd(q0 @ x @ p0, compute_uv=False)[:, 0]
+
+    np.testing.assert_allclose(diag.off_diag_omega, svd_profile(diag.omega), rtol=1e-12, atol=1e-15)
+    for j in range(3):
+        np.testing.assert_allclose(
+            diag.off_diag_terms[j], svd_profile(diag.omega_terms[j]), rtol=1e-12, atol=1e-15
+        )
+
+
+def _nan_at_last_step(monkeypatch):
+    """Make every running product of the ideal family and the series NaN at its last step."""
+    product = evolution._running_product
+
+    def poisoned(ws):
+        out = product(ws)
+        out[-1, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(evolution, "_running_product", poisoned)
+
+
+def test_nan_fails_the_projector_intertwining_and_series_checks(monkeypatch):
+    # nan > tol is False, so each check must read "not <= tol"
+    fam = toy_family(12)
+    track = track_eigenpaths(fam)
+    vectors = track.vectors.copy()
+    vectors[5, 0, 0] = np.nan
+    bad = EigenpathTrack(track.phases, vectors, track.p_group, track.min_overlap)
+    with pytest.raises(RuntimeError, match="projector validation failed at step 5"):
+        spectral_projector(bad, 5)
+    ideal = ideal_adiabatic_family(track, fam)
+    _nan_at_last_step(monkeypatch)
+    with pytest.raises(RuntimeError, match="intertwine"):
+        ideal_adiabatic_family(track, fam)
+    with pytest.raises(RuntimeError, match="drifted"):
+        volterra_diagnostics(ideal, fam, j_max=1)
 
 
 def test_volterra_path_keeps_few_walk_stacks_alive():

@@ -267,6 +267,39 @@ def test_operator_norm_known_values():
     assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_operator_norm_matches_svd(d):
+    rng = np.random.default_rng(30 + d)
+    ws = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
+    ws[0] = 0.0
+    ws[1] = np.outer(ws[1, :, 0], ws[1, 0].conj())  # rank 1
+    ws[2, :, -1] = ws[2, :, 0]  # rank d - 1
+    ws[3] *= 1e-9
+    ref = np.linalg.svd(ws, compute_uv=False)[:, 0]
+    last = steps_last_stack(np.ascontiguousarray(ws.transpose(1, 2, 0)))
+    for stack in (ws, last):
+        norms = operator_norm(stack)
+        assert norms.shape == (40,)
+        assert norms[0] == 0.0
+        np.testing.assert_allclose(norms, ref, rtol=1e-13, atol=0.0)
+    assert operator_norm(ws[5]) == pytest.approx(norms[5], rel=1e-14)
+
+
+def test_stacked_operator_norm_reports_non_finite_members_as_nan():
+    rng = np.random.default_rng(36)
+    ws = rng.standard_normal((5, 3, 3)) + 0j
+    ws[1, 0, 2] = np.nan
+    ws[3, 2, 2] = np.inf
+    with np.errstate(invalid="ignore"):  # inf * 0 in the Gram product
+        norms = operator_norm(ws)
+    assert np.isnan(norms[[1, 3]]).all()
+    np.testing.assert_allclose(norms[[0, 2, 4]], np.linalg.norm(ws[[0, 2, 4]], 2, axis=(1, 2)))
+    with pytest.raises(ValueError, match="square"):
+        operator_norm(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="square"):
+        operator_norm(np.zeros((2, 2, 3, 3)))
+
+
 def test_angular_distance_known_pairs():
     # the angles of 1, i and -1
     assert arc_distance_angles(0.0, np.pi / 2) == pytest.approx(np.pi / 2, abs=1e-12)
@@ -316,6 +349,11 @@ def test_chain_product_edge_cases():
     w = random_unitary(rng, 2)
     assert np.array_equal(chain_product(w), w)
     assert np.array_equal(chain_product(w[None]), w)
+    ws = np.stack([w, w.conj().T])
+    kept = ws.copy()
+    for stack in (ws[:1], ws):  # the product is a fresh array, never a view of ws
+        chain_product(stack)[0, 0] = 5.0
+        assert np.array_equal(ws, kept)
     with pytest.raises(ValueError):
         chain_product(np.empty((0, 2, 2)))
 

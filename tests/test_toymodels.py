@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from adiawalk import toymodels
+from adiawalk.evolution import EvolutionResult
 from adiawalk.toymodels import (
     DEFAULT_EPSILONS,
     TOY_KINDS,
@@ -146,6 +147,17 @@ def test_fidelity_sweep_mechanics():
         assert row.fidelity_ground ** 2 + row.fidelity_excited ** 2 <= 1.0 + 1e-9
     with pytest.raises(ValueError, match="no steps"):
         fidelity_sweep([0.3], [1.0])
+
+
+@pytest.mark.parametrize("amplitudes", [[np.nan, 0.0, 0.0, 0.0], [0.6, 0.6, 0.0, 0.0]])
+def test_fidelity_sweep_checks_the_norm_of_all_amplitudes(monkeypatch, amplitudes):
+    # a NaN amplitude passes "fid0**2 + fid1**2 > 1 + tol", and so does a
+    # vector of norm 0.85 with its weight in the two kept amplitudes
+    state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    fake = EvolutionResult(final_state=state, leakage=0.0, fidelities=np.array(amplitudes))
+    monkeypatch.setattr(toymodels, "evolve", lambda family, psi: fake)
+    with pytest.raises(RuntimeError, match="amplitudes have norm"):
+        fidelity_sweep([10.0], [1.0])
 
 
 def test_fidelity_sweep_slow_evolution_improves():
