@@ -358,18 +358,6 @@ def test_offdiag_profiles_match_svd(group, rank):
         )
 
 
-def _nan_at_last_step(monkeypatch):
-    """Make every running product of the ideal family and the series NaN at its last step."""
-    product = evolution._running_product
-
-    def poisoned(ws):
-        out = product(ws)
-        out[-1, 0, 0] = np.nan
-        return out
-
-    monkeypatch.setattr(evolution, "_running_product", poisoned)
-
-
 def test_nan_fails_the_projector_intertwining_and_series_checks(monkeypatch):
     # nan > tol is False, so each check must read "not <= tol"
     fam = toy_family(12)
@@ -380,7 +368,14 @@ def test_nan_fails_the_projector_intertwining_and_series_checks(monkeypatch):
     with pytest.raises(RuntimeError, match="projector validation failed at step 5"):
         spectral_projector(bad, 5)
     ideal = ideal_adiabatic_family(track, fam)
-    _nan_at_last_step(monkeypatch)
+    product = evolution._running_product
+
+    def nan_at_last_step(ws):
+        out = product(ws)
+        out[-1, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(evolution, "_running_product", nan_at_last_step)
     with pytest.raises(RuntimeError, match="intertwine"):
         ideal_adiabatic_family(track, fam)
     with pytest.raises(RuntimeError, match="drifted"):
