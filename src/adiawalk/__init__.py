@@ -8,16 +8,10 @@ step counts unstructured search actually needs.
 """
 
 from .linalg import (
-    BranchCutWarning,
     EigensolverError,
     HermitianOperator,
-    NormalEigenDecomposition,
-    UnitaryOperator,
     arc_distance_angles,
     chain_product,
-    expm_i_hermitian,
-    hermitian_eig,
-    logm_unitary,
     normal_eig,
     operator_norm,
 )
@@ -77,7 +71,6 @@ from .evolution import (
     evolve,
     ground_state,
     ideal_adiabatic_family,
-    spectral_projector,
     volterra_diagnostics,
 )
 from .grover import (

@@ -78,7 +78,8 @@ def _bounded(key, v, lo, hi):
 
 def _as_int(params, key, lo=None, hi=None):
     v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()  # not inf or NaN
+    if isinstance(v, bool) or not integral:
         raise ConfigError(f"parameter {key!r} must be an integer, got {v!r}")
     return _bounded(key, int(v), lo, hi)
 
@@ -97,20 +98,28 @@ def _as_choice(params, key, choices):
     return v
 
 
-def _as_number_list(params, key, *, integral=False, lo=None):
+def _as_number_list(params, key, *, integral=False, lo=None, hi=None):
     v = params[key]
     if not isinstance(v, (list, tuple)) or not v:
         raise ConfigError(f"parameter {key!r} must be a nonempty list, got {v!r}")
     out = []
     for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"parameter {key!r} holds a non-number: {item!r}")
+        finite = isinstance(item, int) or isinstance(item, float) and math.isfinite(item)
+        if isinstance(item, bool) or not finite:
+            raise ConfigError(f"parameter {key!r} holds {item!r}, not a finite number")
         if integral and item != int(item):
             raise ConfigError(f"parameter {key!r} holds a non-integer: {item!r}")
         if lo is not None and item < lo:
             raise ConfigError(f"parameter {key!r} holds {item!r} below {lo}")
+        if hi is not None and item > hi:
+            raise ConfigError(f"parameter {key!r} holds {item!r} above {hi}")
         out.append(int(item) if integral else float(item))
     return out
+
+
+def _check_search_size(n, m):
+    if n < 2 * m:
+        raise ConfigError(f"search needs n >= 2m, got n = {n}, m = {m}")
 
 
 def _as_str_list(params, key, choices):
@@ -128,7 +137,7 @@ def _as_str_list(params, key, choices):
 
 def _run_gap_table(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
-    eps_list = _as_number_list(params, "eps_list", lo=0.0)
+    eps_list = _as_number_list(params, "eps_list", lo=0.0, hi=0.1)
     grid = _as_int(params, "grid", lo=10)
 
     def one(eps):
@@ -205,6 +214,7 @@ def _run_grover_scaling(params, rng):
     target = _as_float(params, "target_error", lo=1e-6)
     if not target < 1.0:
         raise ConfigError(f"parameter 'target_error' must be below 1, got {target}")
+    _check_search_size(min(n_list), max(m_list))
 
     cells = scaling_experiment(n_list, m_list, sched_kind, target, p=p)
     cells.sort(key=lambda c: (c.n, c.m))
@@ -241,7 +251,7 @@ def _run_qaoa_export(params, rng):
     if p >= 2.0:
         raise ConfigError(f"parameter 'p' must be below 2, got {p}")
     t = _as_int(params, "t", lo=1)
-    GroverInstance(n, m)  # validates n >= 2m
+    _check_search_size(n, m)
     n_eff = max(2, round(n / m))
     angles = qaoa_angles(build_grover_schedule(n_eff, p), t)
     rows = [(j, float(angles.gammas[j]), float(angles.betas[j])) for j in range(t)]
@@ -251,8 +261,9 @@ def _run_qaoa_export(params, rng):
 def _step_size_source(params, rng):
     source = _as_choice(params, "source", ("grover", "toy1", "toy2", "random"))
     if source == "grover":
-        inst = GroverInstance(_as_int(params, "n", lo=2), _as_int(params, "m", lo=1))
-        h0, h1 = effective_hamiltonians(inst)
+        n, m = _as_int(params, "n", lo=2), _as_int(params, "m", lo=1)
+        _check_search_size(n, m)
+        h0, h1 = effective_hamiltonians(GroverInstance(n, m))
         return h0, h1, linear_schedule()
     if source in TOY_KINDS:
         model = build_toy(source, _as_float(params, "eps", lo=0.0, hi=0.1))
@@ -289,7 +300,7 @@ def _run_step_size_report(params, rng):
                 order = 2 if kind.effective_order <= 2 else kind.effective_order
                 lo, hi = gap_perturbation_bounds(h0, h1, sched, s_star, h_rec, order=order)
         measure_kind = parse_integrator_tag("pf2-simplified") if tag == "pf2" else kind
-        wmat = walk_operator(h0, h1, sched, measure_kind, h_rec, s_star).matrix
+        wmat = walk_operator(h0, h1, sched, measure_kind, h_rec, s_star)
         measured = float(lowest_phase_gap(wmat))
         rows.append((tag, float(h_rec), float(lo), float(hi), measured, int(gapless)))
     rows.sort(key=lambda r: r[0])

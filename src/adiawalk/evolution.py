@@ -30,7 +30,6 @@ EVOLVE_BLOCK = 65536
 __all__ = [
     "GapCollapseError",
     "ground_state",
-    "spectral_projector",
     "EvolutionResult",
     "evolve",
     "IdealAdiabaticFamily",
@@ -50,19 +49,6 @@ def ground_state(H) -> np.ndarray:
     """Unit eigenvector of the smallest eigenvalue."""
     _, v = np.linalg.eigh(_hermitian(H))
     return np.ascontiguousarray(v[:, 0])
-
-
-def spectral_projector(track: EigenpathTrack, step: int) -> np.ndarray:
-    """Orthogonal projector onto the tracked group at one step."""
-    vecs = track.vectors[step][:, list(track.p_group)]
-    p = vecs @ vecs.conj().T
-    dev = max(
-        float(np.max(np.abs(p - p.conj().T))),
-        float(np.max(np.abs(p @ p - p))),
-    )
-    if not dev <= PROJECTOR_TOL:
-        raise RuntimeError(f"projector validation failed at step {step}: deviation {dev:.3e}")
-    return p
 
 
 def _projector_stack(track: EigenpathTrack) -> np.ndarray:
@@ -91,14 +77,15 @@ def evolve(family: WalkFamily, initial, track: EigenpathTrack | None = None) -> 
     """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
     walks at a time, each block released before the next is built.
 
-    With a track, leakage is measured against the tracked group's final
-    projector and fidelities against the tracked final eigenbasis.
-    Without one, the final walk operator is diagonalized on the spot and
-    its eigenbasis labeled as step 0 of a track would be, ground path
-    first: by energy against H(f(1)) for a family with endpoints, by
-    ascending phase otherwise.  The leakage is then the norm of the
-    non-ground amplitudes, which keeps its relative precision where
-    1 - |ground amplitude|^2 would cancel.
+    Fidelities are the overlap amplitudes |basis^dag psi| against a final
+    eigenbasis, and leakage is the norm of the amplitudes outside the
+    target group, which keeps its relative precision where 1 - |P psi|^2
+    would cancel.  With a track, the basis is the tracked one at step td
+    and the target group its ``p_group``.  Without one, the final walk
+    operator is diagonalized on the spot and its eigenbasis labeled as
+    step 0 of a track would be, ground path first: by energy against
+    H(f(1)) for a family with endpoints, by ascending phase otherwise;
+    the target group is the ground path.
     """
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
@@ -112,15 +99,17 @@ def evolve(family: WalkFamily, initial, track: EigenpathTrack | None = None) -> 
     if track is not None:
         if track.steps != td or track.dim != family.dim:
             raise ValueError("track does not match the family")
-        p_end = spectral_projector(track, td)
-        leakage = float(np.linalg.norm(psi - p_end @ psi))
-        fidelities = np.abs(track.vectors[td].conj().T @ psi)
+        basis = track.vectors[td]
+        dev = float(unitarity_deviation(basis))
+        if not dev <= PROJECTOR_TOL:
+            raise RuntimeError(f"tracked basis at step {td} not orthonormal: deviation {dev:.3e}")
+        outside = list(track.q_group)
     else:
-        dec = normal_eig(family.walk(td))
-        order = _label_order(family, td, dec.eigenvectors, -np.angle(dec.eigenvalues))
-        basis = dec.eigenvectors[:, order]
-        fidelities = np.abs(basis.conj().T @ psi)
-        leakage = float(np.linalg.norm(fidelities[1:]))
+        lam, vecs = normal_eig(family.walk(td))
+        basis = vecs[:, _label_order(family, td, vecs, -np.angle(lam))]
+        outside = slice(1, None)
+    fidelities = np.abs(basis.conj().T @ psi)
+    leakage = float(np.linalg.norm(fidelities[outside]))
     return EvolutionResult(final_state=psi, leakage=leakage, fidelities=fidelities)
 
 

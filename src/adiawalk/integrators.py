@@ -48,7 +48,6 @@ import numpy as np
 
 from .linalg import (
     HermitianOperator,
-    UnitaryOperator,
     chain_product,
     operator_norm,
     steps_last_stack,
@@ -283,9 +282,10 @@ def walk_operator(
     s: float,
     *,
     ds: float | None = None,
-) -> UnitaryOperator:
+) -> np.ndarray:
     """One walk operator W(s) at step size h: the walk kernel at one s, so
-    W(j/T_d) with ds = 1/T_d is step j of the family.
+    W(j/T_d) with ds = 1/T_d is step j of the family, checked for
+    unitarity as a family block is.
 
     ``ds`` is the step in schedule time (1/T_d for a family) and is only
     required by the midpoint pf2 variant.
@@ -293,7 +293,9 @@ def walk_operator(
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
     f = schedule_values(sched, _read_points(kind, np.array([float(s)]), ds))[0]
-    return UnitaryOperator(_walk_stack(_endpoints(H0, H1), kind, h, f)[0])
+    ws = _walk_stack(_endpoints(H0, H1), kind, h, f)
+    _check_unitary(ws, RuntimeError, "walk lost unitarity")
+    return ws[0].copy()  # owns its memory: a view keeps a second array header per walk
 
 
 # ---------------------------------------------------------------------------

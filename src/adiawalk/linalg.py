@@ -1,8 +1,8 @@
 """Dense linear algebra for small complex operators.
 
-Eigendecompositions, matrix exponentials and logarithms of unitaries,
-operator norms, and arc geometry on the unit circle.  Everything works on
-dense square matrices (dimension up to a few dozen) in double precision.
+Eigendecompositions of unitaries, operator norms, and arc geometry on the
+unit circle.  Everything works on dense square matrices (dimension up to
+a few dozen) in double precision.
 
 Normal (in practice unitary) matrices are diagonalized by one batched
 kernel over an (n, d, d) stack: ``np.linalg.eig``, Loewdin
@@ -39,42 +39,28 @@ of sqrt(n) steps.  Times in ms at n = 65,536, 4,000 for the norms and
     prefix products, loop          4.0   4.0   4.9   4.7   4.7
     prefix products, blocked       0.69  0.85  0.83  1.0   1.1
 
-Phase conventions used throughout the package:
-
-* ``logm_unitary(U)`` returns Theta with ``U = exp(i Theta)`` and every
-  eigenvalue of Theta in (-pi, pi].
-* Walk eigenphases are reported as ``theta = -arg(lambda)``, so a walk
-  built as ``exp(-i h H)`` has eigenphases ``h * eig(H)`` whenever
-  ``h * ||H|| < pi``.
+Walk eigenphases are reported as ``theta = -arg(lambda)``, so a walk
+built as ``exp(-i h H)`` has eigenphases ``h * eig(H)`` whenever
+``h * ||H|| < pi``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 NORMALITY_TOL = 1e-8
-BRANCH_CUT_TOL = 1e-12
 EINSUM_CHAIN_MAX_DIM = 4  # largest d whose steps-last chains reduce by einsum
 
 __all__ = [
     "HERMITICITY_TOL",
-    "UNITARITY_TOL",
-    "BranchCutWarning",
     "EigensolverError",
     "HermitianOperator",
-    "UnitaryOperator",
-    "NormalEigenDecomposition",
-    "hermitian_eig",
     "normal_eig",
-    "expm_i_hermitian",
-    "logm_unitary",
     "operator_norm",
     "arc_distance_angles",
     "steps_last_stack",
@@ -85,10 +71,6 @@ __all__ = [
 
 class EigensolverError(RuntimeError):
     """The dense eigensolver failed to converge or left a large residual."""
-
-
-class BranchCutWarning(UserWarning):
-    """A unitary has an eigenvalue within 1e-12 of -1, on the log branch cut."""
 
 
 def _coerce(a) -> np.ndarray:
@@ -121,79 +103,6 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class UnitaryOperator:
-    """Square complex matrix validated to be unitary at construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _coerce(self.matrix).copy()
-        dev = float(unitarity_deviation(m))
-        if not dev <= UNITARITY_TOL:
-            raise ValueError(f"not unitary: max |U^dag U - I| = {dev:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class NormalEigenDecomposition:
-    """Eigenvalues plus an orthonormal set of eigenvectors (as columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=complex).copy()
-        v = np.asarray(self.eigenvectors, dtype=complex).copy()
-        n = w.shape[0]
-        if v.shape != (n, n):
-            raise ValueError(f"shape mismatch: {w.shape} values, {v.shape} vectors")
-        dev = float(unitarity_deviation(v))
-        if not dev <= ORTHONORMALITY_TOL:
-            raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def _check_reconstruction(dec: NormalEigenDecomposition, a: np.ndarray, what: str):
-    res = float(np.max(np.abs(dec.reconstruct() - a)))
-    if res > RECONSTRUCTION_TOL:
-        raise EigensolverError(f"{what}: reconstruction residual {res:.3e}")
-
-
-def hermitian_eig(H) -> NormalEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Accepts a HermitianOperator or a bare array (validated on entry).
-    """
-    if isinstance(H, HermitianOperator):
-        m = H.matrix
-    else:
-        m = HermitianOperator(H).matrix
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigh failed on dim {m.shape[0]}: {exc}") from exc
-    dec = NormalEigenDecomposition(w.astype(complex), v)
-    _check_reconstruction(dec, m, "hermitian_eig")
-    return dec
-
-
 def _check_stack(dev: np.ndarray, tol: float, what: str) -> None:
     """Raise EigensolverError at the first matrix whose ``dev`` is not <= tol (NaN fails)."""
     bad = np.flatnonzero(~(dev <= tol))
@@ -221,8 +130,9 @@ def _normal_eig_stack(ws: np.ndarray):
     return lam, v
 
 
-def normal_eig(U) -> NormalEigenDecomposition:
-    """Eigendecomposition of a normal (typically unitary) matrix.
+def normal_eig(U):
+    """(eigenvalues, eigenvectors as columns) of a normal (typically
+    unitary) matrix, like ``np.linalg.eig``.
 
     The one-matrix case of the batched kernel: ``np.linalg.eig``, Loewdin
     re-orthonormalization of its eigenvectors, eigenvalues diag(V^dag U V),
@@ -235,41 +145,7 @@ def normal_eig(U) -> NormalEigenDecomposition:
     if normality > NORMALITY_TOL * scale:
         raise ValueError(f"matrix not normal: commutator deviation {normality:.3e}")
     lam, v = _normal_eig_stack(m[None])
-    return NormalEigenDecomposition(lam[0], v[0])
-
-
-def expm_i_hermitian(H, scale: float = 1.0) -> UnitaryOperator:
-    """exp(-i * scale * H) for Hermitian H, via eigendecomposition."""
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
-    dec = hermitian_eig(H)
-    v = dec.eigenvectors
-    phases = np.exp(-1j * scale * dec.eigenvalues.real)
-    return UnitaryOperator((v * phases) @ v.conj().T)
-
-
-def logm_unitary(U) -> HermitianOperator:
-    """Principal logarithm: Hermitian Theta with U = exp(i Theta).
-
-    Every eigenvalue of Theta lies in (-pi, pi].  Emits BranchCutWarning
-    when some eigenvalue of U sits within 1e-12 of -1, where the branch
-    choice is numerically arbitrary.
-    """
-    if isinstance(U, UnitaryOperator):
-        m = U.matrix
-    else:
-        m = UnitaryOperator(U).matrix
-    dec = normal_eig(m)
-    if float(np.min(np.abs(dec.eigenvalues + 1.0))) <= BRANCH_CUT_TOL:
-        warnings.warn(
-            "eigenvalue within 1e-12 of -1: principal log branch is arbitrary",
-            BranchCutWarning,
-            stacklevel=2,
-        )
-    theta = np.angle(dec.eigenvalues)  # in (-pi, pi], +pi side inclusive
-    v = dec.eigenvectors
-    out = (v * theta) @ v.conj().T
-    return HermitianOperator((out + out.conj().T) / 2)
+    return lam[0], v[0]
 
 
 def operator_norm(A):

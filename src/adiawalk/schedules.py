@@ -399,7 +399,7 @@ def schedule_values(sched: Schedule, s):
     """Vectorized (f, f', f'') over an array of s values in [0, 1]."""
     s = np.asarray(s, dtype=float)
     flat = np.atleast_1d(s).astype(float).ravel()
-    if flat.size and (flat.min() < -1e-12 or flat.max() > 1.0 + 1e-12):
+    if flat.size and not (flat.min() >= -1e-12 and flat.max() <= 1.0 + 1e-12):  # NaN fails
         raise ValueError(
             f"schedule argument outside [0, 1]: range [{flat.min()}, {flat.max()}]"
         )

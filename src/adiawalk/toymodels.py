@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, expm_i_hermitian, logm_unitary
+from .linalg import HermitianOperator, normal_eig
 from .schedules import Schedule, linear_schedule, schedule_values
 from .integrators import PF1, _endpoints, _walk_stack, build_walk_family, hamiltonian_bands
 from .spectral import lowest_phase_gap
@@ -95,14 +95,16 @@ def build_toy(kind: str, eps: float = 0.0) -> ToyModel:
     sched = linear_schedule()
 
     if kind == "toy1":
+        # h0 = -2 log(exp(i H1 / 2) U), the principal log (phases in (-pi, pi]),
+        # so that the midpoint walk exp(-i H1 / 2) exp(-i h0 / 2) is U
         target = (q * np.exp(-1j * d)) @ q.conj().T
-        shifted = expm_i_hermitian(h1, -0.5).matrix @ target
-        theta = logm_unitary(shifted)
-        h0 = HermitianOperator(-2.0 * theta.matrix)
-        half0 = expm_i_hermitian(h0, 0.5).matrix
-        half1 = expm_i_hermitian(h1, 0.5).matrix
-        dev = float(np.max(np.abs(half1 @ half0 - target)))
-        if dev > MIDPOINT_WALK_TOL:
+        w, v = np.linalg.eigh(h1.matrix)
+        lam, v = normal_eig((v * np.exp(-1j * -0.5 * w)) @ v.conj().T @ target)
+        theta = (v * np.angle(lam)) @ v.conj().T
+        h0 = HermitianOperator(-2.0 * ((theta + theta.conj().T) / 2))
+        mid = _walk_stack(_endpoints(h0, h1), PF1, 1.0, np.array([0.5]))[0]
+        dev = float(np.max(np.abs(mid - target)))
+        if not dev <= MIDPOINT_WALK_TOL:
             raise RuntimeError(f"midpoint walk deviates from its target by {dev:.3e}")
         reference = target
     else:

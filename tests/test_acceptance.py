@@ -204,8 +204,8 @@ def toy2_walk_gap(f):
     """Arc between the two lowest eigenphases of the eps = 0 toy2 walk
     (first-order splitting, h = 1) at mixing value f."""
     model = build_toy("toy2", 0.0)
-    w = walk_operator(model.h0, model.h1, model.schedule, PF1, 1.0, f).matrix
-    phases = np.sort(-np.angle(normal_eig(w).eigenvalues))
+    w = walk_operator(model.h0, model.h1, model.schedule, PF1, 1.0, f)
+    phases = np.sort(-np.angle(normal_eig(w)[0]))
     return float(phases[1] - phases[0])
 
 
@@ -283,8 +283,8 @@ def test_criterion_04_pf1_pf2_share_eigenphases():
         alpha = operator_norm(h0) + operator_norm(h1)
         h = rng.uniform(0.1, 1.0) / alpha
         s = rng.uniform(0.0, 1.0)
-        p1 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF1, h, s).matrix).eigenvalues))
-        p2 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF2, h, s, ds=0.0).matrix).eigenvalues))
+        p1 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF1, h, s))[0]))
+        p2 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF2, h, s, ds=0.0))[0]))
         worst = max(worst, float(np.max(np.abs(p1 - p2))))
     assert worst <= 1e-11, worst
 
@@ -300,8 +300,8 @@ def test_criterion_05_gap_window_containment():
         s = rng.uniform(0.0, 1.0)
         lo, hi = gap_perturbation_bounds(h0, h1, LINEAR, s, h)
         for kind, kwargs in ((PF1, {}), (PF2, {"ds": 0.0})):
-            w = walk_operator(h0, h1, LINEAR, kind, h, s, **kwargs).matrix
-            phases = np.sort(-np.angle(normal_eig(w).eigenvalues))
+            w = walk_operator(h0, h1, LINEAR, kind, h, s, **kwargs)
+            phases = np.sort(-np.angle(normal_eig(w)[0]))
             gap = phases[1] - phases[0]
             assert lo - 1e-12 <= gap <= hi + 1e-12, (
                 f"instance {i} ({kind.method}): gap {gap:.6e} outside [{lo:.6e}, {hi:.6e}]"
@@ -318,7 +318,7 @@ def test_criterion_06_closed_form_walk_gap():
         gap_h, gap_w = gap_closed_forms(inst, fgrid, 1.0)
         worst = 0.0
         for f, ref in zip(fgrid, gap_w):
-            w = walk_operator(h0, h1, LINEAR, PF1, 1.0, float(f)).matrix
+            w = walk_operator(h0, h1, LINEAR, PF1, 1.0, float(f))
             phases = np.sort(-np.angle(np.linalg.eigvals(w)))
             d = phases[1] - phases[0]
             worst = max(worst, abs(min(d, 2.0 * np.pi - d) - ref))
@@ -433,7 +433,7 @@ def test_criterion_11_exponential_step_error_baseline():
         t_total = rng.uniform(10.0, 1000.0)
         h = rng.uniform(0.1, 1.0) / alpha
         s = rng.uniform(0.0, t_total - h) / t_total
-        w = walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, h, s).matrix
+        w = walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, h, s)
         ref = exact_step_propagator(h0, h1, LINEAR, h, s, h / t_total)
         worst = max(worst, operator_norm(w - ref) / (h * h * alpha / t_total))
     assert worst <= 10.0, worst
@@ -445,7 +445,7 @@ def test_criterion_11_exponential_step_error_baseline():
     steps = np.array([1.0, 0.5, 0.25, 0.125]) / alpha
     errs = []
     for h in steps:
-        w = walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, float(h), s).matrix
+        w = walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, float(h), s)
         ref = exact_step_propagator(h0, h1, LINEAR, float(h), s, float(h) / t_total)
         errs.append(operator_norm(w - ref))
     slope = loglog_slope(steps, errs)

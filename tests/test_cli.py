@@ -92,6 +92,26 @@ def test_experiment_mismatch_is_usage_error(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, parameters",
+    [
+        ("gap-table", {"eps_list": [0.5]}),
+        ("fidelity-sweep", {"t_list": [float("nan")]}),
+        ("fidelity-sweep", {"t_list": [float("inf")]}),
+        ("volterra", {"j_max": float("inf")}),
+        ("grover-scaling", {"n_list": [4], "m_list": [4]}),
+        ("qaoa-export", {"n": 2, "m": 2}),
+        ("step-size-report", {"source": "grover", "n": 2, "m": 2}),
+    ],
+)
+def test_out_of_range_parameter_is_usage_error(tmp_path, capsys, experiment, parameters):
+    cfg = write_config(tmp_path / "c.json", {"experiment": experiment, "parameters": parameters})
+    out = tmp_path / "never.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("adiawalk: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # output format
 

@@ -15,7 +15,6 @@ from adiawalk.evolution import (
     evolve,
     ground_state,
     ideal_adiabatic_family,
-    spectral_projector,
     volterra_diagnostics,
 )
 from adiawalk.integrators import (
@@ -45,9 +44,8 @@ def brute_evolution_operator(family, n: int) -> np.ndarray:
 
 def final_basis_overlaps(family, psi: np.ndarray) -> np.ndarray:
     """Overlap amplitudes against the last walk's ascending-phase basis."""
-    dec = normal_eig(family.walk(family.td))
-    order = np.argsort(-np.angle(dec.eigenvalues))
-    return np.abs(dec.eigenvectors[:, order].conj().T @ psi)
+    lam, vecs = normal_eig(family.walk(family.td))
+    return np.abs(vecs[:, np.argsort(-np.angle(lam))].conj().T @ psi)
 
 
 def toy_family(td: int, h: float = 1.0):
@@ -80,7 +78,7 @@ def running_sum_omega(ideal, td: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# states and projectors
+# states
 
 def test_ground_state_picks_smallest_eigenvalue():
     g = ground_state(np.diag([3.0, -1.0, 2.0]))
@@ -89,16 +87,6 @@ def test_ground_state_picks_smallest_eigenvalue():
     h0, _ = four_level_pair()
     w, v = np.linalg.eigh(h0.matrix)
     assert abs(np.vdot(v[:, 0], ground_state(h0))) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_spectral_projector_properties():
-    fam = toy_family(20)
-    track = track_eigenpaths(fam, p_selector=(0, 1))
-    for step in (0, 9, 20):
-        p = spectral_projector(track, step)
-        assert np.allclose(p, p.conj().T, atol=1e-13)
-        assert np.allclose(p @ p, p, atol=1e-13)
-        assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
 
 
 def test_evolution_result_rejects_drifted_norm():
@@ -192,7 +180,8 @@ def test_evolve_with_track_measures_tracked_projector():
     track = track_eigenpaths(fam)
     psi0 = ground_state(fam.h0)
     res = evolve(fam, psi0, track)
-    p_end = spectral_projector(track, fam.td)
+    vg = track.vectors[fam.td][:, list(track.p_group)]
+    p_end = vg @ vg.conj().T
     assert res.leakage == pytest.approx(
         float(np.linalg.norm(res.final_state - p_end @ res.final_state)), abs=1e-12
     )
@@ -363,10 +352,10 @@ def test_nan_fails_the_projector_intertwining_and_series_checks(monkeypatch):
     fam = toy_family(12)
     track = track_eigenpaths(fam)
     vectors = track.vectors.copy()
-    vectors[5, 0, 0] = np.nan
+    vectors[12, 0, 0] = np.nan
     bad = EigenpathTrack(track.phases, vectors, track.p_group, track.min_overlap)
-    with pytest.raises(RuntimeError, match="projector validation failed at step 5"):
-        spectral_projector(bad, 5)
+    with pytest.raises(RuntimeError, match="tracked basis at step 12 not orthonormal"):
+        evolve(fam, ground_state(fam.h0), bad)
     ideal = ideal_adiabatic_family(track, fam)
     product = evolution._running_product
 

@@ -105,7 +105,7 @@ def test_walk_closed_form_is_the_first_order_walk():
         assert np.max(np.abs(ws[i].conj().T @ ws[i] - eye)) <= 1e-14
         assert np.allclose(ws[i], brute_pf1_walk(inst, float(fi), 1.0), atol=1e-12)
     h0, h1 = effective_hamiltonians(inst)
-    via_operator = walk_operator(h0, h1, LINEAR, PF1, 1.0, 0.37).matrix
+    via_operator = walk_operator(h0, h1, LINEAR, PF1, 1.0, 0.37)
     assert np.allclose(walk_closed_form(inst, 0.37), via_operator, atol=1e-12)
 
 

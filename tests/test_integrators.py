@@ -205,7 +205,7 @@ def test_walk_operator_is_the_family_kernel_at_one_point():
             kind = parse_integrator_tag(tag)
             fam = build_walk_family(h0, h1, sched, kind, 0.7, td)
             for j in range(td + 1):
-                w = walk_operator(h0, h1, sched, kind, 0.7, j / td, ds=1.0 / td).matrix
+                w = walk_operator(h0, h1, sched, kind, 0.7, j / td, ds=1.0 / td)
                 assert np.array_equal(w, fam.walk(j)), (tag, sched.kind, j)
 
 
@@ -231,28 +231,28 @@ def test_hamiltonian_bands_match_pointwise_eigvalsh():
 def test_exp_walk_matches_expm():
     h0, h1 = random_pair(21)
     for s in (0.0, 0.3, 1.0):
-        w = walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, 0.7, s).matrix
+        w = walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, 0.7, s)
         assert np.max(np.abs(w - expm_mix(h0, h1, s, 0.7))) < 1e-12
 
 
 def test_pf1_walk_matches_expm_product():
     h0, h1 = random_pair(22)
-    w = walk_operator(h0, h1, LINEAR, PF1, 0.9, 0.4).matrix
+    w = walk_operator(h0, h1, LINEAR, PF1, 0.9, 0.4)
     assert np.max(np.abs(w - expm_pf1(h0, h1, 0.4, 0.9))) < 1e-12
 
 
 def test_pf2_simplified_matches_expm_product():
     h0, h1 = random_pair(23)
-    w = walk_operator(h0, h1, LINEAR, PF2_SIMPLIFIED, 0.9, 0.4).matrix
+    w = walk_operator(h0, h1, LINEAR, PF2_SIMPLIFIED, 0.9, 0.4)
     assert np.max(np.abs(w - expm_pf2(h0, h1, 0.4, 0.9))) < 1e-12
 
 
 def test_pf2_midpoint_reads_shifted_schedule():
     h0, h1 = random_pair(24)
-    w = walk_operator(h0, h1, LINEAR, PF2, 0.9, 0.4, ds=0.1).matrix
+    w = walk_operator(h0, h1, LINEAR, PF2, 0.9, 0.4, ds=0.1)
     assert np.max(np.abs(w - expm_pf2(h0, h1, 0.45, 0.9))) < 1e-12
     # the midpoint never reads beyond the end of the schedule
-    w_end = walk_operator(h0, h1, LINEAR, PF2, 0.9, 1.0, ds=0.1).matrix
+    w_end = walk_operator(h0, h1, LINEAR, PF2, 0.9, 1.0, ds=0.1)
     assert np.max(np.abs(w_end - expm_pf2(h0, h1, 1.0, 0.9))) < 1e-12
 
 
@@ -269,11 +269,18 @@ def test_walk_operator_rejects_bad_step():
             walk_operator(h0, h1, LINEAR, PF1, h, 0.5)
 
 
+def test_walk_operator_rejects_a_non_unitary_walk():
+    # h * lambda overflows, exp(-i inf) is NaN, and NaN must fail the check
+    h0, h1 = random_pair(26)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="unitarity"):
+        walk_operator(1e10 * h0, h1, LINEAR, PF1, 1e300, 0.5)
+
+
 def test_endpoint_walks_collapse_to_single_exponentials():
     h0, h1 = random_pair(27)
     for kind in (EXP_INTEGRATOR, PF1, PF2_SIMPLIFIED, spf(4)):
-        w0 = walk_operator(h0, h1, LINEAR, kind, 0.6, 0.0).matrix
-        w1 = walk_operator(h0, h1, LINEAR, kind, 0.6, 1.0).matrix
+        w0 = walk_operator(h0, h1, LINEAR, kind, 0.6, 0.0)
+        w1 = walk_operator(h0, h1, LINEAR, kind, 0.6, 1.0)
         assert np.max(np.abs(w0 - scipy.linalg.expm(-1j * 0.6 * h0))) < 1e-12
         assert np.max(np.abs(w1 - scipy.linalg.expm(-1j * 0.6 * h1))) < 1e-12
 
@@ -283,14 +290,14 @@ def test_commuting_pair_makes_all_formulas_exact():
     h1 = np.diag([-0.5, 0.4, 0.9, -1.3])
     ref = expm_mix(h0, h1, 0.6, 1.3)
     for kind in (PF1, PF2_SIMPLIFIED, spf(2), spf(4), spf(6)):
-        w = walk_operator(h0, h1, LINEAR, kind, 1.3, 0.6).matrix
+        w = walk_operator(h0, h1, LINEAR, kind, 1.3, 0.6)
         assert np.max(np.abs(w - ref)) < 1e-12
 
 
 def test_spf_order_one_is_pf1():
     h0, h1 = random_pair(28)
-    a = walk_operator(h0, h1, LINEAR, spf(1), 0.8, 0.35).matrix
-    b = walk_operator(h0, h1, LINEAR, PF1, 0.8, 0.35).matrix
+    a = walk_operator(h0, h1, LINEAR, spf(1), 0.8, 0.35)
+    b = walk_operator(h0, h1, LINEAR, PF1, 0.8, 0.35)
     assert np.array_equal(a, b)
 
 
@@ -430,7 +437,7 @@ def test_spf_convergence_small_steps(order, expected):
     kind = PF1 if order == 1 else spf(order)
     errs = []
     for h in hs:
-        w = walk_operator(h0, h1, LINEAR, kind, float(h), s).matrix
+        w = walk_operator(h0, h1, LINEAR, kind, float(h), s)
         ref = exact_step_propagator(h0, h1, LINEAR, float(h), s, 0.0)
         errs.append(operator_norm(w - ref))
     slope = loglog_slope(hs, errs)
@@ -449,7 +456,7 @@ def test_spf_convergence_high_orders(order, scale):
     hs = np.array(scale) / alpha
     errs = []
     for h in hs:
-        w = walk_operator(h0, h1, LINEAR, spf(order), float(h), s).matrix
+        w = walk_operator(h0, h1, LINEAR, spf(order), float(h), s)
         errs.append(operator_norm(w - expm_mix(h0, h1, f, float(h))))
     assert loglog_slope(hs, errs) >= order + 0.8
 
@@ -533,7 +540,7 @@ def test_family_matches_single_operators():
         fam = build_walk_family(h0, h1, LINEAR, kind, 0.5, td)
         ds = 1.0 / td
         for j in (0, 5, td):
-            single = walk_operator(h0, h1, LINEAR, kind, 0.5, j / td, ds=ds).matrix
+            single = walk_operator(h0, h1, LINEAR, kind, 0.5, j / td, ds=ds)
             assert np.max(np.abs(fam.walk(j) - single)) < 1e-12
 
 

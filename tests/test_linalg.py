@@ -1,28 +1,22 @@
 """Dense linear algebra kernels, checked against independent oracles.
 
 Eigenvalues are cross-checked with a Faddeev-LeVerrier characteristic
-polynomial fed to np.roots, operator norms with power iteration on the
-Gram matrix, and exponentials with scipy.linalg.expm.
+polynomial fed to np.roots and operator norms with power iteration on the
+Gram matrix.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiawalk.integrators import hamiltonian_bands
 from adiawalk.linalg import (
-    BranchCutWarning,
     EigensolverError,
     HermitianOperator,
-    NormalEigenDecomposition,
-    UnitaryOperator,
     _normal_eig_stack,
     arc_distance_angles,
     chain_product,
-    expm_i_hermitian,
-    hermitian_eig,
-    logm_unitary,
     normal_eig,
     operator_norm,
     steps_last_stack,
@@ -100,43 +94,10 @@ def test_hermitian_operator_rejects_non_square_and_non_finite():
         HermitianOperator(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
-def test_unitary_operator_rejects_non_unitary():
-    with pytest.raises(ValueError, match="not unitary"):
-        UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
 def test_wrapped_matrices_are_read_only():
     op = HermitianOperator(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
-
-
-def test_decomposition_rejects_skewed_vectors():
-    v = np.array([[1.0, 0.9], [0.0, np.sqrt(1 - 0.81)]])
-    with pytest.raises(ValueError, match="orthonormal"):
-        NormalEigenDecomposition(np.array([1.0, 2.0]), v)
-
-
-# ---------------------------------------------------------------------------
-# hermitian_eig
-
-def test_hermitian_eig_matches_charpoly_roots():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 4, 6):
-        h = random_hermitian(rng, n)
-        dec = hermitian_eig(h)
-        oracle = charpoly_eigenvalues(h)
-        assert match_multisets(dec.eigenvalues, oracle) < 1e-8
-        assert np.all(np.diff(dec.eigenvalues.real) >= -1e-12)
-        assert np.max(np.abs(dec.reconstruct() - h)) < 1e-12
-
-
-def test_hermitian_eig_accepts_wrapper_and_array():
-    h = np.diag([3.0, -1.0, 0.5])
-    a = hermitian_eig(h)
-    b = hermitian_eig(HermitianOperator(h))
-    assert np.allclose(a.eigenvalues, b.eigenvalues)
-    assert np.allclose(sorted(np.diag(h)), a.eigenvalues.real)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +107,10 @@ def test_normal_eig_matches_charpoly_on_random_unitary():
     rng = np.random.default_rng(12)
     for n in (2, 4, 5):
         u = random_unitary(rng, n)
-        dec = normal_eig(u)
-        assert match_multisets(dec.eigenvalues, charpoly_eigenvalues(u)) < 1e-8
-        assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) < 1e-10
-        assert np.max(np.abs(dec.reconstruct() - u)) < 1e-10
+        lam, v = normal_eig(u)
+        assert match_multisets(lam, charpoly_eigenvalues(u)) < 1e-8
+        assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-10
+        assert np.max(np.abs((v * lam) @ v.conj().T - u)) < 1e-10
 
 
 def test_normal_eig_separates_conjugate_phase_pairs():
@@ -160,9 +121,9 @@ def test_normal_eig_separates_conjugate_phase_pairs():
     phases = np.array([t, -t, 0.3])
     q = random_unitary(rng, 3)
     u = (q * np.exp(1j * phases)) @ q.conj().T
-    dec = normal_eig(u)
-    assert match_multisets(dec.eigenvalues, np.exp(1j * phases)) < 1e-10
-    assert np.max(np.abs(dec.reconstruct() - u)) < 1e-10
+    lam, v = normal_eig(u)
+    assert match_multisets(lam, np.exp(1j * phases)) < 1e-10
+    assert np.max(np.abs((v * lam) @ v.conj().T - u)) < 1e-10
 
 
 def test_normal_eig_orthonormalizes_a_repeated_eigenvalue():
@@ -176,11 +137,10 @@ def test_normal_eig_orthonormalizes_a_repeated_eigenvalue():
         u = (q * np.exp(1j * phases)) @ q.conj().T
         v = np.linalg.eig(u)[1]
         raw_dev = max(raw_dev, float(np.max(np.abs(v.conj().T @ v - np.eye(4)))))
-        dec = normal_eig(u)
-        vecs = dec.eigenvectors
+        lam, vecs = normal_eig(u)
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) <= 1e-10
-        assert np.max(np.abs(dec.reconstruct() - u)) <= 1e-10
-        assert match_multisets(dec.eigenvalues, np.exp(1j * phases)) < 1e-10
+        assert np.max(np.abs((vecs * lam) @ vecs.conj().T - u)) <= 1e-10
+        assert match_multisets(lam, np.exp(1j * phases)) < 1e-10
     assert raw_dev > 1e-3  # the repair is needed on these draws
 
 
@@ -200,56 +160,6 @@ def test_normal_eig_rejects_non_normal():
     m = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="not normal"):
         normal_eig(m)
-
-
-# ---------------------------------------------------------------------------
-# exponential and logarithm
-
-def test_expm_matches_scipy():
-    rng = np.random.default_rng(14)
-    for scale in (1.0, 0.25, -2.0):
-        h = random_hermitian(rng, 4)
-        mine = expm_i_hermitian(h, scale).matrix
-        ref = scipy.linalg.expm(-1j * scale * h)
-        assert np.max(np.abs(mine - ref)) < 1e-12
-
-
-def test_expm_rejects_non_finite_scale():
-    with pytest.raises(ValueError, match="finite"):
-        expm_i_hermitian(np.eye(2), np.inf)
-
-
-def test_logm_round_trip_and_principal_range():
-    rng = np.random.default_rng(15)
-    u = random_unitary(rng, 5)
-    theta = logm_unitary(u)
-    # U = exp(i Theta), i.e. expm_i_hermitian with scale -1
-    back = expm_i_hermitian(theta, -1.0).matrix
-    assert np.max(np.abs(back - u)) < 1e-10
-    w = np.linalg.eigvalsh(theta.matrix)
-    assert np.all(w > -np.pi - 1e-12)
-    assert np.all(w <= np.pi + 1e-12)
-
-
-def test_logm_takes_plus_pi_branch():
-    u = np.diag([np.exp(1j * np.pi), 1.0])
-    with pytest.warns(BranchCutWarning):
-        theta = logm_unitary(u)
-    w = np.sort(np.linalg.eigvalsh(theta.matrix))
-    assert abs(w[1] - np.pi) < 1e-12
-
-
-def test_logm_warns_on_branch_cut():
-    with pytest.warns(BranchCutWarning, match="-1"):
-        logm_unitary(np.diag([-1.0, 1.0]))
-
-
-def test_logm_silent_away_from_cut():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        logm_unitary(np.diag([np.exp(0.5j), np.exp(-1.2j)]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +292,13 @@ def test_strided_complex_matrices_are_accepted():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q = random_unitary(rng, 4)
     assert operator_norm(a.T) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
-    assert np.array_equal(UnitaryOperator(q.T).matrix, q.T)
-    dec = normal_eig(q.conj().T)
-    assert np.max(np.abs(dec.reconstruct() - q.conj().T)) < 1e-12
+    h = a + a.conj().T
+    assert np.array_equal(HermitianOperator(h.T).matrix, h.T)
+    lam, v = normal_eig(q.conj().T)
+    assert np.max(np.abs((v * lam) @ v.conj().T - q.conj().T)) < 1e-12
     walk = steps_last_stack(np.ascontiguousarray(np.stack([q, q]).transpose(1, 2, 0)))[1]
-    assert np.array_equal(UnitaryOperator(walk).matrix, q)
+    lam, v = normal_eig(walk)
+    assert np.max(np.abs((v * lam) @ v.conj().T - q)) < 1e-12
     bad = a.copy()
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -399,10 +311,13 @@ def test_strided_complex_matrices_are_accepted():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
 def test_property_eigenvalues_match_charpoly(seed, n):
+    # the Hermitian eigensolver of the package is hamiltonian_bands
     rng = np.random.default_rng(seed)
-    h = random_hermitian(rng, n)
-    dec = hermitian_eig(h)
-    assert match_multisets(dec.eigenvalues, charpoly_eigenvalues(h)) < 1e-7
+    h0, h1 = random_hermitian(rng, n), random_hermitian(rng, n)
+    f = rng.uniform()
+    w = hamiltonian_bands(h0, h1, f)
+    assert np.all(np.diff(w) >= 0.0)
+    assert match_multisets(w, charpoly_eigenvalues((1.0 - f) * h0 + f * h1)) < 1e-7
 
 
 @settings(max_examples=30, deadline=None)
@@ -413,14 +328,3 @@ def test_property_norm_is_submultiplicative(seed, n):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
     assert operator_norm(a + b) <= operator_norm(a) + operator_norm(b) + 1e-10
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_property_logm_inverts_expm(seed):
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(rng, 3)
-    h *= 0.9 * np.pi / max(operator_norm(h), 1e-12)  # keep phases off the cut
-    u = expm_i_hermitian(h, -1.0)  # exp(+iH)
-    theta = logm_unitary(u)
-    assert np.max(np.abs(theta.matrix - h)) < 1e-9

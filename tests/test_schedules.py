@@ -293,6 +293,10 @@ def test_schedule_values_domain():
         schedule_values(linear_schedule(), 1.5)
     with pytest.raises(ValueError, match="outside"):
         schedule_values(linear_schedule(), np.array([-0.2, 0.5]))
+    with pytest.raises(ValueError, match="outside"):  # NaN fails the range check
+        schedule_values(linear_schedule(), np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="outside"):
+        schedule_values(glue_schedule(), np.nan)
 
 
 def test_schedule_values_scalar_form():

@@ -62,6 +62,16 @@ def test_toy1_plants_the_midpoint_walk(eps):
     assert np.max(np.abs(model.reference - target)) <= 1e-12
 
 
+def test_toy1_h0_is_the_principal_log_of_the_shifted_target():
+    # -h0 / 2 = log(exp(i H1 / 2) U) on the principal branch, the one scipy's logm takes
+    for eps in (0.0, 0.05, 0.1):
+        model = build_toy("toy1", eps)
+        shifted = scipy.linalg.expm(0.5j * model.h1.matrix) @ model.reference
+        ref = scipy.linalg.logm(shifted) / 1j
+        assert np.max(np.abs(-model.h0.matrix / 2 - ref)) <= 1e-12
+        assert np.all(np.abs(np.linalg.eigvalsh(model.h0.matrix / 2)) < np.pi)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_toy2_plants_the_midpoint_hamiltonian(eps):
     model = build_toy("toy2", eps)
