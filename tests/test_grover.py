@@ -22,7 +22,7 @@ from adiawalk.grover import (
     walk_closed_form,
 )
 from adiawalk.integrators import PF1, walk_operator
-from adiawalk.linalg import normal_eig, operator_norm
+from adiawalk.linalg import operator_norm
 from adiawalk.schedules import (
     bc_composite_schedule,
     build_grover_schedule,
