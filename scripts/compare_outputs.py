@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write the same results.
+
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+In each checkout, inside its own temporary directory, this runs the
+seven CLI experiments at their default configs and then the
+``scripts/run_experiments.py`` table, with ``PYTHONPATH=<checkout>/src``
+and BLAS pinned to one thread.  The two checkouts run side by side.
+CSV files are compared without their ``# timestamp:`` line, and every
+other file (sidecars, configs) byte for byte.  Each file that differs or
+exists on one side only is printed, and the exit status is 1 if there is
+any such file, 0 otherwise.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+EXPERIMENTS = ("gap-table", "spectrum-scan", "fidelity-sweep", "volterra", "grover-scaling",
+               "qaoa-export", "step-size-report")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def produce(checkout: pathlib.Path, work: pathlib.Path) -> None:
+    """Write every default-config output and the results table into ``work``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
+    for experiment in EXPERIMENTS:
+        subprocess.run([sys.executable, "-m", "adiawalk.cli", experiment],
+                       cwd=work, env=env, check=True)
+    subprocess.run([sys.executable, str(checkout / "scripts" / "run_experiments.py")],
+                   cwd=work, env=env, check=True)
+
+
+def comparable(path: pathlib.Path) -> bytes:
+    data = path.read_bytes()
+    if path.suffix != ".csv":
+        return data
+    lines = data.splitlines(keepends=True)
+    return b"".join(ln for ln in lines if not ln.startswith(b"# timestamp:"))
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_outputs.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 2
+    checkouts = [pathlib.Path(a).resolve() for a in args]
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        works = [pathlib.Path(first), pathlib.Path(second)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(produce, checkouts, works))
+        names = [{p.relative_to(w) for p in w.rglob("*") if p.is_file()} for w in works]
+        differing = 0
+        for name in sorted(names[0] | names[1]):
+            if name not in names[0] or name not in names[1]:
+                print(f"only in one checkout: {name}")
+            elif comparable(works[0] / name) != comparable(works[1] / name):
+                print(f"differs: {name}")
+            else:
+                continue
+            differing += 1
+        print(f"{len(names[0] | names[1])} files compared, {differing} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,7 @@ from .schedules import (
 )
 from .integrators import (
     EXP_INTEGRATOR,
+    INTEGRATORS,
     PF1,
     PF2,
     PF2_SIMPLIFIED,

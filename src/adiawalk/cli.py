@@ -31,6 +31,7 @@ from .schedules import (
     schedule_values,
 )
 from .integrators import (
+    INTEGRATORS,
     GaplessError,
     build_walk_family,
     hamiltonian_bands,
@@ -76,18 +77,22 @@ def _bounded(key, v, lo, hi):
     return v
 
 
+def _is_number(v) -> bool:
+    """A JSON int or float in the float range (the comparison is exact; NaN fails)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _as_int(params, key, lo=None, hi=None):
     v = params[key]
-    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()  # not inf or NaN
-    if isinstance(v, bool) or not integral:
-        raise ConfigError(f"parameter {key!r} must be an integer, got {v!r}")
+    if not (_is_number(v) and v == int(v)):
+        raise ConfigError(f"parameter {key!r} must be an integer in the float range, got {v!r}")
     return _bounded(key, int(v), lo, hi)
 
 
 def _as_float(params, key, lo=None, hi=None):
     v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"parameter {key!r} must be a finite number, got {v!r}")
+    if not _is_number(v):
+        raise ConfigError(f"parameter {key!r} must be a number in the float range, got {v!r}")
     return _bounded(key, float(v), lo, hi)
 
 
@@ -104,9 +109,8 @@ def _as_number_list(params, key, *, integral=False, lo=None, hi=None):
         raise ConfigError(f"parameter {key!r} must be a nonempty list, got {v!r}")
     out = []
     for item in v:
-        finite = isinstance(item, int) or isinstance(item, float) and math.isfinite(item)
-        if isinstance(item, bool) or not finite:
-            raise ConfigError(f"parameter {key!r} holds {item!r}, not a finite number")
+        if not _is_number(item):
+            raise ConfigError(f"parameter {key!r} holds {item!r}, not a number in the float range")
         if integral and item != int(item):
             raise ConfigError(f"parameter {key!r} holds a non-integer: {item!r}")
         if lo is not None and item < lo:
@@ -159,7 +163,7 @@ def _run_spectrum_scan(params, rng):
     h = _as_float(params, "h", lo=1e-6)
     model = build_toy(kind, eps)
     s = np.linspace(0.0, 1.0, grid + 1)
-    bands = hamiltonian_bands(model.h0, model.h1, schedule_values(model.schedule, s)[0])
+    bands = hamiltonian_bands(model.h0, model.h1, schedule_values(model.schedule, s))
     fam = build_walk_family(model.h0, model.h1, model.schedule, parse_integrator_tag(tag), h, grid)
     track = track_eigenpaths(fam)
     dim = bands.shape[1]
@@ -277,29 +281,27 @@ def _step_size_source(params, rng):
 
 
 def _run_step_size_report(params, rng):
-    kinds = _as_str_list(params, "kinds", ("exp", "pf1", "pf2", "pf2-simplified",
-                                           "spf1", "spf2", "spf4", "spf6", "spf8"))
+    kinds = _as_str_list(params, "kinds", tuple(INTEGRATORS))
     grid = _as_int(params, "grid", lo=10)
     h0, h1, sched = _step_size_source(params, rng)
-    orders = sorted({parse_integrator_tag(k).effective_order for k in kinds if k.startswith("spf")}
-                    | {1, 2})
-    consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(o for o in orders if o <= 6))
+    orders = sorted({INTEGRATORS[k].effective_order for k in kinds} | {1, 2})
+    consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(orders))
     s_star, gapless = consts.s_star, consts.delta_star <= GAPLESS_TOL
 
     rows = []
     for tag in sorted(set(kinds)):
-        kind = parse_integrator_tag(tag)
+        kind = INTEGRATORS[tag]
         if gapless:
             h_rec = 1.0 / consts.alpha
             lo = hi = float("nan")
         else:
             h_rec = recommended_step_size(consts, kind)
-            if kind.method == "exp":
+            if not kind.factors:
                 lo = hi = h_rec * consts.delta_star
             else:
                 order = 2 if kind.effective_order <= 2 else kind.effective_order
                 lo, hi = gap_perturbation_bounds(h0, h1, sched, s_star, h_rec, order=order)
-        measure_kind = parse_integrator_tag("pf2-simplified") if tag == "pf2" else kind
+        measure_kind = INTEGRATORS["pf2-simplified"] if tag == "pf2" else kind
         wmat = walk_operator(h0, h1, sched, measure_kind, h_rec, s_star)
         measured = float(lowest_phase_gap(wmat))
         rows.append((tag, float(h_rec), float(lo), float(hi), measured, int(gapless)))
@@ -401,7 +403,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as handle:
             cfg = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, 4300+ digit ints
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -100,15 +100,14 @@ def gap_closed_forms(inst: GroverInstance, f, h: float = 1.0):
     return gap_h, gap_w
 
 
-def walk_closed_form(inst: GroverInstance, f, h: float = 1.0) -> np.ndarray:
-    """First-order walk operator entries; batched over an array of f, as a
+def _angle_walks(inst: GroverInstance, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """exp(-i gamma H1) exp(-i beta H0) batched over arrays of angles, as a
     steps-last stack."""
-    f = np.asarray(f, dtype=float)
     mu = inst.mu
     c = math.sqrt(mu * (1.0 - mu))
-    e = np.exp(-1j * h * (1.0 - f))
-    ph1 = np.exp(-1j * h * f)
-    w = steps_last_stack(np.empty((2, 2, *f.shape), dtype=complex))
+    e = np.exp(-1j * beta)
+    ph1 = np.exp(-1j * gamma)
+    w = steps_last_stack(np.empty((2, 2, *gamma.shape), dtype=complex))
     w[..., 0, 0] = e + (1.0 - e) * mu
     w[..., 0, 1] = (1.0 - e) * c
     w[..., 1, 0] = ph1 * (1.0 - e) * c
@@ -116,13 +115,20 @@ def walk_closed_form(inst: GroverInstance, f, h: float = 1.0) -> np.ndarray:
     return w
 
 
-def _search_state(inst: GroverInstance, f_blocks) -> np.ndarray:
-    """Reduced state after the first-order walks at h = 1, one block of
-    schedule values f at a time, from the uniform superposition."""
+def walk_closed_form(inst: GroverInstance, f, h: float = 1.0) -> np.ndarray:
+    """First-order walk operator entries; batched over an array of f, as a
+    steps-last stack."""
+    f = np.asarray(f, dtype=float)
+    return _angle_walks(inst, h * f, h * (1.0 - f))
+
+
+def _search_state(inst: GroverInstance, angle_blocks) -> np.ndarray:
+    """Reduced state after the walks exp(-i gamma H1) exp(-i beta H0), one
+    block of (gamma, beta) arrays at a time, from the uniform superposition."""
     mu = inst.mu
     psi = np.array([math.sqrt(mu), math.sqrt(1.0 - mu)], dtype=complex)
-    for f in f_blocks:
-        psi = chain_product(walk_closed_form(inst, f)) @ psi
+    for gamma, beta in angle_blocks:
+        psi = chain_product(_angle_walks(inst, gamma, beta)) @ psi
     return psi
 
 
@@ -171,11 +177,11 @@ def run_search(inst: GroverInstance, sched: Schedule, t: int) -> SearchResult:
     if t < 1:
         raise ValueError(f"need at least one step, got {t}")
     _maybe_warn_threshold(sched, t)
-    blocks = (
-        schedule_values(sched, np.arange(j0, min(j0 + SEARCH_BLOCK, t)) / t)[0]
+    fs = (
+        schedule_values(sched, np.arange(j0, min(j0 + SEARCH_BLOCK, t)) / t)
         for j0 in range(0, t, SEARCH_BLOCK)
     )
-    return _result_from_state(_search_state(inst, blocks))
+    return _result_from_state(_search_state(inst, ((f, 1.0 - f) for f in fs)))
 
 
 @dataclass(frozen=True)
@@ -201,15 +207,16 @@ def qaoa_angles(sched: Schedule, t: int) -> QaoaAngleSet:
     """Angles gamma_j = f(j/t), beta_j = 1 - gamma_j for j = 0..t-1."""
     if t < 1:
         raise ValueError(f"need at least one step, got {t}")
-    gammas = np.atleast_1d(schedule_values(sched, np.arange(t) / t)[0])
+    gammas = schedule_values(sched, np.arange(t) / t)
     return QaoaAngleSet(gammas=gammas, betas=1.0 - gammas)
 
 
 def qaoa_replay(inst: GroverInstance, angles: QaoaAngleSet) -> SearchResult:
-    """Run the search from explicit angles; bit-identical to run_search
-    when the angles came from the same schedule and step count."""
-    g = angles.gammas
-    blocks = (g[j0:j0 + SEARCH_BLOCK] for j0 in range(0, len(g), SEARCH_BLOCK))
+    """Run the search through the walks exp(-i gamma_j H1) exp(-i beta_j H0);
+    bit-identical to run_search when the angles came from the same
+    schedule and step count."""
+    g, b, n = angles.gammas, angles.betas, SEARCH_BLOCK
+    blocks = ((g[j:j + n], b[j:j + n]) for j in range(0, len(g), n))
     return _result_from_state(_search_state(inst, blocks))
 
 

@@ -4,9 +4,10 @@ Given H(s) = (1 - f(s)) H0 + f(s) H1 and a step size h, a walk operator
 is either ``exp``, W = exp(-i h H(s)), or a product formula: an ordered
 product of factors exp(-i h w g_k H_k), one endpoint operator each, with
 weight w and g_0 = 1 - f, g_1 = f (Childs, Su, Tran, Wiebe and Zhu,
-PRX 11, 011020 (2021)).  A method is its list of (operator, weight)
+PRX 11, 011020 (2021)).  The nine methods are built once, in the table
+``INTEGRATORS`` keyed by tag; each is its list of (operator, weight)
 factors plus the offset, 0 or 1/2 of a step, at which it reads the
-schedule:
+schedule, and the splitting order that the step-size rules use:
 
 * ``pf1`` and ``spf1``: exp(-i h f H1) exp(-i h (1-f) H0), offset 0,
 * ``pf2``: the Strang splitting exp(-i h (1-f) H0 / 2) exp(-i h f H1)
@@ -42,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .linalg import (
 )
 from .schedules import Schedule, schedule_values
 
-SPF_ORDERS = (1, 2, 4, 6, 8)
 COEFFICIENT_SUM_TOL = 1e-12
 WALK_UNITARITY_TOL = 1e-10
 MATERIALIZE_LIMIT = 2 ** 22  # complex entries held by an eager family
@@ -70,6 +69,7 @@ __all__ = [
     "PF1",
     "PF2",
     "PF2_SIMPLIFIED",
+    "INTEGRATORS",
     "spf",
     "parse_integrator_tag",
     "suzuki_coefficients",
@@ -93,81 +93,18 @@ class GaplessError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorKind:
-    """Discretization method tag.
+    """Discretization method: its tag, the splitting order the step-size
+    rules use, its ordered (operator, weight) factors, leftmost first and
+    empty for ``exp``, and the fraction of a step after s at which it
+    reads the schedule.  The nine methods are the values of
+    ``INTEGRATORS``; look one up with ``parse_integrator_tag``."""
 
-    ``order`` applies to the ``spf`` method only; ``midpoint`` applies to
-    ``pf2`` only and selects where the schedule is read.
-    """
-
-    method: str
-    order: int | None = None
-    midpoint: bool = True
-
-    def __post_init__(self):
-        if self.method not in ("exp", "pf1", "pf2", "spf"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.method == "spf":
-            if self.order not in SPF_ORDERS:
-                raise ValueError(f"spf order must be one of {SPF_ORDERS}, got {self.order}")
-        elif self.order is not None:
-            raise ValueError(f"order only applies to spf, not {self.method}")
-
-    @property
-    def tag(self) -> str:
-        if self.method == "spf":
-            return f"spf{self.order}"
-        if self.method == "pf2" and not self.midpoint:
-            return "pf2-simplified"
-        return self.method
-
-    @property
-    def effective_order(self) -> int:
-        """Splitting order used by the step-size formulas."""
-        if self.method in ("exp", "pf1"):
-            return 1
-        if self.method == "pf2":
-            return 2
-        return int(self.order)
-
-    @property
-    def factors(self) -> tuple:
-        """Ordered (operator, weight) factors of one walk, leftmost first;
-        empty for ``exp``."""
-        if self.method == "exp":
-            return ()
-        if self.effective_order == 1:
-            return PF1_FACTORS
-        return suzuki_coefficients(self.effective_order)
-
-    @property
-    def offset(self) -> float:
-        """Fraction of the step after s at which the walk reads the schedule."""
-        return 0.5 if self.method == "pf2" and self.midpoint else 0.0
+    tag: str
+    effective_order: int
+    factors: tuple = ()
+    offset: float = 0.0
 
 
-EXP_INTEGRATOR = IntegratorKind("exp")
-PF1 = IntegratorKind("pf1")
-PF2 = IntegratorKind("pf2")
-PF2_SIMPLIFIED = IntegratorKind("pf2", midpoint=False)
-
-
-def spf(order: int) -> IntegratorKind:
-    return IntegratorKind("spf", order=order)
-
-
-def parse_integrator_tag(tag: str) -> IntegratorKind:
-    named = {k.tag: k for k in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED)}
-    if tag in named:
-        return named[tag]
-    if tag.startswith("spf"):
-        try:
-            return spf(int(tag[3:]))
-        except ValueError as exc:
-            raise ValueError(f"bad integrator tag {tag!r}") from exc
-    raise ValueError(f"bad integrator tag {tag!r}")
-
-
-@lru_cache(maxsize=8)
 def suzuki_coefficients(order: int) -> tuple:
     """Fractal Trotter-Suzuki factors for even orders 2, 4, 6, 8.
 
@@ -203,6 +140,28 @@ def suzuki_coefficients(order: int) -> tuple:
         if abs(total - 1.0) > COEFFICIENT_SUM_TOL:
             raise RuntimeError(f"weights of H{op} sum to {total!r}, not 1")
     return tuple(seq)
+
+
+EXP_INTEGRATOR = IntegratorKind("exp", 1)
+PF1 = IntegratorKind("pf1", 1, PF1_FACTORS)
+PF2 = IntegratorKind("pf2", 2, suzuki_coefficients(2), offset=0.5)
+PF2_SIMPLIFIED = IntegratorKind("pf2-simplified", 2, PF2.factors)
+INTEGRATORS = {k.tag: k for k in (
+    EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED,
+    IntegratorKind("spf1", 1, PF1_FACTORS),
+    IntegratorKind("spf2", 2, PF2.factors),
+    *(IntegratorKind(f"spf{p}", p, suzuki_coefficients(p)) for p in (4, 6, 8)),
+)}
+
+
+def parse_integrator_tag(tag: str) -> IntegratorKind:
+    if tag not in INTEGRATORS:
+        raise ValueError(f"bad integrator tag {tag!r}; valid: {sorted(INTEGRATORS)}")
+    return INTEGRATORS[tag]
+
+
+def spf(order: int) -> IntegratorKind:
+    return parse_integrator_tag(f"spf{order}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +214,7 @@ def _walk_stack(ends, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarr
     diagonalizes every H(f) instead.
     """
     d = ends[0][0].shape[0]
-    if kind.method == "exp":
+    if not kind.factors:
         w, v = hamiltonian_bands(ends[0][0], ends[1][0], f, vectors=True)
         ws = np.einsum("nik,nk,njk->ijn", v, np.exp(-1j * h * w), v.conj(), order="C")
         return steps_last_stack(ws)
@@ -292,7 +251,7 @@ def walk_operator(
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
-    f = schedule_values(sched, _read_points(kind, np.array([float(s)]), ds))[0]
+    f = schedule_values(sched, _read_points(kind, np.array([float(s)]), ds))
     ws = _walk_stack(_endpoints(H0, H1), kind, h, f)
     _check_unitary(ws, RuntimeError, "walk lost unitarity")
     return ws[0].copy()  # owns its memory: a view keeps a second array header per walk
@@ -340,7 +299,7 @@ class WalkFamily:
         if self._ends is None:
             self._ends = _endpoints(self.h0, self.h1)
         s = _read_points(self.kind, np.arange(j0, j1) / self.td, 1.0 / self.td)
-        ws = _walk_stack(self._ends, self.kind, self.h, schedule_values(self.schedule, s)[0])
+        ws = _walk_stack(self._ends, self.kind, self.h, schedule_values(self.schedule, s))
         _check_unitary(ws, RuntimeError, "walk block lost unitarity")
         return ws
 
@@ -425,7 +384,7 @@ def exact_step_propagator(
     ends = _endpoints(H0, H1)
 
     def chain(m: int) -> np.ndarray:
-        f = schedule_values(sched, np.minimum(s + ds * (np.arange(m) + 0.5) / m, 1.0))[0]
+        f = schedule_values(sched, np.minimum(s + ds * (np.arange(m) + 0.5) / m, 1.0))
         return chain_product(_walk_stack(ends, PF2, h / m, f))
 
     row = [chain(1)]
@@ -454,8 +413,8 @@ def exact_step_propagator(
 
 def nested_commutator_sum(H0, H1, p: int) -> float:
     """Sum over gamma in {0,1}^(p+1) of ||[H_{gamma_p}, ..., [H_{gamma_1}, H_{gamma_0}]]||."""
-    if not 1 <= p <= 6:
-        raise ValueError(f"supported p is 1..6, got {p}")
+    if not 1 <= p <= 8:  # up to the largest spf order
+        raise ValueError(f"supported p is 1..8, got {p}")
     m = (_hermitian(H0), _hermitian(H1))
     total = 0.0
     for gamma in itertools.product((0, 1), repeat=p + 1):
@@ -508,9 +467,9 @@ def problem_constants(
     h0, h1 = _hermitian(H0), _hermitian(H1)
     alpha = operator_norm(h0) + operator_norm(h1)
     s = np.linspace(0.0, 1.0, grid + 1)
-    w = hamiltonian_bands(h0, h1, schedule_values(sched, s)[0])
+    w = hamiltonian_bands(h0, h1, schedule_values(sched, s))
     i_star = int(np.argmin(w[:, 1] - w[:, 0]))
-    tilde = {int(p): nested_commutator_sum(h0, h1, int(p)) for p in orders if p <= 6}
+    tilde = {int(p): nested_commutator_sum(h0, h1, int(p)) for p in orders}
     return ProblemConstants(
         alpha=alpha,
         delta_star=float(w[i_star, 1] - w[i_star, 0]),
@@ -533,7 +492,7 @@ def recommended_step_size(consts: ProblemConstants, kind: IntegratorKind) -> flo
             "minimal Hamiltonian gap is nonpositive; no step-size rule applies"
         )
     base = 1.0 / consts.alpha
-    if kind.method == "exp":
+    if not kind.factors:
         return base
     if kind.effective_order <= 2:
         cc = consts.comm_combo

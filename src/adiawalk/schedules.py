@@ -1,4 +1,4 @@
-"""Scheduling functions f: [0,1] -> [0,1] with first and second derivatives.
+"""Scheduling functions f: [0,1] -> [0,1].
 
 Implemented kinds:
 
@@ -102,19 +102,6 @@ def _glue_cumulative(s: np.ndarray) -> np.ndarray:
     pts = mids[:, None] + halfs[:, None] * nodes[None, :]
     partial = (halfs[:, None] * wts[None, :] * _glue_integrand(pts)).sum(axis=1)
     return cum[idx] + partial
-
-
-def _glue_values(s: np.ndarray):
-    """(g, g', g'') of the normalized glue function on array input."""
-    total = glue_constant_ce()
-    g = _glue_cumulative(s) / total
-    integ = _glue_integrand(s)
-    gp = integ / total
-    u = s * (1.0 - s)
-    gpp = np.zeros_like(s)
-    pos = u > 0
-    gpp[pos] = integ[pos] * (1.0 - 2.0 * s[pos]) / (u[pos] ** 2) / total
-    return g, gp, gpp
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +228,7 @@ def _power_values_p1(s: np.ndarray, mu: float):
     rate = 2.0 * math.sqrt(1.0 - mu) * d1
     arg = rate * (s - 0.5)
     amp = math.sqrt(mu) / (2.0 * math.sqrt(1.0 - mu))
-    f = 0.5 + amp * np.sinh(arg)
-    df = math.sqrt(mu) * d1 * np.cosh(arg)
-    d2f = 2.0 * math.sqrt(mu * (1.0 - mu)) * d1 * d1 * np.sinh(arg)
-    return np.clip(f, 0.0, 1.0), df, d2f
+    return np.clip(0.5 + amp * np.sinh(arg), 0.0, 1.0)
 
 
 def _hermite_guess(s, s0, s1, u0, u1, d, mu: float, p: float, origin):
@@ -301,12 +285,7 @@ def _power_values_tabulated(s: np.ndarray, n: int, p: float):
             f"schedule inversion left {todo.size} of {len(s)} points unconverged after "
             f"{POWER_NEWTON_CAP} Newton steps (N = {n}, p = {p})"
         )
-    f = origin + u
-    gap = _shifted_gap(u, mu, origin)
-    df = d * gap ** p
-    # chain rule through the defining ODE: f'' = d^2 p Delta^{2p-1} dDelta/df
-    d2f = -2.0 * d * d * p * ((1.0 - 2.0 * origin) - 2.0 * u) * (1.0 - mu) * gap ** (2.0 * p - 2.0)
-    return np.clip(f, 0.0, 1.0), df, d2f
+    return np.clip(origin + u, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +321,7 @@ class Schedule:
             params = {"N": n, "p": p}
         object.__setattr__(self, "parameters", params)
 
-        f0 = _eval_array(self, np.array([0.0]))[0][0]
-        f1 = _eval_array(self, np.array([1.0]))[0][0]
+        f0, f1 = _eval_array(self, np.array([0.0, 1.0]))
         if abs(f0) > ENDPOINT_TOL or abs(f1 - 1.0) > ENDPOINT_TOL:
             raise ValueError(f"schedule endpoints off: f(0) = {f0:.3e}, f(1) = {f1:.12f}")
 
@@ -368,24 +346,17 @@ def build_grover_schedule(n: int, p: float = 1.0) -> Schedule:
 
 def _eval_array(sched: Schedule, s: np.ndarray):
     if sched.kind == "linear":
-        return s.copy(), np.ones_like(s), np.zeros_like(s)
+        return s.copy()
     if sched.kind == "glue":
-        return _glue_values(s)
+        return _glue_cumulative(s) / glue_constant_ce()
     if sched.kind == "bc-composite":
+        ce = glue_constant_ce()
         f = np.empty_like(s)
-        df = np.empty_like(s)
-        d2f = np.empty_like(s)
         left = s <= 0.5
-        gl, gpl, gppl = _glue_values(2.0 * s[left])
-        f[left] = gl / 2
-        df[left] = gpl
-        d2f[left] = 2.0 * gppl
+        f[left] = _glue_cumulative(2.0 * s[left]) / ce / 2
         right = ~left
-        gr, gpr, gppr = _glue_values(2.0 * s[right] - 1.0)
-        f[right] = 0.5 + gr / 2
-        df[right] = gpr
-        d2f[right] = 2.0 * gppr
-        return f, df, d2f
+        f[right] = 0.5 + _glue_cumulative(2.0 * s[right] - 1.0) / ce / 2
+        return f
     if sched.kind == "grover-power":
         n = sched.parameters["N"]
         p = sched.parameters["p"]
@@ -396,7 +367,8 @@ def _eval_array(sched: Schedule, s: np.ndarray):
 
 
 def schedule_values(sched: Schedule, s):
-    """Vectorized (f, f', f'') over an array of s values in [0, 1]."""
+    """f(s) for s in [0, 1]: a float for a scalar s, otherwise an array
+    shaped like s."""
     s = np.asarray(s, dtype=float)
     flat = np.atleast_1d(s).astype(float).ravel()
     if flat.size and not (flat.min() >= -1e-12 and flat.max() <= 1.0 + 1e-12):  # NaN fails
@@ -404,7 +376,7 @@ def schedule_values(sched: Schedule, s):
             f"schedule argument outside [0, 1]: range [{flat.min()}, {flat.max()}]"
         )
     flat = np.clip(flat, 0.0, 1.0)
-    f, df, d2f = _eval_array(sched, flat)
+    f = _eval_array(sched, flat)
     if s.ndim == 0:
-        return float(f[0]), float(df[0]), float(d2f[0])
-    return f.reshape(s.shape), df.reshape(s.shape), d2f.reshape(s.shape)
+        return float(f[0])
+    return f.reshape(s.shape)

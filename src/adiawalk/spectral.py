@@ -156,7 +156,7 @@ def _label_order(family: WalkFamily, j: int, vecs: np.ndarray, theta: np.ndarray
     """
     if family.h0 is None:
         return np.argsort(theta)
-    f = schedule_values(family.schedule, j / family.td)[0]
+    f = schedule_values(family.schedule, j / family.td)
     w, u = hamiltonian_bands(family.h0, family.h1, f, vectors=True)
     return np.argsort(w @ np.abs(u.conj().T @ vecs) ** 2)
 
@@ -351,7 +351,7 @@ def gap_perturbation_bounds(
     alpha = operator_norm(h0) + operator_norm(h1)
     if h > 1.0 / alpha + 1e-12:
         raise ValueError(f"h = {h} exceeds 1/alpha = {1.0 / alpha}")
-    w = hamiltonian_bands(h0, h1, schedule_values(sched, float(s))[0])
+    w = hamiltonian_bands(h0, h1, schedule_values(sched, float(s)))
     gap_h = float(w[1] - w[0])
     if order <= 2:
         width = (h ** 3 / 95.0) * commutator_combo(h0, h1)

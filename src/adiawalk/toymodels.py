@@ -172,7 +172,7 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     rows = []
     for eps in eps_list:
         model = build_toy(kind, float(eps))
-        f = schedule_values(model.schedule, s)[0]
+        f = schedule_values(model.schedule, s)
         ends = _endpoints(model.h0, model.h1)
         gap_h = gap_w = np.inf
         for c in range(0, len(f), GAP_TABLE_CHUNK):

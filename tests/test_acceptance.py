@@ -304,7 +304,7 @@ def test_criterion_05_gap_window_containment():
             phases = np.sort(-np.angle(normal_eig(w)[0]))
             gap = phases[1] - phases[0]
             assert lo - 1e-12 <= gap <= hi + 1e-12, (
-                f"instance {i} ({kind.method}): gap {gap:.6e} outside [{lo:.6e}, {hi:.6e}]"
+                f"instance {i} ({kind.tag}): gap {gap:.6e} outside [{lo:.6e}, {hi:.6e}]"
             )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from adiawalk import cli
-from adiawalk.integrators import PF1, build_walk_family
+from adiawalk.integrators import INTEGRATORS, PF1, build_walk_family
 from adiawalk.schedules import glue_schedule, schedule_values
 from adiawalk.spectral import TrackingAmbiguityError, track_eigenpaths
 from adiawalk.toymodels import build_toy
@@ -78,6 +78,10 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert run_cli(["gap-table", "--config", str(bad)]) == 2
     assert "cannot read config" in capsys.readouterr().err
+    huge = tmp_path / "huge.json"  # past the interpreter's 4300-digit int parsing limit
+    huge.write_text('{"parameters": {"grid": 1%s}}' % ("0" * 5000))
+    assert run_cli(["gap-table", "--config", str(huge)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
     lst = tmp_path / "list.json"
     lst.write_text("[1, 2]")
     assert run_cli(["gap-table", "--config", str(lst)]) == 2
@@ -102,6 +106,13 @@ def test_experiment_mismatch_is_usage_error(tmp_path, capsys):
         ("grover-scaling", {"n_list": [4], "m_list": [4]}),
         ("qaoa-export", {"n": 2, "m": 2}),
         ("step-size-report", {"source": "grover", "n": 2, "m": 2}),
+        # JSON integers beyond the float range
+        ("fidelity-sweep", {"t_list": [10 ** 400]}),
+        ("spectrum-scan", {"h": 10 ** 400}),
+        ("spectrum-scan", {"grid": 10 ** 400}),
+        ("grover-scaling", {"n_list": [10 ** 400]}),
+        ("qaoa-export", {"n": 10 ** 400}),
+        ("volterra", {"td_list": [100, 10 ** 400]}),
     ],
 )
 def test_out_of_range_parameter_is_usage_error(tmp_path, capsys, experiment, parameters):
@@ -339,7 +350,7 @@ def test_spectrum_scan_bands_follow_the_schedule(tmp_path, monkeypatch):
     assert run_cli(["--config", cfg, "--out", str(out)]) == 0
     _, _, rows = split_output(out)
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
-    f = schedule_values(glue_schedule(), table[:, 0])[0]
+    f = schedule_values(glue_schedule(), table[:, 0])
     hs = (1.0 - f)[:, None, None] * model.h0.matrix + f[:, None, None] * model.h1.matrix
     assert np.max(np.abs(table[:, 1:5] - np.linalg.eigvalsh(hs))) < 1e-12
 
@@ -355,13 +366,31 @@ def test_step_size_report_gap_follows_the_schedule(tmp_path, monkeypatch):
     assert run_cli(["--config", cfg, "--out", str(out)]) == 0
     _, header, rows = split_output(out)
     row = dict(zip(header.split(","), rows[0].split(",")))
-    f = schedule_values(glue_schedule(), np.linspace(0.0, 1.0, 51))[0]
+    f = schedule_values(glue_schedule(), np.linspace(0.0, 1.0, 51))
     hs = (1.0 - f)[:, None, None] * model.h0.matrix + f[:, None, None] * model.h1.matrix
     w = np.linalg.eigvalsh(hs)
     gap_star = np.min(w[:, 1] - w[:, 0])
     # the exp walk's guaranteed gap is h times the minimal Hamiltonian gap
     assert float(row["gap_lower"]) == pytest.approx(float(row["h_recommended"]) * gap_star,
                                                     rel=1e-12)
+
+
+def test_step_size_report_covers_every_integrator(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"experiment": "step-size-report", "parameters": {"kinds": list(INTEGRATORS)}},
+    )
+    out = tmp_path / "report.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = split_output(out)
+    table = {row.split(",")[0]: dict(zip(header.split(","), row.split(","))) for row in rows}
+    assert sorted(table) == sorted(INTEGRATORS)
+    for tag, row in table.items():
+        lo, hi, measured = (float(row[c]) for c in ("gap_lower", "gap_upper", "gap_measured"))
+        if tag == "exp":  # its bounds are the measured gap itself
+            assert lo == hi == pytest.approx(measured, rel=1e-12)
+        else:
+            assert lo <= measured <= hi, tag
 
 
 def test_experiment_driver_table_matches_the_cli():

@@ -205,6 +205,18 @@ def test_qaoa_replay_is_bit_identical():
     assert direct.success == replayed.success
 
 
+def test_qaoa_replay_applies_its_betas():
+    inst = GroverInstance(64, 3)
+    h0, h1 = effective_hamiltonians(inst)
+    gammas, betas = np.random.default_rng(11).uniform(-5.0, 5.0, (2, 40))
+    psi = np.array([math.sqrt(inst.mu), math.sqrt(1.0 - inst.mu)], dtype=complex)
+    for g, b in zip(gammas, betas):
+        walk = scipy.linalg.expm(-1j * g * h1.matrix) @ scipy.linalg.expm(-1j * b * h0.matrix)
+        psi = walk @ psi
+    replayed = qaoa_replay(inst, QaoaAngleSet(gammas, betas))
+    assert np.max(np.abs(replayed.final_state - psi)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # scaling
 

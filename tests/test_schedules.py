@@ -1,8 +1,9 @@
 """Schedule functions, checked against adaptive-quadrature oracles.
 
 The glue normalizer and the search-schedule normalizers are recomputed
-with scipy.integrate.quad; derivative claims are checked with centered
-finite differences of the function values themselves.
+with scipy.integrate.quad; slopes are centered finite differences of the
+values, checked against the normalized glue integrand and the search
+ODE's right-hand side d Delta(f)^p.
 """
 
 import json
@@ -100,42 +101,35 @@ def test_glue_values_match_quadrature():
     sched = glue_schedule()
     ce = glue_constant_ce()
     for s in (0.1, 0.25, 0.5, 0.8, 0.97):
-        f = schedule_values(sched, s)[0]
+        f = schedule_values(sched, s)
         assert f == pytest.approx(quad_glue_integral(s) / ce, abs=1e-12)
 
 
+def glue_slope(s):
+    """The glue schedule's slope: its normalized integrand."""
+    return np.exp(-1.0 / (s * (1.0 - s))) / glue_constant_ce()
+
+
 def test_glue_derivative_is_normalized_integrand():
+    # the grid holds the midpoint, where the slope is e^{-4} / ce
     sched = glue_schedule()
     s = np.linspace(0.05, 0.95, 19)
-    f, df, d2f = schedule_values(sched, s)
-    expected = np.exp(-1.0 / (s * (1.0 - s))) / glue_constant_ce()
-    assert np.max(np.abs(df - expected)) < 1e-13
-    # and the reported derivatives really differentiate the values
-    fd1 = centered_fd(lambda x: schedule_values(sched, x)[0], s)
-    fd2 = centered_fd(lambda x: schedule_values(sched, x)[1], s)
-    assert np.max(np.abs(fd1 - df)) < 1e-6
-    assert np.max(np.abs(fd2 - d2f)) < 1e-5
-
-
-def test_glue_midpoint_slope():
-    f, df, _ = schedule_values(glue_schedule(), 0.5)
-    assert f == pytest.approx(0.5, abs=1e-12)
-    assert df == pytest.approx(math.exp(-4.0) / glue_constant_ce(), rel=1e-12)
+    fd = centered_fd(lambda x: schedule_values(sched, x), s)
+    assert np.max(np.abs(fd - glue_slope(s))) < 1e-6
+    assert schedule_values(sched, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_glue_endpoints_are_flat():
     sched = glue_schedule()
-    for s in (0.0, 1.0):
-        f, df, d2f = schedule_values(sched, s)
-        assert df == 0.0
-        assert d2f == 0.0
-    assert schedule_values(sched, 0.0)[0] == 0.0
-    assert schedule_values(sched, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    edge = np.linspace(0.0, 1e-3, 101)
+    assert np.all(schedule_values(sched, edge) == 0.0)
+    assert np.all(schedule_values(sched, 1.0 - edge) == schedule_values(sched, 1.0))
+    assert schedule_values(sched, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_glue_symmetry_and_monotonicity():
     s = np.linspace(0.0, 1.0, 10001)
-    f = schedule_values(glue_schedule(), s)[0]
+    f = schedule_values(glue_schedule(), s)
     assert np.max(np.abs(f + f[::-1] - 1.0)) < 1e-8
     assert np.all(np.diff(f) >= 0.0)
 
@@ -146,15 +140,17 @@ def test_glue_symmetry_and_monotonicity():
 def test_bc_composite_joins_two_glue_halves():
     sched = bc_composite_schedule()
     s = np.linspace(0.0, 1.0, 2001)
-    f, df, _ = schedule_values(sched, s)
-    assert schedule_values(sched, 0.5)[0] == pytest.approx(0.5, abs=1e-12)
+    f = schedule_values(sched, s)
+    assert schedule_values(sched, 0.5) == pytest.approx(0.5, abs=1e-12)
     assert np.max(np.abs(f + f[::-1] - 1.0)) < 1e-8
     assert np.all(np.diff(f) >= 0.0)
     # flat at both endpoints and at the seam
     for s0 in (0.0, 0.5, 1.0):
-        assert schedule_values(sched, s0)[1] == 0.0
-    fd = centered_fd(lambda x: schedule_values(sched, x)[0], np.array([0.25, 0.75]))
-    assert np.allclose(fd, schedule_values(sched, np.array([0.25, 0.75]))[1], atol=1e-6)
+        near = np.clip(s0 + np.linspace(-5e-4, 5e-4, 101), 0.0, 1.0)
+        assert np.all(schedule_values(sched, near) == schedule_values(sched, s0))
+    # f = g(2s) / 2 on the left half, so f'(1/4) = g'(1/2); the right half repeats it
+    fd = centered_fd(lambda x: schedule_values(sched, x), np.array([0.25, 0.75]))
+    assert np.allclose(fd, glue_slope(0.5), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -187,37 +183,24 @@ def test_d_constant_domain_errors():
         grover_d_constant(64, 0.5)
 
 
-def test_power_schedule_p1_satisfies_its_ode():
+@pytest.mark.parametrize("p, tol", ((1.0, 1e-6), (1.5, 1e-5)))
+def test_power_schedule_satisfies_its_ode(p, tol):
     n = 256
-    sched = build_grover_schedule(n, 1.0)
-    d = grover_d_constant(n, 1.0)
-    s = np.linspace(1e-3, 1.0 - 1e-3, 1001)
-    f, df, _ = schedule_values(sched, s)
-    target = d * grover_gap_of_f(f, 1.0 / n)
-    assert np.max(np.abs(df - target) / target) < 1e-9
-    fd = centered_fd(lambda x: schedule_values(sched, x)[0], s)
-    assert np.max(np.abs(fd - df)) < 1e-6
-
-
-def test_power_schedule_p15_satisfies_its_ode():
-    n = 256
-    p = 1.5
     sched = build_grover_schedule(n, p)
     d = grover_d_constant(n, p)
     s = np.linspace(1e-3, 1.0 - 1e-3, 1001)
-    f, df, _ = schedule_values(sched, s)
-    target = d * grover_gap_of_f(f, 1.0 / n) ** p
-    assert np.max(np.abs(df / target - 1.0)) < 1e-6
-    fd = centered_fd(lambda x: schedule_values(sched, x)[0], s)
-    assert np.max(np.abs(fd - df)) < 1e-5
+    target = d * grover_gap_of_f(schedule_values(sched, s), 1.0 / n) ** p
+    fd = centered_fd(lambda x: schedule_values(sched, x), s)
+    assert np.max(np.abs(fd - target)) < tol
 
 
 def test_power_schedule_midpoint_slope_hits_gap_minimum():
     # f'(1/2) / d = Delta(1/2)^p = n^{-p/2}
     for n, p in ((1024, 1.0), (256, 1.5)):
+        sched = build_grover_schedule(n, p)
         d = grover_d_constant(n, p)
-        df_mid = schedule_values(build_grover_schedule(n, p), 0.5)[1]
-        assert abs(df_mid / d - n ** (-p / 2.0)) < 1e-8
+        fd_mid = centered_fd(lambda x: schedule_values(sched, x), 0.5)
+        assert abs(fd_mid / d - n ** (-p / 2.0)) < 1e-8
 
 
 @pytest.mark.parametrize("p", (1.2, 1.5, 1.9))
@@ -235,9 +218,9 @@ def test_power_schedule_satisfies_its_ode_at_large_n():
     s = np.linspace(1e-2, 1.0 - 1e-2, 1001)
     for p in (1.2, 1.5, 1.9):
         sched = build_grover_schedule(n, p)
-        df = schedule_values(sched, s)[1]
-        fd = centered_fd(lambda x: schedule_values(sched, x)[0], s, delta=1e-5)
-        assert np.max(np.abs(fd / df - 1.0)) < 1e-5
+        target = grover_d_constant(n, p) * grover_gap_of_f(schedule_values(sched, s), 1.0 / n) ** p
+        fd = centered_fd(lambda x: schedule_values(sched, x), s, delta=1e-5)
+        assert np.max(np.abs(fd / target - 1.0)) < 1e-5
 
 
 def test_power_schedule_rejects_n_beyond_the_table():
@@ -252,7 +235,7 @@ def test_power_inversion_matches_bisection(log2n, p):
     n = 2 ** log2n
     s_nodes = schedules._power_table(n, p)[3]
     s = np.concatenate([np.linspace(0.0, 1.0, 2049), s_nodes[1:-1:7]])
-    f = schedule_values(build_grover_schedule(n, p), s)[0]
+    f = schedule_values(build_grover_schedule(n, p), s)
     f_ref = bisect_power_inverse(n, p, s)
     assert np.all(np.abs(f - f_ref) <= 2.0 * np.spacing(f_ref))
 
@@ -267,7 +250,7 @@ def test_power_inversion_raises_at_its_iteration_cap(monkeypatch):
 def test_power_schedule_symmetry_and_monotonicity():
     s = np.linspace(0.0, 1.0, 4001)
     for p in (1.0, 1.5):
-        f = schedule_values(build_grover_schedule(4096, p), s)[0]
+        f = schedule_values(build_grover_schedule(4096, p), s)
         assert np.max(np.abs(f + f[::-1] - 1.0)) < 1e-8
         assert np.all(np.diff(f) >= 0.0)
         assert abs(f[0]) < 1e-12
@@ -300,17 +283,16 @@ def test_schedule_values_domain():
 
 
 def test_schedule_values_scalar_form():
-    f, df, d2f = schedule_values(linear_schedule(), 0.3)
-    assert f == pytest.approx(0.3)
-    assert df == 1.0
-    assert d2f == 0.0
+    f = schedule_values(linear_schedule(), 0.3)
+    assert isinstance(f, float)
+    assert f == 0.3
 
 
 def test_schedule_values_preserves_shape():
     sched = glue_schedule()
-    out = schedule_values(sched, np.full((3, 2), 0.5))[0]
+    out = schedule_values(sched, np.full((3, 2), 0.5))
     assert out.shape == (3, 2)
-    scalar = schedule_values(sched, 0.5)[0]
+    scalar = schedule_values(sched, 0.5)
     assert isinstance(scalar, float)
 
 
@@ -332,5 +314,5 @@ def test_schedule_round_trips_through_json(sched):
     data = json.loads(json.dumps({"kind": sched.kind, "parameters": sched.parameters}))
     back = Schedule(data["kind"], data["parameters"])
     s = np.linspace(0.0, 1.0, 101)
-    assert np.array_equal(schedule_values(back, s)[0], schedule_values(sched, s)[0])
+    assert np.array_equal(schedule_values(back, s), schedule_values(sched, s))
 

@@ -358,7 +358,7 @@ def test_exp_walk_gap_is_scaled_hamiltonian_gap():
     h = 0.7
     fam = build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, h, 200)
     walk_gaps = walk_gap_profile(track_eigenpaths(fam), ks=(0,)).fixed
-    w = hamiltonian_bands(h0, h1, schedule_values(LINEAR, np.linspace(0.0, 1.0, 201))[0])
+    w = hamiltonian_bands(h0, h1, schedule_values(LINEAR, np.linspace(0.0, 1.0, 201)))
     ham_gaps = w[:, 1] - w[:, 0]
     assert np.max(np.abs(walk_gaps - h * ham_gaps)) <= 1e-10
 
@@ -366,7 +366,7 @@ def test_exp_walk_gap_is_scaled_hamiltonian_gap():
 def test_hamiltonian_profile_matches_search_closed_form():
     inst = GroverInstance(64, 1)
     h0, h1 = effective_hamiltonians(inst)
-    f = schedule_values(LINEAR, np.linspace(0.0, 1.0, 501))[0]
+    f = schedule_values(LINEAR, np.linspace(0.0, 1.0, 501))
     w = hamiltonian_bands(h0, h1, f)
     closed = gap_closed_forms(inst, f)[0]
     assert np.max(np.abs((w[:, 1] - w[:, 0]) - closed)) <= 1e-12
@@ -416,7 +416,7 @@ def test_gap_window_widths():
     alpha = operator_norm(h0) + operator_norm(h1)
     h = 0.8 / alpha
     s = 0.42
-    f = schedule_values(LINEAR, s)[0]
+    f = schedule_values(LINEAR, s)
     evals = np.linalg.eigvalsh((1.0 - f) * h0 + f * h1)
     center = h * (evals[1] - evals[0])
     lo2, hi2 = gap_perturbation_bounds(h0, h1, LINEAR, s, h)
