@@ -111,12 +111,24 @@ def glue_slope(s):
 
 
 def test_glue_derivative_is_normalized_integrand():
-    # the grid holds the midpoint, where the slope is e^{-4} / ce
     sched = glue_schedule()
     s = np.linspace(0.05, 0.95, 19)
     fd = centered_fd(lambda x: schedule_values(sched, x), s)
     assert np.max(np.abs(fd - glue_slope(s))) < 1e-6
+
+
+def test_glue_midpoint_slope():
+    sched = glue_schedule()
     assert schedule_values(sched, 0.5) == pytest.approx(0.5, abs=1e-12)
+    # sixth-order centered difference; its truncation and rounding errors
+    # at h = 2e-3 are both near 1e-14 relative
+    h = 2e-3
+
+    def gap(k):
+        return schedule_values(sched, 0.5 + k * h) - schedule_values(sched, 0.5 - k * h)
+
+    slope = (45.0 * gap(1) - 9.0 * gap(2) + gap(3)) / (60.0 * h)
+    assert slope == pytest.approx(math.exp(-4.0) / glue_constant_ce(), rel=1e-12)
 
 
 def test_glue_endpoints_are_flat():
