@@ -10,7 +10,8 @@ and BLAS pinned to one thread.  The two checkouts run side by side.
 CSV files are compared without their ``# timestamp:`` line, and every
 other file (sidecars, configs) byte for byte.  Each file that differs or
 exists on one side only is printed, and the exit status is 1 if there is
-any such file, 0 otherwise.
+any such file, 0 otherwise.  The line count of each checkout's ``src/``
+Python files (as ``wc -l`` counts them) is printed last.
 """
 
 import os
@@ -33,6 +34,10 @@ def produce(checkout: pathlib.Path, work: pathlib.Path) -> None:
                        cwd=work, env=env, check=True)
     subprocess.run([sys.executable, str(checkout / "scripts" / "run_experiments.py")],
                    cwd=work, env=env, check=True)
+
+
+def src_lines(checkout: pathlib.Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def comparable(path: pathlib.Path) -> bytes:
@@ -64,6 +69,8 @@ def main(argv=None) -> int:
                 continue
             differing += 1
         print(f"{len(names[0] | names[1])} files compared, {differing} differing")
+    for label, checkout in zip(("parent", "change"), checkouts):
+        print(f"{label} src/ lines: {src_lines(checkout)} ({checkout})")
     return 1 if differing else 0
 
 

@@ -44,7 +44,6 @@ from .integrators import (
     parse_integrator_tag,
     problem_constants,
     recommended_step_size,
-    spf,
     suzuki_coefficients,
     walk_family_from_operators,
     walk_operator,

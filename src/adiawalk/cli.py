@@ -32,6 +32,7 @@ from .schedules import (
 )
 from .integrators import (
     INTEGRATORS,
+    MATERIALIZE_LIMIT,
     GaplessError,
     build_walk_family,
     hamiltonian_bands,
@@ -58,6 +59,7 @@ from .toymodels import (
 )
 
 GAPLESS_TOL = 1e-12
+TOY_DIM = 4
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -126,6 +128,15 @@ def _check_search_size(n, m):
         raise ConfigError(f"search needs n >= 2m, got n = {n}, m = {m}")
 
 
+def _check_grid(grid, dim):
+    """Reject a grid whose grid + 1 walks of dimension dim pass MATERIALIZE_LIMIT entries."""
+    if (grid + 1) * dim * dim > MATERIALIZE_LIMIT:
+        raise ConfigError(
+            f"parameter 'grid' = {grid} needs (grid + 1) * {dim}^2 entries, "
+            f"above {MATERIALIZE_LIMIT}"
+        )
+
+
 def _as_str_list(params, key, choices):
     v = params[key]
     if not isinstance(v, (list, tuple)) or not v:
@@ -143,6 +154,7 @@ def _run_gap_table(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps_list = _as_number_list(params, "eps_list", lo=0.0, hi=0.1)
     grid = _as_int(params, "grid", lo=10)
+    _check_grid(grid, TOY_DIM)
 
     def one(eps):
         row = gap_table(kind, [eps], grid=grid)[0]
@@ -159,6 +171,7 @@ def _run_spectrum_scan(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps = _as_float(params, "eps", lo=0.0, hi=0.1)
     grid = _as_int(params, "grid", lo=10)
+    _check_grid(grid, TOY_DIM)
     tag = _as_choice(params, "integrator", ("exp", "pf1", "pf2", "pf2-simplified"))
     h = _as_float(params, "h", lo=1e-6)
     model = build_toy(kind, eps)
@@ -254,7 +267,7 @@ def _run_qaoa_export(params, rng):
     p = _as_float(params, "p", lo=1.0)
     if p >= 2.0:
         raise ConfigError(f"parameter 'p' must be below 2, got {p}")
-    t = _as_int(params, "t", lo=1)
+    t = _as_int(params, "t", lo=1, hi=2 ** 22)
     _check_search_size(n, m)
     n_eff = max(2, round(n / m))
     angles = qaoa_angles(build_grover_schedule(n_eff, p), t)
@@ -284,6 +297,7 @@ def _run_step_size_report(params, rng):
     kinds = _as_str_list(params, "kinds", tuple(INTEGRATORS))
     grid = _as_int(params, "grid", lo=10)
     h0, h1, sched = _step_size_source(params, rng)
+    _check_grid(grid, h0.dim)
     orders = sorted({INTEGRATORS[k].effective_order for k in kinds} | {1, 2})
     consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(orders))
     s_star, gapless = consts.s_star, consts.delta_star <= GAPLESS_TOL
@@ -301,8 +315,7 @@ def _run_step_size_report(params, rng):
             else:
                 order = 2 if kind.effective_order <= 2 else kind.effective_order
                 lo, hi = gap_perturbation_bounds(h0, h1, sched, s_star, h_rec, order=order)
-        measure_kind = INTEGRATORS["pf2-simplified"] if tag == "pf2" else kind
-        wmat = walk_operator(h0, h1, sched, measure_kind, h_rec, s_star)
+        wmat = walk_operator(h0, h1, sched, kind, h_rec, s_star)
         measured = float(lowest_phase_gap(wmat))
         rows.append((tag, float(h_rec), float(lo), float(hi), measured, int(gapless)))
     rows.sort(key=lambda r: r[0])
@@ -460,6 +473,8 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         out = args.out or cfg.get("output") or f"{experiment}.csv"
         if not isinstance(out, str):
             raise ConfigError(f"output must be a path string, got {out!r}")

@@ -19,7 +19,6 @@ from .integrators import EXP_INTEGRATOR, WalkFamily, _hermitian, build_walk_fami
 from .schedules import glue_schedule
 from .spectral import EigenpathTrack, _label_order, track_eigenpaths
 
-PROJECTOR_TOL = 1e-10
 STATE_NORM_TOL = 1e-9
 SINGULAR_FLOOR = 1e-16  # on the eigenvalues of S S^dag, i.e. (1e-8)^2 on v
 ROTATION_UNITARITY_TOL = 1e-9
@@ -52,13 +51,14 @@ def ground_state(H) -> np.ndarray:
 
 
 def _projector_stack(track: EigenpathTrack) -> np.ndarray:
-    vecs = track.vectors[:, :, list(track.p_group)]
+    """Projectors onto the ground path (path 0) at every step."""
+    vecs = track.vectors[:, :, [0]]
     return np.einsum("nik,njk->nij", vecs, vecs.conj())
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state with its leakage out of the target group and the
+    """Final state with its leakage out of the ground path and the
     amplitude overlaps against the final eigenbasis (ground path first)."""
 
     final_state: np.ndarray
@@ -73,19 +73,17 @@ class EvolutionResult:
         object.__setattr__(self, "fidelities", np.asarray(self.fidelities, dtype=float))
 
 
-def evolve(family: WalkFamily, initial, track: EigenpathTrack | None = None) -> EvolutionResult:
+def evolve(family: WalkFamily, initial) -> EvolutionResult:
     """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
     walks at a time, each block released before the next is built.
 
-    Fidelities are the overlap amplitudes |basis^dag psi| against a final
-    eigenbasis, and leakage is the norm of the amplitudes outside the
-    target group, which keeps its relative precision where 1 - |P psi|^2
-    would cancel.  With a track, the basis is the tracked one at step td
-    and the target group its ``p_group``.  Without one, the final walk
-    operator is diagonalized on the spot and its eigenbasis labeled as
-    step 0 of a track would be, ground path first: by energy against
-    H(f(1)) for a family with endpoints, by ascending phase otherwise;
-    the target group is the ground path.
+    The final walk operator is then diagonalized and its eigenbasis
+    labeled as step 0 of a track would be, ground path first: by energy
+    against H(f(1)) for a family with endpoints, by ascending phase
+    otherwise.  Fidelities are the overlap amplitudes |basis^dag psi|
+    against that basis, and leakage is the norm of the amplitudes off the
+    ground path, which keeps its relative precision where 1 - |P psi|^2
+    would cancel.
     """
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
@@ -96,20 +94,10 @@ def evolve(family: WalkFamily, initial, track: EigenpathTrack | None = None) -> 
     for j0 in range(0, td, EVOLVE_BLOCK):
         psi = chain_product(family.block(j0, min(j0 + EVOLVE_BLOCK, td))) @ psi
 
-    if track is not None:
-        if track.steps != td or track.dim != family.dim:
-            raise ValueError("track does not match the family")
-        basis = track.vectors[td]
-        dev = float(unitarity_deviation(basis))
-        if not dev <= PROJECTOR_TOL:
-            raise RuntimeError(f"tracked basis at step {td} not orthonormal: deviation {dev:.3e}")
-        outside = list(track.q_group)
-    else:
-        lam, vecs = normal_eig(family.walk(td))
-        basis = vecs[:, _label_order(family, td, vecs, -np.angle(lam))]
-        outside = slice(1, None)
+    lam, vecs = normal_eig(family.walk(td))
+    basis = vecs[:, _label_order(family, td, vecs, -np.angle(lam))]
     fidelities = np.abs(basis.conj().T @ psi)
-    leakage = float(np.linalg.norm(fidelities[outside]))
+    leakage = float(np.linalg.norm(fidelities[1:]))
     return EvolutionResult(final_state=psi, leakage=leakage, fidelities=fidelities)
 
 
@@ -221,14 +209,12 @@ class VolterraDiagnostics:
 
 
 def _offdiag_profile(x: np.ndarray, p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """||Q0 X P0|| for every X of an (n, d, d) stack.  When P0 = v v^dag has
-    rank 1, Q0 X P0 = (Q0 X v) v^dag has one nonzero singular value, the
-    vector norm |Q0 X v|; other ranks take the stacked operator norm."""
+    """||Q0 X P0|| for every X of an (n, d, d) stack.  P0 = v v^dag has
+    rank 1, so Q0 X P0 = (Q0 X v) v^dag has one nonzero singular value, the
+    vector norm |Q0 X v|."""
     n, d, _ = x.shape
-    w, u = np.linalg.eigh(p0)
-    if np.count_nonzero(w > 0.5) != 1:
-        return operator_norm(q0 @ x @ p0)
-    return np.linalg.norm((x.reshape(-1, d) @ u[:, -1]).reshape(n, d) @ q0.T, axis=1)
+    v = np.linalg.eigh(p0)[1][:, -1]
+    return np.linalg.norm((x.reshape(-1, d) @ v).reshape(n, d) @ q0.T, axis=1)
 
 
 def volterra_diagnostics(
@@ -310,13 +296,13 @@ def _loglog_slope(td: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(td), np.log(np.maximum(y, 1e-300)), 1)[0])
 
 
-def _offdiag_endpoints(H0, H1, sched, td: int, j_max: int, p_selector):
+def _offdiag_endpoints(H0, H1, sched, td: int, j_max: int):
     """First-iterate off-diagonal profile and the last off-diagonal of the
     full comparison operator, exp walks at h = 1 over td steps.  Nothing
     of one step count outlives its call, and the track is released before
     the comparison series is built, which keeps peak memory down."""
     fam = build_walk_family(H0, H1, sched, EXP_INTEGRATOR, 1.0, td)
-    ideal = ideal_adiabatic_family(track_eigenpaths(fam, p_selector), fam)
+    ideal = ideal_adiabatic_family(track_eigenpaths(fam), fam)
     diag = volterra_diagnostics(ideal, fam, j_max=j_max)
     return diag.off_diag_terms[1], float(diag.off_diag_omega[-1])
 
@@ -328,7 +314,6 @@ def boundary_vs_interior_scaling(
     schedule=None,
     *,
     j_max: int = 1,
-    p_selector="ground",
 ) -> ScalingReport:
     """Measure the td-scaling of interior and boundary error generation.
 
@@ -347,7 +332,7 @@ def boundary_vs_interior_scaling(
     b_term1 = np.empty(len(tds))
     b_full = np.empty(len(tds))
     for i, td in enumerate(tds):
-        term1, b_full[i] = _offdiag_endpoints(H0, H1, sched, td, j_max, p_selector)
+        term1, b_full[i] = _offdiag_endpoints(H0, H1, sched, td, j_max)
         interior[i] = float(term1.max())
         b_term1[i] = float(term1[-1])
     tarr = np.asarray(tds, dtype=float)

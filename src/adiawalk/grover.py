@@ -263,13 +263,12 @@ def scaling_experiment(
     target_error: float,
     *,
     p: float = 1.0,
-    cap: int = SCALING_CAP,
 ) -> list:
     """Minimal t with search error <= target, per (n, m) cell.
 
     Found by doubling from t = 4 and then bisecting on the step count;
-    a cell whose doubling passes ``cap`` is flagged unreached.  Regime
-    warnings from the probing runs are suppressed.
+    a cell whose doubling passes ``SCALING_CAP`` is flagged unreached.
+    Regime warnings from the probing runs are suppressed.
     """
     if not 0.0 < target_error < 1.0:
         raise ValueError(f"target error must be in (0, 1), got {target_error}")
@@ -285,9 +284,9 @@ def scaling_experiment(
                     return run_search(inst, sched, t).error
 
             t = 4
-            while t <= cap and err(t) > target_error:
+            while t <= SCALING_CAP and err(t) > target_error:
                 t *= 2
-            if t > cap:
+            if t > SCALING_CAP:
                 cells.append(
                     ScalingCell(
                         n=inst.n,

@@ -13,12 +13,14 @@ schedule, and the splitting order that the step-size rules use:
 * ``pf2``: the Strang splitting exp(-i h (1-f) H0 / 2) exp(-i h f H1)
   exp(-i h (1-f) H0 / 2) at the step midpoint; ``pf2-simplified`` and
   ``spf2`` are the same list at offset 0,
-* ``spf(p)``, p = 4, 6, 8: the Trotter-Suzuki fractal recursion on the
-  Strang list with adjacent factors of one operator merged, offset 0.
+* ``spf4``, ``spf6``, ``spf8``: the Trotter-Suzuki fractal recursion on
+  the Strang list with adjacent factors of one operator merged, offset 0.
 
 One private kernel, ``_walk_stack``, turns a factor list and a vector of
 schedule values into a stack of walks; ``walk_operator``, ``WalkFamily``,
-the reference propagator and the toy-model gap table all call it.  Each
+the reference propagator and the toy-model gap table all call it.  Only
+a family applies the offset: ``walk_operator`` reads the schedule at its
+s for every kind, so its pf2 walk equals its pf2-simplified walk.  Each
 factor is a phase vector D_i in its operator's eigenbasis, so a walk is
 V_a D_1 X D_2 X' ... D_k V_b^dag, built from the right, with X, X'
 alternating between the fixed links C = V1^dag V0 and C^dag: phase
@@ -58,6 +60,7 @@ from .schedules import Schedule, schedule_values
 COEFFICIENT_SUM_TOL = 1e-12
 WALK_UNITARITY_TOL = 1e-10
 MATERIALIZE_LIMIT = 2 ** 22  # complex entries held by an eager family
+ORACLE_TOL = 1e-12  # accepted difference of consecutive Romberg diagonal entries
 ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
 PF1_FACTORS = ((1, 1.0), (0, 1.0))  # exp(-i h f H1) exp(-i h (1-f) H0)
@@ -70,7 +73,6 @@ __all__ = [
     "PF2",
     "PF2_SIMPLIFIED",
     "INTEGRATORS",
-    "spf",
     "parse_integrator_tag",
     "suzuki_coefficients",
     "hamiltonian_bands",
@@ -160,10 +162,6 @@ def parse_integrator_tag(tag: str) -> IntegratorKind:
     return INTEGRATORS[tag]
 
 
-def spf(order: int) -> IntegratorKind:
-    return parse_integrator_tag(f"spf{order}")
-
-
 # ---------------------------------------------------------------------------
 # the walk kernel
 
@@ -189,15 +187,6 @@ def hamiltonian_bands(H0, H1, f, *, vectors: bool = False):
     f = np.asarray(f, dtype=float)
     hs = (1.0 - f)[..., None, None] * _hermitian(H0) + f[..., None, None] * _hermitian(H1)
     return np.linalg.eigh(hs) if vectors else np.linalg.eigvalsh(hs)
-
-
-def _read_points(kind: IntegratorKind, s: np.ndarray, ds: float | None) -> np.ndarray:
-    """Schedule times at which the walks of steps s (of width ds) read f."""
-    if not kind.offset:
-        return s
-    if ds is None:
-        raise ValueError("midpoint pf2 needs the step ds = 1/T_d")
-    return np.minimum(s + kind.offset * ds, 1.0)
 
 
 def _walk_stack(ends, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
@@ -239,19 +228,15 @@ def walk_operator(
     kind: IntegratorKind,
     h: float,
     s: float,
-    *,
-    ds: float | None = None,
 ) -> np.ndarray:
-    """One walk operator W(s) at step size h: the walk kernel at one s, so
-    W(j/T_d) with ds = 1/T_d is step j of the family, checked for
-    unitarity as a family block is.
-
-    ``ds`` is the step in schedule time (1/T_d for a family) and is only
-    required by the midpoint pf2 variant.
+    """One walk operator at step size h with the schedule read at s: the
+    walk kernel at one point, checked for unitarity as a family block is.
+    Step j of a family is this walk at its read point
+    s = min(j/T_d + offset/T_d, 1).
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
-    f = schedule_values(sched, _read_points(kind, np.array([float(s)]), ds))
+    f = schedule_values(sched, np.array([float(s)]))
     ws = _walk_stack(_endpoints(H0, H1), kind, h, f)
     _check_unitary(ws, RuntimeError, "walk lost unitarity")
     return ws[0].copy()  # owns its memory: a view keeps a second array header per walk
@@ -270,6 +255,7 @@ def _check_unitary(ws: np.ndarray, error: type, message: str) -> None:
 @dataclass
 class WalkFamily:
     """Grid {W(j/T_d)} for j = 0..T_d, possibly built lazily in blocks.
+    Step j reads the schedule at min(j/T_d + offset/T_d, 1).
 
     ``walks`` materializes the whole stack; ``block(j0, j1)`` builds the
     sub-stack for steps j0..j1-1, which keeps very long evolutions out of
@@ -286,10 +272,6 @@ class WalkFamily:
     _walks: np.ndarray | None = field(default=None, repr=False)
     _ends: tuple | None = field(default=None, repr=False)
 
-    @property
-    def s_grid(self) -> np.ndarray:
-        return np.arange(self.td + 1) / self.td
-
     def block(self, j0: int, j1: int) -> np.ndarray:
         """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
         if not 0 <= j0 < j1 <= self.td + 1:
@@ -298,7 +280,9 @@ class WalkFamily:
             return self._walks[j0:j1]
         if self._ends is None:
             self._ends = _endpoints(self.h0, self.h1)
-        s = _read_points(self.kind, np.arange(j0, j1) / self.td, 1.0 / self.td)
+        s = np.arange(j0, j1) / self.td
+        if self.kind.offset:
+            s = np.minimum(s + self.kind.offset / self.td, 1.0)
         ws = _walk_stack(self._ends, self.kind, self.h, schedule_values(self.schedule, s))
         _check_unitary(ws, RuntimeError, "walk block lost unitarity")
         return ws
@@ -359,9 +343,6 @@ def exact_step_propagator(
     h: float,
     s: float,
     ds: float,
-    *,
-    tol: float = 1e-12,
-    max_substeps: int = ORACLE_MAX_SUBSTEPS,
 ) -> np.ndarray:
     """Time-ordered propagator over schedule window [s, s+ds], duration h.
 
@@ -370,17 +351,14 @@ def exact_step_propagator(
     Wanner, Geometric Numerical Integration, ch. II).  Row k of a Romberg
     table holds the chain at m = 2^k and
     R[k][j] = R[k][j-1] + (R[k][j-1] - R[k-1][j-1]) / (4^j - 1) cancels
-    one even power per column.  The first diagonal entry within ``tol`` of
-    the previous one is returned.  Roundoff grows linearly in m, so the
-    diagonal differences reach a floor and then grow: once they stop
-    shrinking, the previous entry is returned if its difference is below
+    one even power per column.  The first diagonal entry within
+    ``ORACLE_TOL`` of the previous one is returned.  Roundoff grows
+    linearly in m, so the diagonal differences reach a floor and then
+    grow: once they stop shrinking, the previous entry is returned if its
+    difference is below
     ``ORACLE_ROUNDOFF``; above it the table is taken to be pre-asymptotic
-    and doubling goes on.  Doubling past ``max_substeps`` raises.
+    and doubling goes on.  Doubling past ``ORACLE_MAX_SUBSTEPS`` raises.
     """
-    if not 1 <= max_substeps <= ORACLE_MAX_SUBSTEPS:
-        raise ValueError(
-            f"max_substeps must be in [1, {ORACLE_MAX_SUBSTEPS}], got {max_substeps}"
-        )
     ends = _endpoints(H0, H1)
 
     def chain(m: int) -> np.ndarray:
@@ -390,12 +368,12 @@ def exact_step_propagator(
     row = [chain(1)]
     dprev = math.inf
     m = 2
-    while m <= max_substeps:
+    while m <= ORACLE_MAX_SUBSTEPS:
         cur = [chain(m)]
         for j, below in enumerate(row, start=1):
             cur.append(cur[-1] + (cur[-1] - below) / (4.0 ** j - 1.0))
         d = operator_norm(cur[-1] - row[-1])
-        if d < tol:
+        if d < ORACLE_TOL:
             return cur[-1]
         if d >= dprev and dprev <= ORACLE_ROUNDOFF:
             return row[-1]  # the differences reached the roundoff floor
@@ -404,7 +382,7 @@ def exact_step_propagator(
         m *= 2
     raise RuntimeError(
         f"Romberg table over substep doubling reached m = {m // 2} at difference "
-        f"{dprev:.3e} without reaching {tol:.0e}"
+        f"{dprev:.3e} without reaching {ORACLE_TOL:.0e}"
     )
 
 

@@ -1,9 +1,9 @@
 """Eigenpath tracking, angular gaps, and discrete adiabatic error bounds.
 
 A walk family W(j/T_d) has eigenphases theta on the unit circle; this
-module follows a labeled group of eigenpaths across the grid by vector
-overlap, measures angular gaps between the group and its complement
-(both pointwise and over sliding windows of consecutive steps), and
+module follows every eigenpath across the grid by vector overlap,
+measures angular gaps between the ground path and the others (both
+pointwise and over sliding windows of consecutive steps), and
 evaluates the closed-form adiabatic error bound driven by the scaled
 difference norms c_k and the windowed gaps.
 """
@@ -57,21 +57,6 @@ class StepCountWarning(UserWarning):
     """Step count below the regime the error bound is derived for."""
 
 
-def _resolve_p_group(selector, dim: int) -> tuple:
-    if selector == "ground":
-        return (0,)
-    group = tuple(sorted(int(p) for p in selector))
-    if not group:
-        raise ValueError("eigenpath group must be nonempty")
-    if len(set(group)) != len(group):
-        raise ValueError(f"eigenpath group has repeats: {group}")
-    if group[0] < 0 or group[-1] >= dim:
-        raise ValueError(f"eigenpath group {group} out of range for dim {dim}")
-    if len(group) == dim:
-        raise ValueError("eigenpath group must leave a nonempty complement")
-    return group
-
-
 def _match_columns(vprev, tprev, v, t, *, wrap: bool, step: int):
     """Greedy max-overlap assignment of new eigenvectors to previous labels.
 
@@ -120,7 +105,6 @@ class EigenpathTrack:
 
     phases: np.ndarray
     vectors: np.ndarray
-    p_group: tuple
     min_overlap: float
 
     def __post_init__(self):
@@ -128,10 +112,8 @@ class EigenpathTrack:
         vec = np.asarray(self.vectors, dtype=complex)
         if ph.ndim != 2 or vec.shape != (*ph.shape, ph.shape[1]):
             raise ValueError(f"inconsistent track shapes {ph.shape} / {vec.shape}")
-        group = _resolve_p_group(self.p_group, ph.shape[1])
         object.__setattr__(self, "phases", ph)
         object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "p_group", group)
 
     @property
     def steps(self) -> int:
@@ -140,10 +122,6 @@ class EigenpathTrack:
     @property
     def dim(self) -> int:
         return self.phases.shape[1]
-
-    @property
-    def q_group(self) -> tuple:
-        return tuple(q for q in range(self.dim) if q not in self.p_group)
 
 
 def _label_order(family: WalkFamily, j: int, vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -161,7 +139,7 @@ def _label_order(family: WalkFamily, j: int, vecs: np.ndarray, theta: np.ndarray
     return np.argsort(w @ np.abs(u.conj().T @ vecs) ** 2)
 
 
-def track_eigenpaths(family: WalkFamily, p_selector="ground") -> EigenpathTrack:
+def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
     """Follow every eigenpath of the family across j = 0..td.
 
     Step 0 fixes the labels (``_label_order``).  Each block of
@@ -180,7 +158,6 @@ def track_eigenpaths(family: WalkFamily, p_selector="ground") -> EigenpathTrack:
     """
     td = family.td
     dim = family.dim
-    group = _resolve_p_group(p_selector, dim)
     phases = np.empty((td + 1, dim))
     vectors = np.empty((td + 1, dim, dim), dtype=complex)
     worst = 1.0
@@ -233,7 +210,7 @@ def track_eigenpaths(family: WalkFamily, p_selector="ground") -> EigenpathTrack:
         vecs = np.take_along_axis(v, perms[:, None, :], axis=2)
         vectors[j0:j1] = vecs * np.exp(1j * angles)[:, None, :]
         last = (v[-1], theta[-1], perms[-1], phases[j1 - 1], angles[-1])
-    return EigenpathTrack(phases=phases, vectors=vectors, p_group=group, min_overlap=worst)
+    return EigenpathTrack(phases=phases, vectors=vectors, min_overlap=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +227,7 @@ def _wrapped_arc(diff: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GapProfile:
-    """Angular gaps between a path group and its complement.
+    """Angular gaps between the ground path (path 0) and the other paths.
 
     ``fixed[j]`` is the pointwise gap at step j.  ``multistep[k][j]`` is
     the gap between the two phase sets collected over the window
@@ -260,10 +237,6 @@ class GapProfile:
 
     fixed: np.ndarray
     multistep: dict
-    minima: dict
-
-    def fixed_min(self) -> float:
-        return float(self.minima["fixed"])
 
 
 def _zero_floor(gaps: np.ndarray) -> np.ndarray:
@@ -271,26 +244,22 @@ def _zero_floor(gaps: np.ndarray) -> np.ndarray:
 
 
 def walk_gap_profile(track: EigenpathTrack, ks=(0, 1, 2)) -> GapProfile:
-    p = list(track.p_group)
-    q = list(track.q_group)
-    a = track.phases[:, p]  # (n+1, |P|)
-    b = track.phases[:, q]
+    a = track.phases[:, :1]  # (n+1, 1): the ground path
+    b = track.phases[:, 1:]
     fixed = _zero_floor(_wrapped_arc(a[:, :, None] - b[:, None, :]).min(axis=(1, 2)))
     multistep = {}
-    minima = {"fixed": float(fixed.min())}
     for k in sorted(set(int(k) for k in ks)):
         if k < 0 or k > track.steps:
             raise ValueError(f"window size {k} out of range")
         if k == 0:
             gk = fixed.copy()
         else:
-            wa = sliding_window_view(a, k + 1, axis=0)  # (n+1-k, |P|, k+1)
+            wa = sliding_window_view(a, k + 1, axis=0)  # (n+1-k, 1, k+1)
             wb = sliding_window_view(b, k + 1, axis=0)
             diff = wa[:, :, :, None, None] - wb[:, None, None, :, :]
             gk = _zero_floor(_wrapped_arc(diff).min(axis=(1, 2, 3, 4)))
         multistep[k] = gk
-        minima[k] = float(gk.min())
-    return GapProfile(fixed=fixed, multistep=multistep, minima=minima)
+    return GapProfile(fixed=fixed, multistep=multistep)
 
 
 def lowest_phase_gap(walks) -> np.ndarray:
@@ -367,8 +336,8 @@ def _neighbour_reduce(x: np.ndarray, op) -> np.ndarray:
     return op(op(lo, x), hi)
 
 
-def discrete_adiabatic_bound(c1, c2, delta2, td: int, n: int | None = None) -> float:
-    """Closed-form adiabatic error bound after n of td steps.
+def discrete_adiabatic_bound(c1, c2, delta2, td: int) -> float:
+    """Closed-form adiabatic error bound after all td steps.
 
     ``c1`` and ``c2`` are the scaled difference-norm profiles, ``delta2``
     the 2-step windowed gap profile (or a GapProfile holding one).  The
@@ -384,10 +353,6 @@ def discrete_adiabatic_bound(c1, c2, delta2, td: int, n: int | None = None) -> f
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
-    if n is None:
-        n = td
-    if not 1 <= n <= td:
-        raise ValueError(f"step index n = {n} out of range 1..{td}")
     if np.any(delta2 <= 0.0):
         warnings.warn("2-step gap vanishes somewhere; bound is infinite", StepCountWarning)
         return float("inf")
@@ -400,18 +365,18 @@ def discrete_adiabatic_bound(c1, c2, delta2, td: int, n: int | None = None) -> f
             f"step count {td} is below the bound's regime threshold {ratio:.1f}",
             StepCountWarning,
         )
-    j = np.arange(n + 1)
+    j = np.arange(td + 1)
     c1_j = c1h[np.clip(j, 0, len(c1h) - 1)]
     c2_j = c2h[np.clip(j, 0, len(c2h) - 1)]
     d2_j = d2c[np.clip(j, 0, len(d2c) - 1)]
-    boundary = c1_j[0] / d2_j[0] ** 2 + c1_j[n] / d2_j[n] ** 2
-    interior = np.sum(c1_j[:n] ** 2 / (td * d2_j[:n] ** 3) + c2_j[:n] / (td * d2_j[:n] ** 2))
+    boundary = c1_j[0] / d2_j[0] ** 2 + c1_j[td] / d2_j[td] ** 2
+    interior = np.sum(c1_j[:td] ** 2 / (td * d2_j[:td] ** 3) + c2_j[:td] / (td * d2_j[:td] ** 2))
     return float((boundary + interior) / td)
 
 
-def adiabatic_error_bound(family: WalkFamily, *, p_selector="ground", n: int | None = None) -> float:
+def adiabatic_error_bound(family: WalkFamily) -> float:
     """discrete_adiabatic_bound with profiles measured from the family."""
-    track = track_eigenpaths(family, p_selector)
+    track = track_eigenpaths(family)
     gaps = walk_gap_profile(track, ks=(2,))
     cks = ck_profiles(family, ks=(1, 2))
-    return discrete_adiabatic_bound(cks[1], cks[2], gaps, family.td, n=n)
+    return discrete_adiabatic_bound(cks[1], cks[2], gaps, family.td)

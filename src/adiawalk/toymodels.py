@@ -22,13 +22,12 @@ import numpy as np
 from .linalg import HermitianOperator, normal_eig
 from .schedules import Schedule, linear_schedule, schedule_values
 from .integrators import PF1, _endpoints, _walk_stack, build_walk_family, hamiltonian_bands
-from .spectral import lowest_phase_gap
+from .spectral import GAP_ZERO_TOL, lowest_phase_gap
 from .evolution import STATE_NORM_TOL, evolve, ground_state
 
 DEFAULT_EPSILONS = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 0.0)
 EPS_MAX = 0.1
 MISMATCH_EPS = 1e-2  # published reference row that disagrees with remeasurement
-GAP_ZERO_TOL = 1e-14
 MIDPOINT_WALK_TOL = 1e-10
 MIDPOINT_HAM_TOL = 1e-12
 TOY_KINDS = ("toy1", "toy2")
@@ -180,10 +179,7 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
             w = hamiltonian_bands(model.h0, model.h1, fc)
             gap_h = min(gap_h, float(np.min(w[:, 1] - w[:, 0])))
             gap_w = min(gap_w, float(np.min(lowest_phase_gap(_walk_stack(ends, PF1, 1.0, fc)))))
-        if gap_w < GAP_ZERO_TOL:
-            gap_w = 0.0
-        if gap_h < GAP_ZERO_TOL:
-            gap_h = 0.0
+        gap_h, gap_w = (0.0 if g < GAP_ZERO_TOL else g for g in (gap_h, gap_w))
         flag = "reference-mismatch" if abs(float(eps) - MISMATCH_EPS) < 1e-15 else ""
         rows.append(GapTableRow(eps=float(eps), gap_h=gap_h, gap_w=gap_w, flag=flag))
     return rows

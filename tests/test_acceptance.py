@@ -284,7 +284,7 @@ def test_criterion_04_pf1_pf2_share_eigenphases():
         h = rng.uniform(0.1, 1.0) / alpha
         s = rng.uniform(0.0, 1.0)
         p1 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF1, h, s))[0]))
-        p2 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF2, h, s, ds=0.0))[0]))
+        p2 = np.sort(-np.angle(normal_eig(walk_operator(h0, h1, LINEAR, PF2, h, s))[0]))
         worst = max(worst, float(np.max(np.abs(p1 - p2))))
     assert worst <= 1e-11, worst
 
@@ -299,8 +299,8 @@ def test_criterion_05_gap_window_containment():
         h = rng.uniform(0.1, 1.0) / alpha
         s = rng.uniform(0.0, 1.0)
         lo, hi = gap_perturbation_bounds(h0, h1, LINEAR, s, h)
-        for kind, kwargs in ((PF1, {}), (PF2, {"ds": 0.0})):
-            w = walk_operator(h0, h1, LINEAR, kind, h, s, **kwargs)
+        for kind in (PF1, PF2):
+            w = walk_operator(h0, h1, LINEAR, kind, h, s)
             phases = np.sort(-np.angle(normal_eig(w)[0]))
             gap = phases[1] - phases[0]
             assert lo - 1e-12 <= gap <= hi + 1e-12, (

@@ -96,6 +96,25 @@ def test_experiment_mismatch_is_usage_error(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(["qaoa-export", "--seed", "-1", "--out", str(out)]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "c.json", {"experiment": "qaoa-export", "seed": -1})
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_bound_is_the_materialize_limit():
+    # the step-size report's random source at dim 64: 1,024 grid points fill
+    # the 2^22 entries exactly, so the default grid of 1,000 fits
+    cli._check_grid(1000, 64)
+    cli._check_grid(1023, 64)
+    with pytest.raises(cli.ConfigError, match="grid"):
+        cli._check_grid(1024, 64)
+
+
 @pytest.mark.parametrize(
     "experiment, parameters",
     [
@@ -113,6 +132,11 @@ def test_experiment_mismatch_is_usage_error(tmp_path, capsys):
         ("grover-scaling", {"n_list": [10 ** 400]}),
         ("qaoa-export", {"n": 10 ** 400}),
         ("volterra", {"td_list": [100, 10 ** 400]}),
+        # sizes whose arrays could not be allocated
+        ("gap-table", {"grid": 1e300}),
+        ("spectrum-scan", {"grid": 1e300}),
+        ("step-size-report", {"grid": 1e300}),
+        ("qaoa-export", {"t": 1e300}),
     ],
 )
 def test_out_of_range_parameter_is_usage_error(tmp_path, capsys, experiment, parameters):

@@ -171,23 +171,6 @@ def test_ground_labels_hold_once_the_walk_phases_wrap():
     off_ground = np.linalg.norm(res.final_state - g1 * (g1.conj() @ res.final_state))
     assert off_ground == pytest.approx(5.73e-4, rel=1e-2)
     assert res.leakage == pytest.approx(off_ground, rel=1e-6)
-    tracked = evolve(fam, psi0, track_eigenpaths(fam))
-    assert tracked.leakage == pytest.approx(off_ground, rel=1e-6)
-
-
-def test_evolve_with_track_measures_tracked_projector():
-    fam = toy_family(25)
-    track = track_eigenpaths(fam)
-    psi0 = ground_state(fam.h0)
-    res = evolve(fam, psi0, track)
-    vg = track.vectors[fam.td][:, list(track.p_group)]
-    p_end = vg @ vg.conj().T
-    assert res.leakage == pytest.approx(
-        float(np.linalg.norm(res.final_state - p_end @ res.final_state)), abs=1e-12
-    )
-    assert np.allclose(
-        res.fidelities, np.abs(track.vectors[fam.td].conj().T @ res.final_state), atol=1e-12
-    )
 
 
 def test_evolve_input_validation():
@@ -196,9 +179,6 @@ def test_evolve_input_validation():
         evolve(fam, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="normalized"):
         evolve(fam, np.full(4, 0.9))
-    other = toy_family(11)
-    with pytest.raises(ValueError, match="track"):
-        evolve(fam, ground_state(fam.h0), track_eigenpaths(other))
 
 
 def test_non_finite_states_fail_the_norm_checks():
@@ -267,7 +247,6 @@ def test_gap_collapse_on_orthogonal_projector_jump():
         vectors=np.stack(
             [np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)]
         ),
-        p_group="ground",
         min_overlap=1.0,
     )
     with pytest.raises(GapCollapseError, match="step 0"):
@@ -327,15 +306,14 @@ def test_blocked_omega_matches_the_running_sum_recursion(td):
     assert np.max(np.abs(diag.omega - running_sum_omega(ideal, td))) <= 1e-11
 
 
-@pytest.mark.parametrize("group, rank", [("ground", 1), ((0, 1), 2)])
-def test_offdiag_profiles_match_svd(group, rank):
+def test_offdiag_profiles_match_svd():
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, glue_schedule(), EXP_INTEGRATOR, 1.0, 300)
-    ideal = ideal_adiabatic_family(track_eigenpaths(fam, group), fam)
+    ideal = ideal_adiabatic_family(track_eigenpaths(fam), fam)
     diag = volterra_diagnostics(ideal, fam, j_max=2)
     p0 = ideal.projectors[0]
     q0 = np.eye(4) - p0
-    assert round(np.trace(p0).real) == rank
+    assert round(np.trace(p0).real) == 1
 
     def svd_profile(x):
         return np.linalg.svd(q0 @ x @ p0, compute_uv=False)[:, 0]
@@ -351,11 +329,6 @@ def test_nan_fails_the_projector_intertwining_and_series_checks(monkeypatch):
     # nan > tol is False, so each check must read "not <= tol"
     fam = toy_family(12)
     track = track_eigenpaths(fam)
-    vectors = track.vectors.copy()
-    vectors[12, 0, 0] = np.nan
-    bad = EigenpathTrack(track.phases, vectors, track.p_group, track.min_overlap)
-    with pytest.raises(RuntimeError, match="tracked basis at step 12 not orthonormal"):
-        evolve(fam, ground_state(fam.h0), bad)
     ideal = ideal_adiabatic_family(track, fam)
     product = evolution._running_product
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from adiawalk import grover
 from adiawalk.grover import (
     GroverInstance,
     QaoaAngleSet,
@@ -233,8 +234,9 @@ def test_scaling_finds_exact_minimal_step_count():
         assert run_search(inst, sched, 289).error > 0.1
 
 
-def test_scaling_unreached_flag():
-    cell = scaling_experiment([4096], [1], "power", 0.01, cap=8)[0]
+def test_scaling_unreached_flag(monkeypatch):
+    monkeypatch.setattr(grover, "SCALING_CAP", 8)
+    cell = scaling_experiment([4096], [1], "power", 0.01)[0]
     assert cell.unreached
     assert cell.t_required is None
     assert math.isnan(cell.normalized_ratio)

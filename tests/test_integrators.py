@@ -12,9 +12,10 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from adiawalk import integrators
 from adiawalk.integrators import (
     EXP_INTEGRATOR,
-    ORACLE_MAX_SUBSTEPS,
+    INTEGRATORS,
     PF1,
     PF2,
     PF2_SIMPLIFIED,
@@ -31,7 +32,6 @@ from adiawalk.integrators import (
     parse_integrator_tag,
     problem_constants,
     recommended_step_size,
-    spf,
     suzuki_coefficients,
     walk_family_from_operators,
     walk_operator,
@@ -121,7 +121,8 @@ def loglog_slope(hs, errs) -> float:
 # integrator tags
 
 def test_integrator_tags_round_trip():
-    for kind in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED, spf(2), spf(4), spf(8)):
+    spfs = (INTEGRATORS["spf2"], INTEGRATORS["spf4"], INTEGRATORS["spf8"])
+    for kind in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED, *spfs):
         assert parse_integrator_tag(kind.tag) == kind
 
 
@@ -131,7 +132,7 @@ def test_integrator_tag_errors():
             parse_integrator_tag(tag)
     for order in (3, 5, 10):
         with pytest.raises(ValueError, match="bad integrator tag"):
-            spf(order)
+            parse_integrator_tag(f"spf{order}")
 
 
 def test_effective_orders():
@@ -139,7 +140,7 @@ def test_effective_orders():
     assert PF1.effective_order == 1
     assert PF2.effective_order == 2
     assert PF2_SIMPLIFIED.effective_order == 2
-    assert spf(6).effective_order == 6
+    assert INTEGRATORS["spf6"].effective_order == 6
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,11 @@ def test_suzuki_rejects_odd_orders():
 
 
 def test_aliases_share_one_factor_list():
-    assert spf(1).factors == PF1.factors == ((1, 1.0), (0, 1.0))
-    assert spf(2).factors == PF2_SIMPLIFIED.factors == PF2.factors == suzuki_coefficients(2)
+    assert INTEGRATORS["spf1"].factors == PF1.factors == ((1, 1.0), (0, 1.0))
+    assert (
+        INTEGRATORS["spf2"].factors == PF2_SIMPLIFIED.factors == PF2.factors
+        == suzuki_coefficients(2)
+    )
     assert EXP_INTEGRATOR.factors == ()
     assert PF2.offset == 0.5
     assert all(parse_integrator_tag(t).offset == 0.0 for t in ALL_TAGS if t != "pf2")
@@ -189,7 +193,7 @@ def test_aliases_share_one_factor_list():
 def test_alias_families_are_bitwise_equal():
     h0, h1 = four_level_pair()
     for sched in (LINEAR, glue_schedule(), bc_composite_schedule()):
-        for a, b in ((PF1, spf(1)), (PF2_SIMPLIFIED, spf(2))):
+        for a, b in ((PF1, INTEGRATORS["spf1"]), (PF2_SIMPLIFIED, INTEGRATORS["spf2"])):
             fa = build_walk_family(h0, h1, sched, a, 0.7, 23)
             fb = build_walk_family(h0, h1, sched, b, 0.7, 23)
             assert np.array_equal(fa.walks, fb.walks)
@@ -203,7 +207,8 @@ def test_walk_operator_is_the_family_kernel_at_one_point():
             kind = parse_integrator_tag(tag)
             fam = build_walk_family(h0, h1, sched, kind, 0.7, td)
             for j in range(td + 1):
-                w = walk_operator(h0, h1, sched, kind, 0.7, j / td, ds=1.0 / td)
+                s = min(j / td + kind.offset / td, 1.0)  # the family's read point
+                w = walk_operator(h0, h1, sched, kind, 0.7, s)
                 assert np.array_equal(w, fam.walk(j)), (tag, sched.kind, j)
 
 
@@ -247,17 +252,20 @@ def test_pf2_simplified_matches_expm_product():
 
 def test_pf2_midpoint_reads_shifted_schedule():
     h0, h1 = random_pair(24)
-    w = walk_operator(h0, h1, LINEAR, PF2, 0.9, 0.4, ds=0.1)
-    assert np.max(np.abs(w - expm_pf2(h0, h1, 0.45, 0.9))) < 1e-12
+    fam = build_walk_family(h0, h1, LINEAR, PF2, 0.9, 10)
+    assert np.max(np.abs(fam.walk(4) - expm_pf2(h0, h1, 0.45, 0.9))) < 1e-12
     # the midpoint never reads beyond the end of the schedule
-    w_end = walk_operator(h0, h1, LINEAR, PF2, 0.9, 1.0, ds=0.1)
-    assert np.max(np.abs(w_end - expm_pf2(h0, h1, 1.0, 0.9))) < 1e-12
+    assert np.max(np.abs(fam.walk(10) - expm_pf2(h0, h1, 1.0, 0.9))) < 1e-12
 
 
-def test_pf2_midpoint_requires_ds():
+def test_one_point_pf2_walk_is_pf2_simplified():
+    # walk_operator reads the schedule at s for every kind, and the two
+    # kinds share one factor list; the step-size report relies on this
     h0, h1 = random_pair(25)
-    with pytest.raises(ValueError, match="ds"):
-        walk_operator(h0, h1, LINEAR, PF2, 0.9, 0.4)
+    for s in (0.0, 0.4, 1.0):
+        a = walk_operator(h0, h1, LINEAR, PF2, 0.9, s)
+        b = walk_operator(h0, h1, LINEAR, PF2_SIMPLIFIED, 0.9, s)
+        assert np.array_equal(a, b)
 
 
 def test_walk_operator_rejects_bad_step():
@@ -276,7 +284,7 @@ def test_walk_operator_rejects_a_non_unitary_walk():
 
 def test_endpoint_walks_collapse_to_single_exponentials():
     h0, h1 = random_pair(27)
-    for kind in (EXP_INTEGRATOR, PF1, PF2_SIMPLIFIED, spf(4)):
+    for kind in (EXP_INTEGRATOR, PF1, PF2_SIMPLIFIED, INTEGRATORS["spf4"]):
         w0 = walk_operator(h0, h1, LINEAR, kind, 0.6, 0.0)
         w1 = walk_operator(h0, h1, LINEAR, kind, 0.6, 1.0)
         assert np.max(np.abs(w0 - scipy.linalg.expm(-1j * 0.6 * h0))) < 1e-12
@@ -287,14 +295,15 @@ def test_commuting_pair_makes_all_formulas_exact():
     h0 = np.diag([0.3, -0.7, 1.1, 0.2])
     h1 = np.diag([-0.5, 0.4, 0.9, -1.3])
     ref = expm_mix(h0, h1, 0.6, 1.3)
-    for kind in (PF1, PF2_SIMPLIFIED, spf(2), spf(4), spf(6)):
+    spfs = (INTEGRATORS["spf2"], INTEGRATORS["spf4"], INTEGRATORS["spf6"])
+    for kind in (PF1, PF2_SIMPLIFIED, *spfs):
         w = walk_operator(h0, h1, LINEAR, kind, 1.3, 0.6)
         assert np.max(np.abs(w - ref)) < 1e-12
 
 
 def test_spf_order_one_is_pf1():
     h0, h1 = random_pair(28)
-    a = walk_operator(h0, h1, LINEAR, spf(1), 0.8, 0.35)
+    a = walk_operator(h0, h1, LINEAR, INTEGRATORS["spf1"], 0.8, 0.35)
     b = walk_operator(h0, h1, LINEAR, PF1, 0.8, 0.35)
     assert np.array_equal(a, b)
 
@@ -368,18 +377,21 @@ def test_oracle_matches_ode_solver():
     assert operator_norm(u - ref) < 1e-8
 
 
-def test_oracle_is_unitary_and_accepts_roundoff_plateau():
+def test_oracle_is_unitary_and_accepts_roundoff_plateau(monkeypatch):
     h0, h1 = random_pair(33)
     # tolerance below the roundoff floor forces the plateau acceptance path
-    u = exact_step_propagator(h0, h1, LINEAR, 0.5, 0.1, 0.05, tol=1e-16)
+    monkeypatch.setattr(integrators, "ORACLE_TOL", 1e-16)
+    u = exact_step_propagator(h0, h1, LINEAR, 0.5, 0.1, 0.05)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
     assert operator_norm(u - ode_propagator(h0, h1, LINEAR, 0.5, 0.1, 0.05)) < 1e-8
 
 
-def test_oracle_raises_when_capped_early():
+def test_oracle_raises_when_capped_early(monkeypatch):
     h0, h1 = random_pair(34)
+    monkeypatch.setattr(integrators, "ORACLE_TOL", 1e-14)
+    monkeypatch.setattr(integrators, "ORACLE_MAX_SUBSTEPS", 4)
     with pytest.raises(RuntimeError, match="doubling"):
-        exact_step_propagator(h0, h1, LINEAR, 3.0, 0.0, 0.5, tol=1e-14, max_substeps=4)
+        exact_step_propagator(h0, h1, LINEAR, 3.0, 0.0, 0.5)
 
 
 def test_oracle_matches_tight_ode_solver():
@@ -403,8 +415,9 @@ def test_oracle_matches_tight_ode_solver():
     assert worst < 1e-11, worst
 
 
-def test_oracle_work_is_bounded():
+def test_oracle_work_is_bounded(monkeypatch):
     # the first 25 problems of the exponential step-error baseline
+    monkeypatch.setattr(integrators, "ORACLE_MAX_SUBSTEPS", 64)
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 7))
@@ -413,15 +426,7 @@ def test_oracle_work_is_bounded():
         t_total = rng.uniform(10.0, 1000.0)
         h = rng.uniform(0.1, 1.0) / alpha
         s = rng.uniform(0.0, t_total - h) / t_total
-        exact_step_propagator(h0, h1, LINEAR, h, s, h / t_total, max_substeps=64)
-
-
-def test_oracle_rejects_substep_cap_above_limit():
-    h0, h1 = random_pair(35)
-    with pytest.raises(ValueError, match="max_substeps"):
-        exact_step_propagator(
-            h0, h1, LINEAR, 0.5, 0.1, 0.05, max_substeps=2 * ORACLE_MAX_SUBSTEPS
-        )
+        exact_step_propagator(h0, h1, LINEAR, h, s, h / t_total)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +437,7 @@ def test_spf_convergence_small_steps(order, expected):
     h0, h1 = random_pair(41)
     s = 0.3
     hs = np.array([0.2, 0.1, 0.05, 0.025])
-    kind = PF1 if order == 1 else spf(order)
+    kind = PF1 if order == 1 else INTEGRATORS[f"spf{order}"]
     errs = []
     for h in hs:
         w = walk_operator(h0, h1, LINEAR, kind, float(h), s)
@@ -454,7 +459,7 @@ def test_spf_convergence_high_orders(order, scale):
     hs = np.array(scale) / alpha
     errs = []
     for h in hs:
-        w = walk_operator(h0, h1, LINEAR, spf(order), float(h), s)
+        w = walk_operator(h0, h1, LINEAR, INTEGRATORS[f"spf{order}"], float(h), s)
         errs.append(operator_norm(w - expm_mix(h0, h1, f, float(h))))
     assert loglog_slope(hs, errs) >= order + 0.8
 
@@ -513,7 +518,7 @@ def test_recommended_step_sizes():
     assert recommended_step_size(consts, PF1) == pytest.approx(expected_pf)
     assert recommended_step_size(consts, PF2) == pytest.approx(expected_pf)
     expected_spf = min(0.5, (0.5 / 2.0) ** 0.25)
-    assert recommended_step_size(consts, spf(4)) == pytest.approx(expected_spf)
+    assert recommended_step_size(consts, INTEGRATORS["spf4"]) == pytest.approx(expected_spf)
 
 
 def test_recommended_step_size_gapless():
@@ -525,7 +530,7 @@ def test_recommended_step_size_gapless():
 def test_recommended_step_size_needs_tabulated_order():
     consts = ProblemConstants(alpha=2.0, delta_star=0.5, comm_combo=3.0, alpha_tilde={})
     with pytest.raises(ValueError, match="order-6"):
-        recommended_step_size(consts, spf(6))
+        recommended_step_size(consts, INTEGRATORS["spf6"])
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +539,11 @@ def test_recommended_step_size_needs_tabulated_order():
 def test_family_matches_single_operators():
     h0, h1 = random_pair(61)
     td = 12
-    for kind in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED, spf(4)):
+    for kind in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED, INTEGRATORS["spf4"]):
         fam = build_walk_family(h0, h1, LINEAR, kind, 0.5, td)
-        ds = 1.0 / td
         for j in (0, 5, td):
-            single = walk_operator(h0, h1, LINEAR, kind, 0.5, j / td, ds=ds)
+            s = min(j / td + kind.offset / td, 1.0)  # the family's read point
+            single = walk_operator(h0, h1, LINEAR, kind, 0.5, s)
             assert np.max(np.abs(fam.walk(j) - single)) < 1e-12
 
 
@@ -555,7 +560,6 @@ def test_family_lazy_equals_materialized():
 def test_family_grid_and_block_bounds():
     h0, h1 = random_pair(63)
     fam = build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, 1.0, 4)
-    assert np.array_equal(fam.s_grid, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
     assert fam.walks.shape == (5, 4, 4)
     with pytest.raises(ValueError, match="block range"):
         fam.block(3, 3)

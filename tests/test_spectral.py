@@ -81,14 +81,12 @@ def brute_difference_norm(family, k: int, j: int) -> float:
 
 
 def brute_windowed_gap(track: EigenpathTrack, k: int, j: int) -> float:
-    """Min arc between group and complement phases over steps j..j+k."""
-    q = [i for i in range(track.dim) if i not in track.p_group]
+    """Min arc between the ground phase and the other phases over steps j..j+k."""
     best = math.inf
     for ja in range(j, j + k + 1):
         for jb in range(j, j + k + 1):
-            for ip in track.p_group:
-                for iq in q:
-                    best = min(best, wrapped_arc(track.phases[ja, ip] - track.phases[jb, iq]))
+            for iq in range(1, track.dim):
+                best = min(best, wrapped_arc(track.phases[ja, 0] - track.phases[jb, iq]))
     return best
 
 
@@ -129,8 +127,6 @@ def test_two_level_symmetric_phases():
     # phases are -angle(eigenvalue); ascending order at step 0 puts -a first
     assert np.allclose(track.phases[:, 0], -a, atol=1e-14)
     assert np.allclose(track.phases[:, 1], a, atol=1e-14)
-    assert track.p_group == (0,)
-    assert track.q_group == (1,)
     assert track.min_overlap == pytest.approx(1.0, abs=1e-12)
     prof = walk_gap_profile(track, ks=(0, 1))
     assert np.allclose(prof.fixed, 2.0 * a, atol=1e-14)
@@ -291,27 +287,11 @@ def test_tracks_do_not_depend_on_the_block_length(monkeypatch):
     assert split.min_overlap == whole.min_overlap
 
 
-@pytest.mark.parametrize(
-    "selector,msg",
-    [
-        ((0, 0), "repeats"),
-        ((0, 1), "complement"),
-        ((), "nonempty"),
-        ((5,), "out of range"),
-    ],
-)
-def test_path_group_validation(selector, msg):
-    fam = symmetric_phase_family(np.linspace(0.3, 0.5, 3))
-    with pytest.raises(ValueError, match=msg):
-        track_eigenpaths(fam, p_selector=selector)
-
-
 def test_track_shape_validation():
     with pytest.raises(ValueError, match="shapes"):
         EigenpathTrack(
             phases=np.zeros((3, 2)),
             vectors=np.zeros((3, 2, 3), dtype=complex),
-            p_group="ground",
             min_overlap=1.0,
         )
 
@@ -340,15 +320,6 @@ def test_window_size_validation():
         walk_gap_profile(track, ks=(-1,))
     with pytest.raises(ValueError, match="window"):
         walk_gap_profile(track, ks=(fam.td + 1,))
-
-
-def test_gap_profile_minima_are_consistent():
-    model = build_toy("toy2", 0.05)
-    fam = build_walk_family(model.h0, model.h1, LINEAR, PF2, 1.0, 30)
-    prof = walk_gap_profile(track_eigenpaths(fam), ks=(0, 2))
-    assert prof.fixed_min() == float(prof.fixed.min())
-    assert prof.minima[2] == float(prof.multistep[2].min())
-    assert prof.minima[0] == prof.fixed_min()
 
 
 def test_exp_walk_gap_is_scaled_hamiltonian_gap():
@@ -404,8 +375,8 @@ def test_gap_window_containment_random_instances():
         alpha = operator_norm(h0) + operator_norm(h1)
         h = 0.9 / alpha
         lo, hi = gap_perturbation_bounds(h0, h1, LINEAR, 0.37, h)
-        for kind, kwargs in ((PF1, {}), (PF2, {"ds": 0.0})):
-            w = walk_operator(h0, h1, LINEAR, kind, h, 0.37, **kwargs)
+        for kind in (PF1, PF2):
+            w = walk_operator(h0, h1, LINEAR, kind, h, 0.37)
             phases = np.sort(-np.angle(normal_eig(w)[0]))
             gap = phases[1] - phases[0]
             assert lo - 1e-12 <= gap <= hi + 1e-12
@@ -456,13 +427,6 @@ def test_bound_infinite_on_vanishing_gap():
     with pytest.warns(StepCountWarning, match="vanishes"):
         value = discrete_adiabatic_bound(np.ones(4), np.ones(3), np.array([0.1, 0.0]), td=100)
     assert value == math.inf
-
-
-def test_bound_step_index_validation():
-    with pytest.raises(ValueError, match="out of range"):
-        discrete_adiabatic_bound(np.ones(4), np.ones(3), np.full(2, 0.5), td=100, n=0)
-    with pytest.raises(ValueError, match="out of range"):
-        discrete_adiabatic_bound(np.ones(4), np.ones(3), np.full(2, 0.5), td=100, n=101)
 
 
 def test_bound_requires_two_step_window():
