@@ -59,7 +59,6 @@ from .toymodels import (
 )
 
 GAPLESS_TOL = 1e-12
-TOY_DIM = 4
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -129,7 +128,7 @@ def _check_search_size(n, m):
 
 
 def _check_grid(grid, dim):
-    """Reject a grid whose grid + 1 walks of dimension dim pass MATERIALIZE_LIMIT entries."""
+    """Reject a grid whose grid + 1 points of dim x dim entries pass MATERIALIZE_LIMIT."""
     if (grid + 1) * dim * dim > MATERIALIZE_LIMIT:
         raise ConfigError(
             f"parameter 'grid' = {grid} needs (grid + 1) * {dim}^2 entries, "
@@ -154,7 +153,7 @@ def _run_gap_table(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps_list = _as_number_list(params, "eps_list", lo=0.0, hi=0.1)
     grid = _as_int(params, "grid", lo=10)
-    _check_grid(grid, TOY_DIM)
+    _check_grid(grid, 1)  # gap_table holds grid + 1 schedule values; it chunks the rest
 
     def one(eps):
         row = gap_table(kind, [eps], grid=grid)[0]
@@ -171,10 +170,10 @@ def _run_spectrum_scan(params, rng):
     kind = _as_choice(params, "model", TOY_KINDS)
     eps = _as_float(params, "eps", lo=0.0, hi=0.1)
     grid = _as_int(params, "grid", lo=10)
-    _check_grid(grid, TOY_DIM)
     tag = _as_choice(params, "integrator", ("exp", "pf1", "pf2", "pf2-simplified"))
     h = _as_float(params, "h", lo=1e-6)
     model = build_toy(kind, eps)
+    _check_grid(grid, model.h0.dim)
     s = np.linspace(0.0, 1.0, grid + 1)
     bands = hamiltonian_bands(model.h0, model.h1, schedule_values(model.schedule, s))
     fam = build_walk_family(model.h0, model.h1, model.schedule, parse_integrator_tag(tag), h, grid)
@@ -267,7 +266,7 @@ def _run_qaoa_export(params, rng):
     p = _as_float(params, "p", lo=1.0)
     if p >= 2.0:
         raise ConfigError(f"parameter 'p' must be below 2, got {p}")
-    t = _as_int(params, "t", lo=1, hi=2 ** 22)
+    t = _as_int(params, "t", lo=1, hi=MATERIALIZE_LIMIT)
     _check_search_size(n, m)
     n_eff = max(2, round(n / m))
     angles = qaoa_angles(build_grover_schedule(n_eff, p), t)

@@ -179,7 +179,10 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
             w = hamiltonian_bands(model.h0, model.h1, fc)
             gap_h = min(gap_h, float(np.min(w[:, 1] - w[:, 0])))
             gap_w = min(gap_w, float(np.min(lowest_phase_gap(_walk_stack(ends, PF1, 1.0, fc)))))
-        gap_h, gap_w = (0.0 if g < GAP_ZERO_TOL else g for g in (gap_h, gap_w))
+        if gap_w < GAP_ZERO_TOL:
+            gap_w = 0.0
+        if gap_h < GAP_ZERO_TOL:
+            gap_h = 0.0
         flag = "reference-mismatch" if abs(float(eps) - MISMATCH_EPS) < 1e-15 else ""
         rows.append(GapTableRow(eps=float(eps), gap_h=gap_h, gap_w=gap_w, flag=flag))
     return rows

@@ -115,6 +115,24 @@ def test_grid_bound_is_the_materialize_limit():
         cli._check_grid(1024, 64)
 
 
+def test_gap_table_grid_bounds_only_its_schedule_values(tmp_path, monkeypatch, capsys):
+    # gap_table walks its grid in chunks, so only the grid + 1 schedule
+    # values count against the limit; spectrum-scan holds (grid + 1) 4 x 4 walks
+    monkeypatch.setattr(cli, "MATERIALIZE_LIMIT", 200)
+
+    def config(name, experiment, parameters):
+        return write_config(tmp_path / name, {"experiment": experiment, "parameters": parameters})
+
+    gap = config("g.json", "gap-table", {"eps_list": [0.05], "grid": 100})
+    assert run_cli(["--config", gap, "--out", str(tmp_path / "table.csv")]) == 0
+    scan = config("s.json", "spectrum-scan", {"grid": 100})
+    assert run_cli(["--config", scan, "--out", str(tmp_path / "scan.csv")]) == 2
+    assert "'grid' = 100" in capsys.readouterr().err
+    big = config("b.json", "gap-table", {"grid": 200})
+    assert run_cli(["--config", big, "--out", str(tmp_path / "big.csv")]) == 2
+    assert "'grid' = 200" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "experiment, parameters",
     [

@@ -171,6 +171,10 @@ def test_ground_labels_hold_once_the_walk_phases_wrap():
     off_ground = np.linalg.norm(res.final_state - g1 * (g1.conj() @ res.final_state))
     assert off_ground == pytest.approx(5.73e-4, rel=1e-2)
     assert res.leakage == pytest.approx(off_ground, rel=1e-6)
+    # path 0 of the track must still be H1's ground state after the wraps
+    v = track_eigenpaths(fam).vectors[fam.td][:, 0]
+    tracked = np.linalg.norm(res.final_state - v * (v.conj() @ res.final_state))
+    assert tracked == pytest.approx(off_ground, rel=1e-6)
 
 
 def test_evolve_input_validation():
