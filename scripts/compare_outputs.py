@@ -10,10 +10,16 @@ and BLAS pinned to one thread.  The two checkouts run side by side.
 CSV files are compared without their ``# timestamp:`` line, and every
 other file (sidecars, configs) byte for byte.  Each file that differs or
 exists on one side only is printed, and the exit status is 1 if there is
-any such file, 0 otherwise.  The line count of each checkout's ``src/``
-Python files (as ``wc -l`` counts them) is printed last.
+any such file, 0 otherwise.  A differing file is marked ``(metadata
+only)`` when it matches without its metadata: a CSV without its ``#``
+lines, a JSON file without its ``config`` and ``config_sha256`` keys
+(the sidecars'), so a change of config alone, such as a removed
+parameter, is told apart from a change of results.  The line count of
+each checkout's ``src/`` Python files (as ``wc -l`` counts them) is
+printed last.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -48,6 +54,20 @@ def comparable(path: pathlib.Path) -> bytes:
     return b"".join(ln for ln in lines if not ln.startswith(b"# timestamp:"))
 
 
+def without_metadata(path: pathlib.Path):
+    """The file's data with its config metadata removed; see the module docstring."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        return b"".join(ln for ln in data.splitlines(keepends=True) if not ln.startswith(b"#"))
+    if path.suffix == ".json":
+        payload = json.loads(data)
+        if isinstance(payload, dict):
+            payload.pop("config", None)
+            payload.pop("config_sha256", None)
+        return payload
+    return data
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -64,7 +84,8 @@ def main(argv=None) -> int:
             if name not in names[0] or name not in names[1]:
                 print(f"only in one checkout: {name}")
             elif comparable(works[0] / name) != comparable(works[1] / name):
-                print(f"differs: {name}")
+                same = without_metadata(works[0] / name) == without_metadata(works[1] / name)
+                print(f"differs{' (metadata only)' if same else ''}: {name}")
             else:
                 continue
             differing += 1

@@ -48,7 +48,8 @@ from .spectral import (
     track_eigenpaths,
 )
 from .evolution import GapCollapseError, boundary_vs_interior_scaling
-from .grover import GroverInstance, effective_hamiltonians, qaoa_angles, scaling_experiment
+from .grover import SCALING_CAP, GroverInstance, effective_hamiltonians, qaoa_angles
+from .grover import scaling_experiment
 from .toymodels import (
     DEFAULT_EPSILONS,
     TOY_KINDS,
@@ -127,11 +128,11 @@ def _check_search_size(n, m):
         raise ConfigError(f"search needs n >= 2m, got n = {n}, m = {m}")
 
 
-def _check_grid(grid, dim):
-    """Reject a grid whose grid + 1 points of dim x dim entries pass MATERIALIZE_LIMIT."""
+def _check_grid(grid, dim, key="grid"):
+    """Reject a ``key`` whose grid + 1 points of dim x dim entries pass MATERIALIZE_LIMIT."""
     if (grid + 1) * dim * dim > MATERIALIZE_LIMIT:
         raise ConfigError(
-            f"parameter 'grid' = {grid} needs (grid + 1) * {dim}^2 entries, "
+            f"parameter {key!r} = {grid} needs ({key} + 1) * {dim}^2 entries, "
             f"above {MATERIALIZE_LIMIT}"
         )
 
@@ -194,6 +195,10 @@ def _run_fidelity_sweep(params, rng):
     eps = _as_float(params, "eps", lo=0.0, hi=0.1)
     t_list = _as_number_list(params, "t_list", lo=1.0)
     h_list = _as_number_list(params, "h_list", lo=1e-6)
+    for t in t_list:
+        for h in h_list:  # T/h may overflow; the clamp keeps round() finite
+            if not 1 <= round(min(t / h, 2.0 * SCALING_CAP)) <= SCALING_CAP:
+                raise ConfigError(f"T = {t}, h = {h} gives round(T/h) outside [1, {SCALING_CAP}]")
     rows = [
         (r.h, r.t, r.td, r.fidelity_ground, r.fidelity_excited)
         for r in fidelity_sweep(t_list, h_list, eps=eps, kind=kind)
@@ -205,10 +210,10 @@ def _run_fidelity_sweep(params, rng):
 def _run_volterra(params, rng):
     sched_kind = _as_choice(params, "schedule", ("glue", "linear"))
     td_list = _as_number_list(params, "td_list", integral=True, lo=2)
-    j_max = _as_int(params, "j_max", lo=1, hi=6)
     sched = glue_schedule() if sched_kind == "glue" else linear_schedule()
     h0, h1 = four_level_pair()
-    report = boundary_vs_interior_scaling(h0, h1, sorted(td_list), sched, j_max=j_max)
+    _check_grid(max(td_list), h0.dim, "td_list")  # each td holds (td + 1, d, d) stacks
+    report = boundary_vs_interior_scaling(h0, h1, sorted(td_list), sched)
     rows = [
         (td, float(report.interior[i]), float(report.boundary_term1[i]), float(report.boundary_full[i]))
         for i, td in enumerate(report.td_list)
@@ -297,8 +302,8 @@ def _run_step_size_report(params, rng):
     grid = _as_int(params, "grid", lo=10)
     h0, h1, sched = _step_size_source(params, rng)
     _check_grid(grid, h0.dim)
-    orders = sorted({INTEGRATORS[k].effective_order for k in kinds} | {1, 2})
-    consts = problem_constants(h0, h1, sched, grid=grid, orders=tuple(orders))
+    orders = tuple(sorted({INTEGRATORS[k].effective_order for k in kinds}))
+    consts = problem_constants(h0, h1, sched, grid=grid, orders=orders)
     s_star, gapless = consts.s_star, consts.delta_star <= GAPLESS_TOL
 
     rows = []
@@ -312,7 +317,7 @@ def _run_step_size_report(params, rng):
             if not kind.factors:
                 lo = hi = h_rec * consts.delta_star
             else:
-                order = 2 if kind.effective_order <= 2 else kind.effective_order
+                order = kind.effective_order  # gap_perturbation_bounds folds 1 into 2
                 lo, hi = gap_perturbation_bounds(h0, h1, sched, s_star, h_rec, order=order)
         wmat = walk_operator(h0, h1, sched, kind, h_rec, s_star)
         measured = float(lowest_phase_gap(wmat))
@@ -340,7 +345,7 @@ EXPERIMENTS = {
     ),
     "volterra": (
         _run_volterra,
-        {"schedule": "glue", "td_list": [100, 200, 400, 800, 1600], "j_max": 2},
+        {"schedule": "glue", "td_list": [100, 200, 400, 800, 1600]},
         "interior versus boundary error generation as the step count grows",
     ),
     "grover-scaling": (

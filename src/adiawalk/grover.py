@@ -23,6 +23,7 @@ from .schedules import (
     bc_composite_schedule,
     build_grover_schedule,
     grover_d_constant,
+    grover_gap_of_f,
     linear_schedule,
     schedule_values,
 )
@@ -91,7 +92,7 @@ def gap_closed_forms(inst: GroverInstance, f, h: float = 1.0):
     """
     f = np.asarray(f, dtype=float)
     mu = inst.mu
-    gap_h = np.sqrt((1.0 - 2.0 * f) ** 2 * (1.0 - mu) + mu)
+    gap_h = grover_gap_of_f(f, mu)
     xi = mu * np.cos(h / 2.0) + (1.0 - mu) * np.cos(h * (0.5 - f))
     arc = 2.0 * np.arccos(np.clip(xi, -1.0, 1.0))
     gap_w = np.minimum(arc, 2.0 * np.pi - arc)
@@ -199,9 +200,6 @@ class QaoaAngleSet:
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "betas", b)
 
-    def __len__(self) -> int:
-        return self.gammas.size
-
 
 def qaoa_angles(sched: Schedule, t: int) -> QaoaAngleSet:
     """Angles gamma_j = f(j/t), beta_j = 1 - gamma_j for j = 0..t-1."""
@@ -247,7 +245,9 @@ def _cell_schedule(kind: str, n: int, m: int, p: float) -> Schedule:
     raise ValueError(f"unknown scaling schedule kind {kind!r}")
 
 
-def _normalized_ratio(kind: str, n: int, m: int, t: float) -> float:
+def _normalized_ratio(kind: str, n: int, m: int, t: float | None) -> float:
+    if t is None:  # unreached
+        return float("nan")
     ratio_base = math.sqrt(n / m)
     if kind == "power":
         return t / (ratio_base * math.log(n))
@@ -286,22 +286,9 @@ def scaling_experiment(
             t = 4
             while t <= SCALING_CAP and err(t) > target_error:
                 t *= 2
-            if t > SCALING_CAP:
-                cells.append(
-                    ScalingCell(
-                        n=inst.n,
-                        m=inst.m,
-                        schedule=schedule_kind,
-                        target_error=target_error,
-                        t_required=None,
-                        normalized_ratio=float("nan"),
-                        unreached=True,
-                    )
-                )
-                continue
+            hi = None if t > SCALING_CAP else t  # None: unreached
             lo = t // 2 if t > 4 else 0  # largest step count known to fail (0: untested)
-            hi = t
-            while hi - lo > 1:
+            while hi is not None and hi - lo > 1:
                 mid = (lo + hi) // 2
                 if err(mid) <= target_error:
                     hi = mid
@@ -315,6 +302,7 @@ def scaling_experiment(
                     target_error=target_error,
                     t_required=hi,
                     normalized_ratio=_normalized_ratio(schedule_kind, inst.n, inst.m, hi),
+                    unreached=hi is None,
                 )
             )
     return cells

@@ -16,20 +16,22 @@ schedule, and the splitting order that the step-size rules use:
 * ``spf4``, ``spf6``, ``spf8``: the Trotter-Suzuki fractal recursion on
   the Strang list with adjacent factors of one operator merged, offset 0.
 
-One private kernel, ``_walk_stack``, turns a factor list and a vector of
-schedule values into a stack of walks; ``walk_operator``, ``WalkFamily``,
-the reference propagator and the toy-model gap table all call it.  Only
-a family applies the offset: ``walk_operator`` reads the schedule at its
-s for every kind, so its pf2 walk equals its pf2-simplified walk.  Each
-factor is a phase vector D_i in its operator's eigenbasis, so a walk is
-V_a D_1 X D_2 X' ... D_k V_b^dag, built from the right, with X, X'
-alternating between the fixed links C = V1^dag V0 and C^dag: phase
-scalings and left multiplications by constant matrices only.  Its stacks
-are steps-last (see ``linalg``): each left multiplication is one GEMM
-whose output columns run over the steps, so the unitarity check of a
-lazily built block and its chain product run along the step axis.  A
-single walk is a GEMM of the same shape over one step, and comes out
-bitwise equal to the same step inside a family block.
+One private kernel, ``_walk_stack``, builds every walk from the two
+endpoint operators, a factor list and a vector of schedule values;
+``walk_operator``, ``WalkFamily``, the reference propagator and the
+toy-model gap table all call it.  Only a family applies the offset:
+``walk_operator`` reads the schedule at its s for every kind, so its pf2
+walk equals its pf2-simplified walk.  Each factor is a phase vector D_i
+in its operator's eigenbasis, so a walk is V_a D_1 X D_2 X' ... D_k
+V_b^dag, built from the right, with X, X' alternating between the fixed
+links C = V1^dag V0 and C^dag: phase scalings and left multiplications
+by constant matrices only.  The eigenbases are each
+``HermitianOperator``'s own ``eigh``, computed once on first use; ``exp``
+walks never read them.  Its stacks are steps-last (see ``linalg``): each
+left multiplication is one GEMM whose output columns run over the steps,
+so the unitarity check of a lazily built block and its chain product run
+along the step axis.  A single walk is a GEMM of the same shape over one
+step, and comes out bitwise equal to the same step inside a family block.
 ``hamiltonian_bands`` is the only code that assembles and diagonalizes
 H(s).
 
@@ -165,19 +167,17 @@ def parse_integrator_tag(tag: str) -> IntegratorKind:
 # ---------------------------------------------------------------------------
 # the walk kernel
 
-def _hermitian(H) -> np.ndarray:
-    """Matrix of H, validated unless H is a HermitianOperator already."""
-    if isinstance(H, HermitianOperator):
-        return H.matrix
-    return HermitianOperator(getattr(H, "matrix", H)).matrix
+def _operator(H) -> HermitianOperator:
+    """H as a HermitianOperator, validated unless it is one already."""
+    return H if isinstance(H, HermitianOperator) else HermitianOperator(H)
 
 
-def _endpoints(H0, H1):
-    """(matrix, eigenvalues, eigenvectors) of H0 and of H1, validated."""
-    m0, m1 = _hermitian(H0), _hermitian(H1)
-    if m0.shape != m1.shape:
-        raise ValueError(f"dimension mismatch: {m0.shape} vs {m1.shape}")
-    return tuple((m, *np.linalg.eigh(m)) for m in (m0, m1))
+def _endpoints(H0, H1) -> tuple:
+    """H0 and H1 as HermitianOperators, checked to share one dimension."""
+    h0, h1 = _operator(H0), _operator(H1)
+    if h0.dim != h1.dim:
+        raise ValueError(f"dimension mismatch: {h0.dim} vs {h1.dim}")
+    return h0, h1
 
 
 def hamiltonian_bands(H0, H1, f, *, vectors: bool = False):
@@ -185,33 +185,35 @@ def hamiltonian_bands(H0, H1, f, *, vectors: bool = False):
     value in ``f`` (a scalar or an array; the bands follow on a last
     axis).  With ``vectors`` the eigenvectors come too, as from eigh."""
     f = np.asarray(f, dtype=float)
-    hs = (1.0 - f)[..., None, None] * _hermitian(H0) + f[..., None, None] * _hermitian(H1)
+    m0, m1 = _operator(H0).matrix, _operator(H1).matrix
+    hs = (1.0 - f)[..., None, None] * m0 + f[..., None, None] * m1
     return np.linalg.eigh(hs) if vectors else np.linalg.eigvalsh(hs)
 
 
-def _walk_stack(ends, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
+def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
     """Walks at step h, one per schedule value in ``f``, as a steps-last stack.
 
-    ``ends`` is what ``_endpoints`` returns.  A product formula is built
-    from its last factor leftwards: D_k V_b^dag, the rows of V_b^dag scaled
-    by the phases exp(-i h w g(f) lambda), is left-multiplied by the link
-    into each earlier factor's basis, C^dag = V0^dag V1 for an H0 factor or
+    ``h0`` and ``h1`` are HermitianOperators (see ``_endpoints``); only a
+    product formula reads their ``eigh``.  It is built from its last factor
+    leftwards: D_k V_b^dag, the rows of V_b^dag scaled by the phases
+    exp(-i h w g(f) lambda), is left-multiplied by the link into each
+    earlier factor's basis, C^dag = V0^dag V1 for an H0 factor or
     C = V1^dag V0 for an H1 factor, and its rows are scaled in place; a
-    last product by V_a leaves the first factor's basis.  Only the
-    phases vary with f, so each product is one (d, d) @ (d, d n) GEMM by a
-    constant matrix, never a batched product of two varying stacks.  ``exp``
-    diagonalizes every H(f) instead.
+    last product by V_a leaves the first factor's basis.  Only the phases
+    vary with f, so each product is one (d, d) @ (d, d n) GEMM by a
+    constant matrix, never a batched product of two varying stacks.
+    ``exp`` diagonalizes every H(f) instead.
     """
-    d = ends[0][0].shape[0]
     if not kind.factors:
-        w, v = hamiltonian_bands(ends[0][0], ends[1][0], f, vectors=True)
+        w, v = hamiltonian_bands(h0, h1, f, vectors=True)
         ws = np.einsum("nik,nk,njk->ijn", v, np.exp(-1j * h * w), v.conj(), order="C")
         return steps_last_stack(ws)
-    c = ends[1][2].conj().T @ ends[0][2]  # C = V1^dag V0
+    d, ends = h0.dim, (h0.eigh, h1.eigh)
+    c = ends[1][1].conj().T @ ends[0][1]  # C = V1^dag V0
     links = (c.conj().T, c)  # into the H0 and into the H1 eigenbasis
     acc = None
     for op, weight in reversed(kind.factors):
-        _, w, v = ends[op]
+        w, v = ends[op]
         ph = np.exp(-1j * h * weight * np.outer(w, f if op else 1.0 - f))[:, None, :]
         if acc is None:
             acc = np.ascontiguousarray(v.conj().T)[:, :, None] * ph  # C order: reshapes are views
@@ -237,7 +239,7 @@ def walk_operator(
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
     f = schedule_values(sched, np.array([float(s)]))
-    ws = _walk_stack(_endpoints(H0, H1), kind, h, f)
+    ws = _walk_stack(*_endpoints(H0, H1), kind, h, f)
     _check_unitary(ws, RuntimeError, "walk lost unitarity")
     return ws[0].copy()  # owns its memory: a view keeps a second array header per walk
 
@@ -270,7 +272,6 @@ class WalkFamily:
     h1: HermitianOperator | None = None
     schedule: Schedule | None = None
     _walks: np.ndarray | None = field(default=None, repr=False)
-    _ends: tuple | None = field(default=None, repr=False)
 
     def block(self, j0: int, j1: int) -> np.ndarray:
         """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
@@ -278,12 +279,10 @@ class WalkFamily:
             raise ValueError(f"bad block range [{j0}, {j1}) for td = {self.td}")
         if self._walks is not None:
             return self._walks[j0:j1]
-        if self._ends is None:
-            self._ends = _endpoints(self.h0, self.h1)
         s = np.arange(j0, j1) / self.td
         if self.kind.offset:
             s = np.minimum(s + self.kind.offset / self.td, 1.0)
-        ws = _walk_stack(self._ends, self.kind, self.h, schedule_values(self.schedule, s))
+        ws = _walk_stack(self.h0, self.h1, self.kind, self.h, schedule_values(self.schedule, s))
         _check_unitary(ws, RuntimeError, "walk block lost unitarity")
         return ws
 
@@ -312,10 +311,7 @@ def build_walk_family(
         raise ValueError(f"need td >= 1, got {td}")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
-    h0 = H0 if isinstance(H0, HermitianOperator) else HermitianOperator(H0)
-    h1 = H1 if isinstance(H1, HermitianOperator) else HermitianOperator(H1)
-    if h0.dim != h1.dim:
-        raise ValueError(f"dimension mismatch: {h0.dim} vs {h1.dim}")
+    h0, h1 = _endpoints(H0, H1)
     fam = WalkFamily(td=td, h=float(h), dim=h0.dim, kind=kind, h0=h0, h1=h1, schedule=sched)
     if materialize is None:
         materialize = (td + 1) * h0.dim * h0.dim <= MATERIALIZE_LIMIT
@@ -359,11 +355,11 @@ def exact_step_propagator(
     ``ORACLE_ROUNDOFF``; above it the table is taken to be pre-asymptotic
     and doubling goes on.  Doubling past ``ORACLE_MAX_SUBSTEPS`` raises.
     """
-    ends = _endpoints(H0, H1)
+    h0, h1 = _endpoints(H0, H1)
 
     def chain(m: int) -> np.ndarray:
         f = schedule_values(sched, np.minimum(s + ds * (np.arange(m) + 0.5) / m, 1.0))
-        return chain_product(_walk_stack(ends, PF2, h / m, f))
+        return chain_product(_walk_stack(h0, h1, PF2, h / m, f))
 
     row = [chain(1)]
     dprev = math.inf
@@ -393,7 +389,7 @@ def nested_commutator_sum(H0, H1, p: int) -> float:
     """Sum over gamma in {0,1}^(p+1) of ||[H_{gamma_p}, ..., [H_{gamma_1}, H_{gamma_0}]]||."""
     if not 1 <= p <= 8:  # up to the largest spf order
         raise ValueError(f"supported p is 1..8, got {p}")
-    m = (_hermitian(H0), _hermitian(H1))
+    m = (_operator(H0).matrix, _operator(H1).matrix)
     total = 0.0
     for gamma in itertools.product((0, 1), repeat=p + 1):
         term = m[gamma[0]]
@@ -405,7 +401,7 @@ def nested_commutator_sum(H0, H1, p: int) -> float:
 
 def commutator_combo(H0, H1) -> float:
     """2 ||[H1, [H1, H0]]|| + ||[H0, [H0, H1]]||, the second-order width."""
-    m0, m1 = _hermitian(H0), _hermitian(H1)
+    m0, m1 = _operator(H0).matrix, _operator(H1).matrix
     c = m0 @ m1 - m1 @ m0
     c110 = m1 @ (-c) - (-c) @ m1  # [H1, [H1, H0]]
     c001 = m0 @ c - c @ m0  # [H0, [H0, H1]]
@@ -442,7 +438,7 @@ def problem_constants(
 ) -> ProblemConstants:
     """Measure alpha, the minimal ground gap of H(s) over the grid and
     where it sits, and the commutator sums needed by the step-size rules."""
-    h0, h1 = _hermitian(H0), _hermitian(H1)
+    h0, h1 = _operator(H0).matrix, _operator(H1).matrix
     alpha = operator_norm(h0) + operator_norm(h1)
     s = np.linspace(0.0, 1.0, grid + 1)
     w = hamiltonian_bands(h0, h1, schedule_values(sched, s))

@@ -47,6 +47,7 @@ built as ``exp(-i h H)`` has eigenphases ``h * eig(H)`` whenever
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,13 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """``np.linalg.eigh`` of the matrix, computed once and shared read-only."""
+        w, v = np.linalg.eigh(self.matrix)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
 
 def _check_stack(dev: np.ndarray, tol: float, what: str) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .linalg import _normal_eig_stack, arc_distance_angles, operator_norm
 from .integrators import (
     WalkFamily,
-    _hermitian,
+    _operator,
     commutator_combo,
     hamiltonian_bands,
     nested_commutator_sum,
@@ -274,26 +273,13 @@ def lowest_phase_gap(walks) -> np.ndarray:
 
 def ck_profiles(family: WalkFamily, ks=(1, 2)) -> dict:
     """c_k(j) = td^k * ||k-th forward difference of W at j|| for all j."""
-    td = family.td
-    out = {}
-    kmax = max(int(k) for k in ks)
-    for k in ks:
-        out[int(k)] = np.empty(td + 1 - int(k))
-    block = max(TRACK_BLOCK, kmax + 1)
-    for j0 in range(0, td, block):
-        j1 = min(j0 + block, td)
-        ws = family.block(j0, min(j1 + kmax, td) + 1)
+    td, ks = family.td, [int(k) for k in ks]
+    out = {k: np.empty(td + 1 - k) for k in ks}
+    for j0 in range(0, td, TRACK_BLOCK):
+        ws = family.block(j0, min(j0 + TRACK_BLOCK + max(ks), td + 1))
         for k in ks:
-            k = int(k)
-            hi = min(j1, td - k)
-            if hi <= j0 - 1:
-                continue
-            n_here = hi - j0 + 1
-            acc = np.zeros((n_here, family.dim, family.dim), dtype=complex)
-            for m in range(k + 1):
-                off = k - m
-                acc += ((-1) ** m) * comb(k, m) * ws[off:off + n_here]
-            out[k][j0:hi + 1] = (td ** k) * operator_norm(acc)
+            dk = np.diff(ws, n=k, axis=0)[:TRACK_BLOCK]
+            out[k][j0:j0 + len(dk)] = (td ** k) * operator_norm(dk)
     return out
 
 
@@ -316,7 +302,7 @@ def gap_perturbation_bounds(
     formulas (their eigenphases coincide); higher even orders use the
     nested-commutator width.
     """
-    h0, h1 = _hermitian(H0), _hermitian(H1)
+    h0, h1 = _operator(H0).matrix, _operator(H1).matrix
     alpha = operator_norm(h0) + operator_norm(h1)
     if h > 1.0 / alpha + 1e-12:
         raise ValueError(f"h = {h} exceeds 1/alpha = {1.0 / alpha}")
@@ -339,17 +325,13 @@ def _neighbour_reduce(x: np.ndarray, op) -> np.ndarray:
 def discrete_adiabatic_bound(c1, c2, delta2, td: int) -> float:
     """Closed-form adiabatic error bound after all td steps.
 
-    ``c1`` and ``c2`` are the scaled difference-norm profiles, ``delta2``
-    the 2-step windowed gap profile (or a GapProfile holding one).  The
-    hat/check regularizations take the max/min over the neighbor steps
-    {j-1, j, j+1} clipped to each profile's domain.  Requires
+    ``c1`` and ``c2`` are the scaled difference-norm profiles and
+    ``delta2`` the 2-step windowed gap array, ``multistep[2]`` of a
+    GapProfile.  The hat/check regularizations take the max/min over the
+    neighbor steps {j-1, j, j+1} clipped to each profile's domain.  Requires
     td >= sup_j 4 c1_hat(j) / delta2_check(j); a violation still returns
     the value but carries a StepCountWarning.
     """
-    if isinstance(delta2, GapProfile):
-        if 2 not in delta2.multistep:
-            raise ValueError("gap profile lacks the 2-step window")
-        delta2 = delta2.multistep[2]
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
@@ -379,4 +361,4 @@ def adiabatic_error_bound(family: WalkFamily) -> float:
     track = track_eigenpaths(family)
     gaps = walk_gap_profile(track, ks=(2,))
     cks = ck_profiles(family, ks=(1, 2))
-    return discrete_adiabatic_bound(cks[1], cks[2], gaps, family.td)
+    return discrete_adiabatic_bound(cks[1], cks[2], gaps.multistep[2], family.td)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import HermitianOperator, normal_eig
 from .schedules import Schedule, linear_schedule, schedule_values
-from .integrators import PF1, _endpoints, _walk_stack, build_walk_family, hamiltonian_bands
+from .integrators import PF1, _walk_stack, build_walk_family, hamiltonian_bands
 from .spectral import GAP_ZERO_TOL, lowest_phase_gap
 from .evolution import STATE_NORM_TOL, evolve, ground_state
 
@@ -97,11 +97,11 @@ def build_toy(kind: str, eps: float = 0.0) -> ToyModel:
         # h0 = -2 log(exp(i H1 / 2) U), the principal log (phases in (-pi, pi]),
         # so that the midpoint walk exp(-i H1 / 2) exp(-i h0 / 2) is U
         target = (q * np.exp(-1j * d)) @ q.conj().T
-        w, v = np.linalg.eigh(h1.matrix)
+        w, v = h1.eigh
         lam, v = normal_eig((v * np.exp(-1j * -0.5 * w)) @ v.conj().T @ target)
         theta = (v * np.angle(lam)) @ v.conj().T
         h0 = HermitianOperator(-2.0 * ((theta + theta.conj().T) / 2))
-        mid = _walk_stack(_endpoints(h0, h1), PF1, 1.0, np.array([0.5]))[0]
+        mid = _walk_stack(h0, h1, PF1, 1.0, np.array([0.5]))[0]
         dev = float(np.max(np.abs(mid - target)))
         if not dev <= MIDPOINT_WALK_TOL:
             raise RuntimeError(f"midpoint walk deviates from its target by {dev:.3e}")
@@ -172,13 +172,13 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     for eps in eps_list:
         model = build_toy(kind, float(eps))
         f = schedule_values(model.schedule, s)
-        ends = _endpoints(model.h0, model.h1)
         gap_h = gap_w = np.inf
         for c in range(0, len(f), GAP_TABLE_CHUNK):
             fc = f[c:c + GAP_TABLE_CHUNK]
             w = hamiltonian_bands(model.h0, model.h1, fc)
             gap_h = min(gap_h, float(np.min(w[:, 1] - w[:, 0])))
-            gap_w = min(gap_w, float(np.min(lowest_phase_gap(_walk_stack(ends, PF1, 1.0, fc)))))
+            walks = _walk_stack(model.h0, model.h1, PF1, 1.0, fc)
+            gap_w = min(gap_w, float(np.min(lowest_phase_gap(walks))))
         if gap_w < GAP_ZERO_TOL:
             gap_w = 0.0
         if gap_h < GAP_ZERO_TOL:

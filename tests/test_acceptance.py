@@ -117,11 +117,11 @@ def volterra_reports():
     h0, h1 = four_level_pair()
     start = time.perf_counter()
     glue = boundary_vs_interior_scaling(
-        h0, h1, (100, 200, 400, 800, 1600), glue_schedule(), j_max=1)
+        h0, h1, (100, 200, 400, 800, 1600), glue_schedule())
     # the linear control needs larger step counts: at td = 100 its boundary
     # term sits well above the 1/td envelope it settles into from td ~ 300
     control = boundary_vs_interior_scaling(
-        h0, h1, (400, 800, 1600, 3200, 6400), linear_schedule(), j_max=1)
+        h0, h1, (400, 800, 1600, 3200, 6400), linear_schedule())
     return glue, control, time.perf_counter() - start
 
 

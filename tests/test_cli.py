@@ -139,7 +139,7 @@ def test_gap_table_grid_bounds_only_its_schedule_values(tmp_path, monkeypatch, c
         ("gap-table", {"eps_list": [0.5]}),
         ("fidelity-sweep", {"t_list": [float("nan")]}),
         ("fidelity-sweep", {"t_list": [float("inf")]}),
-        ("volterra", {"j_max": float("inf")}),
+        ("volterra", {"td_list": [100, 1e300]}),  # (td + 1) d^2 above MATERIALIZE_LIMIT
         ("grover-scaling", {"n_list": [4], "m_list": [4]}),
         ("qaoa-export", {"n": 2, "m": 2}),
         ("step-size-report", {"source": "grover", "n": 2, "m": 2}),
@@ -155,6 +155,9 @@ def test_gap_table_grid_bounds_only_its_schedule_values(tmp_path, monkeypatch, c
         ("spectrum-scan", {"grid": 1e300}),
         ("step-size-report", {"grid": 1e300}),
         ("qaoa-export", {"t": 1e300}),
+        # step counts td = round(T/h) below 1 or above the search cap
+        ("fidelity-sweep", {"t_list": [1.0], "h_list": [10.0]}),
+        ("fidelity-sweep", {"t_list": [1e15]}),
     ],
 )
 def test_out_of_range_parameter_is_usage_error(tmp_path, capsys, experiment, parameters):
@@ -299,7 +302,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_volterra_writes_sidecar(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
-        {"experiment": "volterra", "parameters": {"td_list": [50, 100], "j_max": 1}},
+        {"experiment": "volterra", "parameters": {"td_list": [50, 100]}},
     )
     out = tmp_path / "volterra.csv"
     assert run_cli(["--config", cfg, "--out", str(out)]) == 0

@@ -379,7 +379,7 @@ def test_volterra_validation():
 
 def test_scaling_report_smoke():
     h0, h1 = four_level_pair()
-    rep = boundary_vs_interior_scaling(h0, h1, (50, 100))
+    rep = boundary_vs_interior_scaling(h0, h1, (50, 100), glue_schedule())
     assert rep.td_list == (50, 100)
     assert rep.interior[1] < rep.interior[0]
     assert rep.boundary_full[1] < rep.boundary_full[0]
@@ -389,7 +389,5 @@ def test_scaling_report_smoke():
 
 def test_scaling_report_validation():
     h0, h1 = four_level_pair()
-    with pytest.raises(ValueError, match="iterate"):
-        boundary_vs_interior_scaling(h0, h1, (50, 100), j_max=0)
     with pytest.raises(ValueError, match="two step counts"):
-        boundary_vs_interior_scaling(h0, h1, (50,))
+        boundary_vs_interior_scaling(h0, h1, (50,), glue_schedule())

@@ -183,7 +183,7 @@ def test_longer_runs_do_not_overshoot():
 
 def test_qaoa_angles_values():
     angles = qaoa_angles(LINEAR, 8)
-    assert len(angles) == 8
+    assert angles.gammas.size == 8
     assert np.allclose(angles.gammas, np.arange(8) / 8.0, atol=1e-15)
     assert np.allclose(angles.betas, 1.0 - np.arange(8) / 8.0, atol=1e-15)
     with pytest.raises(ValueError, match="at least one step"):

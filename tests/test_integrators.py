@@ -282,6 +282,27 @@ def test_walk_operator_rejects_a_non_unitary_walk():
         walk_operator(1e10 * h0, h1, LINEAR, PF1, 1e300, 0.5)
 
 
+def test_endpoints_are_diagonalized_once_per_operator(monkeypatch):
+    # np.linalg.eigh of one (d, d) matrix is an endpoint diagonalization;
+    # an exp walk hands its H(f) to eigh as an (n, d, d) stack instead
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    h0, h1 = (HermitianOperator(m) for m in random_pair(26))
+    walk_operator(h0, h1, LINEAR, EXP_INTEGRATOR, 0.6, 0.3)
+    assert len(calls) == 0
+    for s in (0.0, 0.3, 0.8):
+        walk_operator(h0, h1, LINEAR, PF1, 0.6, s)
+    build_walk_family(h0, h1, LINEAR, PF2, 0.6, 12).block(3, 7)
+    assert len(calls) == 2
+
+
 def test_endpoint_walks_collapse_to_single_exponentials():
     h0, h1 = random_pair(27)
     for kind in (EXP_INTEGRATOR, PF1, PF2_SIMPLIFIED, INTEGRATORS["spf4"]):
@@ -323,7 +344,7 @@ def test_walk_kernel_matches_expm_product_of_its_factors(tag, pair):
     h0, h1 = random_pair(29, n=5) if pair == "random" else grover_pair()
     kind = parse_integrator_tag(tag)
     f = np.array([0.0, 0.23, 0.5, 0.81, 1.0])
-    stack = _walk_stack(_endpoints(h0, h1), kind, 0.7, f)
+    stack = _walk_stack(*_endpoints(h0, h1), kind, 0.7, f)
     for walk, fk in zip(stack, f):
         ref = expm_mix(h0, h1, fk, 0.7) if not kind.factors else np.eye(len(h0))
         for op, weight in kind.factors:

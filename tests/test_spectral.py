@@ -357,6 +357,20 @@ def test_ck_profiles_match_stepwise_norms():
             assert cks[k][j] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("block", [4, 7])
+@pytest.mark.parametrize("td", [3, 6, 13, 29])
+def test_ck_profiles_in_blocks_match_brute_force(monkeypatch, block, td):
+    # the blocks' difference windows reach k walks past their last j; td
+    # below the block size and td spanning several ragged blocks
+    monkeypatch.setattr(spectral, "TRACK_BLOCK", block)
+    model = build_toy("toy1", 0.05)
+    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 0.8, td)
+    cks = ck_profiles(fam, ks=(1, 2, 3))
+    for k in (1, 2, 3):
+        expected = [(td ** k) * brute_difference_norm(fam, k, j) for j in range(td + 1 - k)]
+        assert cks[k] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
 def test_ck_profiles_stable_under_grid_refinement():
     # td^k scaling makes the profiles grid-size invariants up to O(1/td)
     h0, h1 = four_level_pair()
@@ -429,14 +443,6 @@ def test_bound_infinite_on_vanishing_gap():
     assert value == math.inf
 
 
-def test_bound_requires_two_step_window():
-    model = build_toy("toy2", 0.05)
-    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 20)
-    prof = walk_gap_profile(track_eigenpaths(fam), ks=(0, 1))
-    with pytest.raises(ValueError, match="2-step"):
-        discrete_adiabatic_bound(np.ones(20), np.ones(19), prof, td=20)
-
-
 def test_bound_halves_with_step_doubling():
     h0, h1 = four_level_pair()
     bounds = {}
@@ -452,7 +458,7 @@ def test_bound_composition_matches_pieces():
     track = track_eigenpaths(fam)
     gaps = walk_gap_profile(track, ks=(2,))
     cks = ck_profiles(fam, ks=(1, 2))
-    manual = discrete_adiabatic_bound(cks[1], cks[2], gaps, fam.td)
+    manual = discrete_adiabatic_bound(cks[1], cks[2], gaps.multistep[2], fam.td)
     assert adiabatic_error_bound(fam) == pytest.approx(manual, rel=1e-14)
 
 
