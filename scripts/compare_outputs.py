@@ -14,12 +14,16 @@ any such file, 0 otherwise.  A differing file is marked ``(metadata
 only)`` when it matches without its metadata: a CSV without its ``#``
 lines, a JSON file without its ``config`` and ``config_sha256`` keys
 (the sidecars'), so a change of config alone, such as a removed
-parameter, is told apart from a change of results.  The line count of
+parameter, is told apart from a change of results.  A differing CSV
+with the same header and row count also gets the largest absolute and
+relative difference over its numeric fields, the relative one taken
+against the larger magnitude of the pair.  The line count of
 each checkout's ``src/`` Python files (as ``wc -l`` counts them) is
 printed last.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -68,6 +72,33 @@ def without_metadata(path: pathlib.Path):
     return data
 
 
+def numeric_difference(first: pathlib.Path, second: pathlib.Path) -> str:
+    """The largest absolute and relative difference over the numeric fields
+    of two CSVs with one header and row count, as a suffix for the report
+    line; empty for any other pair of files."""
+    if first.suffix != ".csv":
+        return ""
+    tables = [[ln.split(",") for ln in p.read_text().splitlines() if not ln.startswith("#")]
+              for p in (first, second)]
+    if len(tables[0]) != len(tables[1]) or tables[0][:1] != tables[1][:1]:
+        return ""
+    worst_abs = worst_rel = 0.0
+    for row_a, row_b in zip(tables[0][1:], tables[1][1:]):
+        for a, b in zip(row_a, row_b):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                continue
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            diff = abs(x - y)
+            rel = diff / max(abs(x), abs(y))
+            if not math.isfinite(diff):  # a NaN or an infinity on one side only
+                diff = rel = math.inf
+            worst_abs, worst_rel = max(worst_abs, diff), max(worst_rel, rel)
+    return f" (largest difference {worst_abs:.3g} absolute, {worst_rel:.3g} relative)"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -85,7 +116,9 @@ def main(argv=None) -> int:
                 print(f"only in one checkout: {name}")
             elif comparable(works[0] / name) != comparable(works[1] / name):
                 same = without_metadata(works[0] / name) == without_metadata(works[1] / name)
-                print(f"differs{' (metadata only)' if same else ''}: {name}")
+                detail = " (metadata only)" if same else ""
+                size = "" if same else numeric_difference(works[0] / name, works[1] / name)
+                print(f"differs{detail}: {name}{size}")
             else:
                 continue
             differing += 1

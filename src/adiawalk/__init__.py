@@ -50,7 +50,6 @@ from .integrators import (
 )
 from .spectral import (
     EigenpathTrack,
-    GapProfile,
     StepCountWarning,
     TrackingAmbiguityError,
     adiabatic_error_bound,

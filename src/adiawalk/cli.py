@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import EigensolverError, HermitianOperator
 from .schedules import (
+    POWER_MAX_N,
     build_grover_schedule,
     glue_schedule,
     linear_schedule,
@@ -128,6 +129,12 @@ def _check_search_size(n, m):
         raise ConfigError(f"search needs n >= 2m, got n = {n}, m = {m}")
 
 
+def _check_power_size(n, m, p):
+    """p > 1 power schedules are tabulated up to POWER_MAX_N; p = 1 has a closed form."""
+    if p > 1.0 and round(n / m) > POWER_MAX_N:
+        raise ConfigError(f"power p > 1 needs round(n / m) <= {POWER_MAX_N}, got n = {n}, m = {m}")
+
+
 def _check_grid(grid, dim, key="grid"):
     """Reject a ``key`` whose grid + 1 points of dim x dim entries pass MATERIALIZE_LIMIT."""
     if (grid + 1) * dim * dim > MATERIALIZE_LIMIT:
@@ -210,6 +217,8 @@ def _run_fidelity_sweep(params, rng):
 def _run_volterra(params, rng):
     sched_kind = _as_choice(params, "schedule", ("glue", "linear"))
     td_list = _as_number_list(params, "td_list", integral=True, lo=2)
+    if len(set(td_list)) < max(len(td_list), 2):
+        raise ConfigError(f"parameter 'td_list' needs two or more distinct step counts, got {td_list}")
     sched = glue_schedule() if sched_kind == "glue" else linear_schedule()
     h0, h1 = four_level_pair()
     _check_grid(max(td_list), h0.dim, "td_list")  # each td holds (td + 1, d, d) stacks
@@ -236,6 +245,8 @@ def _run_grover_scaling(params, rng):
     if not target < 1.0:
         raise ConfigError(f"parameter 'target_error' must be below 1, got {target}")
     _check_search_size(min(n_list), max(m_list))
+    if sched_kind == "power":
+        _check_power_size(max(n_list), min(m_list), p)
 
     cells = scaling_experiment(n_list, m_list, sched_kind, target, p=p)
     cells.sort(key=lambda c: (c.n, c.m))
@@ -273,6 +284,7 @@ def _run_qaoa_export(params, rng):
         raise ConfigError(f"parameter 'p' must be below 2, got {p}")
     t = _as_int(params, "t", lo=1, hi=MATERIALIZE_LIMIT)
     _check_search_size(n, m)
+    _check_power_size(n, m, p)
     n_eff = max(2, round(n / m))
     angles = qaoa_angles(build_grover_schedule(n_eff, p), t)
     rows = [(j, float(angles.gammas[j]), float(angles.betas[j])) for j in range(t)]

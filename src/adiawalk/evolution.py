@@ -14,9 +14,9 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import chain_product, normal_eig, operator_norm, unitarity_deviation
+from .linalg import chain_product, operator_norm, unitarity_deviation
 from .integrators import EXP_INTEGRATOR, WalkFamily, _operator, build_walk_family
-from .spectral import EigenpathTrack, _label_order, track_eigenpaths
+from .spectral import EigenpathTrack, track_eigenpaths
 
 STATE_NORM_TOL = 1e-9
 SINGULAR_FLOOR = 1e-16  # on the eigenvalues of S S^dag, i.e. (1e-8)^2 on v
@@ -48,16 +48,10 @@ def ground_state(H) -> np.ndarray:
     return np.ascontiguousarray(_operator(H).eigh[1][:, 0])
 
 
-def _projector_stack(track: EigenpathTrack) -> np.ndarray:
-    """Projectors onto the ground path (path 0) at every step."""
-    vecs = track.vectors[:, :, [0]]
-    return np.einsum("nik,njk->nij", vecs, vecs.conj())
-
-
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state with its leakage out of the ground path and the
-    amplitude overlaps against the final eigenbasis (ground path first)."""
+    """Final state, its amplitudes |<u_k|psi>| on H1's eigenvectors in
+    ascending energy, and its leakage, their norm off H1's ground state."""
 
     final_state: np.ndarray
     leakage: float
@@ -75,14 +69,15 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
     """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
     walks at a time, each block released before the next is built.
 
-    The final walk operator is then diagonalized and its eigenbasis
-    labeled as step 0 of a track would be, ground path first: by energy
-    against H(f(1)) for a family with endpoints, by ascending phase
-    otherwise.  Fidelities are the overlap amplitudes |basis^dag psi|
-    against that basis, and leakage is the norm of the amplitudes off the
-    ground path, which keeps its relative precision where 1 - |P psi|^2
-    would cancel.
+    The final state is read on H1's cached eigenbasis: at f = 1 every
+    walk is exp(-i h H1), so this is the last walk's eigenbasis, labeled
+    by energy even where its eigenphases alias.  The leakage, a norm of
+    amplitudes, keeps its relative precision where 1 - |P psi|^2 would
+    cancel.  A family without H1 (``walk_family_from_operators``) is a
+    ValueError.
     """
+    if family.h1 is None:
+        raise ValueError("evolve reads H1's eigenbasis: build the family from H0 and H1")
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
         raise ValueError(f"state dim {psi.shape[0]} does not match family dim {family.dim}")
@@ -91,10 +86,7 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
     td = family.td
     for j0 in range(0, td, EVOLVE_BLOCK):
         psi = chain_product(family.block(j0, min(j0 + EVOLVE_BLOCK, td))) @ psi
-
-    lam, vecs = normal_eig(family.walk(td))
-    basis = vecs[:, _label_order(family, td, vecs, -np.angle(lam))]
-    fidelities = np.abs(basis.conj().T @ psi)
+    fidelities = np.abs(family.h1.eigh[1].conj().T @ psi)
     leakage = float(np.linalg.norm(fidelities[1:]))
     return EvolutionResult(final_state=psi, leakage=leakage, fidelities=fidelities)
 
@@ -149,7 +141,8 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
     eye = np.eye(d)
     # Intermediate stacks are released as soon as they are used, so that
     # the ideal family and the Volterra series stay the only large arrays.
-    p = _projector_stack(track)
+    g = track.vectors[:, :, 0]
+    p = np.einsum("ni,nj->nij", g, g.conj())  # projectors onto the ground path (path 0)
     q = eye - p
     s = p[1:] @ p[:-1] + q[1:] @ q[:-1]
     del q
@@ -315,8 +308,8 @@ def boundary_vs_interior_scaling(H0, H1, td_list, schedule) -> ScalingReport:
     decay; a linear schedule keeps the boundary at 1/td as a control.
     """
     tds = tuple(int(t) for t in td_list)
-    if len(tds) < 2 or any(t < 2 for t in tds):
-        raise ValueError("need at least two step counts of at least 2")
+    if len(set(tds)) < max(len(tds), 2) or any(t < 2 for t in tds):
+        raise ValueError("need at least two step counts, distinct and each at least 2")
     interior = np.empty(len(tds))
     b_term1 = np.empty(len(tds))
     b_full = np.empty(len(tds))

@@ -175,10 +175,17 @@ def operator_norm(A):
     return np.sqrt(np.maximum(top, 0.0))
 
 
+def _wrap_phase(x: np.ndarray) -> np.ndarray:
+    """Phase x wrapped onto [-pi, pi) in place in ``x``, a temporary: the one
+    formula behind every unwrap, tie break and arc distance (|result|)."""
+    np.add(x, np.pi, out=x)
+    np.remainder(x, 2.0 * np.pi, out=x)
+    return np.subtract(x, np.pi, out=x)
+
+
 def arc_distance_angles(t1, t2):
     """Wrapped distance |t1 - t2| on the circle for angle arrays, in [0, pi]."""
-    d = np.mod(np.asarray(t1) - np.asarray(t2) + np.pi, 2 * np.pi) - np.pi
-    return np.abs(d)
+    return np.abs(_wrap_phase(np.subtract(t1, t2, out=np.empty(np.broadcast(t1, t2).shape))))
 
 
 def steps_last_stack(t: np.ndarray) -> np.ndarray:

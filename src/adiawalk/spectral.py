@@ -1,11 +1,11 @@
 """Eigenpath tracking, angular gaps, and discrete adiabatic error bounds.
 
 A walk family W(j/T_d) has eigenphases theta on the unit circle; this
-module follows every eigenpath across the grid by vector overlap,
-measures angular gaps between the ground path and the others (both
-pointwise and over sliding windows of consecutive steps), and
-evaluates the closed-form adiabatic error bound driven by the scaled
-difference norms c_k and the windowed gaps.
+module follows every eigenpath across the grid by vector overlap, ground
+path first, measures the angular gap between the ground path and the
+others over windows of k + 1 steps (k = 0: pointwise), and evaluates the
+closed-form adiabatic error bound driven by the scaled difference norms
+c_k and the 2-step windowed gap.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import _normal_eig_stack, arc_distance_angles, operator_norm
+from .linalg import _normal_eig_stack, _wrap_phase, arc_distance_angles, operator_norm
 from .integrators import (
     WalkFamily,
     _operator,
@@ -38,7 +38,6 @@ __all__ = [
     "StepCountWarning",
     "EigenpathTrack",
     "track_eigenpaths",
-    "GapProfile",
     "walk_gap_profile",
     "lowest_phase_gap",
     "ck_profiles",
@@ -56,11 +55,11 @@ class StepCountWarning(UserWarning):
     """Step count below the regime the error bound is derived for."""
 
 
-def _match_columns(vprev, tprev, v, t, *, wrap: bool, step: int):
+def _match_columns(vprev, tprev, v, t, *, step: int):
     """Greedy max-overlap assignment of new eigenvectors to previous labels.
 
-    Ties in overlap are broken by phase proximity.  Returns the column
-    permutation and the smallest matched overlap amplitude.
+    Ties in overlap go to the first nearest in wrapped phase.  Returns the
+    column permutation and the smallest matched overlap amplitude.
     """
     d = v.shape[1]
     m = np.abs(vprev.conj().T @ v)
@@ -78,13 +77,7 @@ def _match_columns(vprev, tprev, v, t, *, wrap: bool, step: int):
             )
         cand = np.argwhere(work >= best - OVERLAP_TIE_TOL)
         if len(cand) > 1:
-            def phase_dist(rc):
-                diff = t[rc[1]] - tprev[rc[0]]
-                if wrap:
-                    diff = (diff + np.pi) % (2.0 * np.pi) - np.pi
-                return abs(diff)
-
-            r, c = min(map(tuple, cand), key=phase_dist)
+            r, c = cand[np.argmin(np.abs(_wrap_phase(t[cand[:, 1]] - tprev[cand[:, 0]])))]
         perm[r] = c
         worst = min(worst, float(m[r, c]))
         work[r, :] = -1.0
@@ -123,18 +116,14 @@ class EigenpathTrack:
         return self.phases.shape[1]
 
 
-def _label_order(family: WalkFamily, j: int, vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Column order that labels the eigenvectors ``vecs`` of walk j.
-
-    A family that carries H0 and H1 orders them by their overlap-weighted
-    energy sum_k |<u_k|v>|^2 E_k against the eigenpairs (E_k, u_k) of
-    H(f(j/td)), ground first; this stays right once h * lambda wraps past
-    pi.  A family built from raw operators orders them by phase.
-    """
+def _label_order(family: WalkFamily, vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Ground-first column order of the eigenvectors ``vecs`` (phases
+    ``theta``) of walk 0: by energy sum_k |<u_k|v>|^2 E_k against H0's
+    cached eigenpairs (E_k, u_k), which stays right once h * lambda wraps
+    past pi, or by phase for a family built from raw operators."""
     if family.h0 is None:
         return np.argsort(theta)
-    f = schedule_values(family.schedule, j / family.td)
-    w, u = hamiltonian_bands(family.h0, family.h1, f, vectors=True)
+    w, u = family.h0.eigh
     return np.argsort(w @ np.abs(u.conj().T @ vecs) ** 2)
 
 
@@ -167,7 +156,7 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
         lam, v = _normal_eig_stack(family.block(j0, j1))
         theta = -np.angle(lam)
         if last is None:
-            perm = _label_order(family, 0, v[0], theta[0])
+            perm = _label_order(family, v[0], theta[0])
             phases[0] = theta[0, perm]
             vectors[0] = v[0][:, perm]
             last = (v[0], theta[0], perm, phases[0], np.zeros(dim))
@@ -192,16 +181,15 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
             if fast[i]:
                 perm = rel[i, perm]
             else:
-                perm, w = _match_columns(
-                    vs[i][:, perm], ts[i, perm], vs[i + 1], ts[i + 1], wrap=True, step=j0 + i
-                )
+                perm, w = _match_columns(vs[i][:, perm], ts[i, perm], vs[i + 1], ts[i + 1],
+                                         step=j0 + i)
                 worst = min(worst, w)
             start = i
         perms[start:] = perm
         before = np.concatenate([p_last[None], perms[:-1]])
         raw = np.take_along_axis(theta, perms, axis=1)
         diff = raw - np.take_along_axis(ts[:-1], before, axis=1)
-        steps = np.concatenate([t_last[None], (diff + np.pi) % (2.0 * np.pi) - np.pi])
+        steps = np.concatenate([t_last[None], _wrap_phase(diff)])
         est = np.cumsum(steps, axis=0)[1:]  # sequential, so blocks do not change roundoff
         phases[j0:j1] = raw + 2.0 * np.pi * np.round((est - raw) / (2.0 * np.pi))
         turns = -np.angle(ovs[np.arange(n)[:, None], before, perms])
@@ -215,50 +203,23 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
 # ---------------------------------------------------------------------------
 # gap profiles
 
-def _wrapped_arc(diff: np.ndarray) -> np.ndarray:
-    """pi - ||diff| mod 2 pi - pi|, computed in place in ``diff`` (a temporary)."""
-    np.abs(diff, out=diff)
-    np.remainder(diff, 2.0 * np.pi, out=diff)
-    np.subtract(diff, np.pi, out=diff)
-    np.abs(diff, out=diff)
-    return np.subtract(np.pi, diff, out=diff)
-
-
-@dataclass(frozen=True)
-class GapProfile:
-    """Angular gaps between the ground path (path 0) and the other paths.
-
-    ``fixed[j]`` is the pointwise gap at step j.  ``multistep[k][j]`` is
-    the gap between the two phase sets collected over the window
-    j..j+k, so it can only shrink relative to the windowed pointwise
-    minimum.  Gaps below 1e-14 are reported as exact zeros.
-    """
-
-    fixed: np.ndarray
-    multistep: dict
-
-
-def _zero_floor(gaps: np.ndarray) -> np.ndarray:
-    return np.where(gaps < GAP_ZERO_TOL, 0.0, gaps)
-
-
-def walk_gap_profile(track: EigenpathTrack, ks=(0, 1, 2)) -> GapProfile:
+def walk_gap_profile(track: EigenpathTrack, ks=(0, 1, 2)) -> dict:
+    """{k: gaps} for each window size k in ``ks``: ``gaps[j]`` is the least
+    arc between the ground path's phases (path 0) and the other paths'
+    over steps j..j+k, at most the least pointwise (k = 0) gap there.
+    Gaps below 1e-14 are reported as exact zeros."""
     a = track.phases[:, :1]  # (n+1, 1): the ground path
     b = track.phases[:, 1:]
-    fixed = _zero_floor(_wrapped_arc(a[:, :, None] - b[:, None, :]).min(axis=(1, 2)))
-    multistep = {}
+    gaps = {}
     for k in sorted(set(int(k) for k in ks)):
         if k < 0 or k > track.steps:
             raise ValueError(f"window size {k} out of range")
-        if k == 0:
-            gk = fixed.copy()
-        else:
-            wa = sliding_window_view(a, k + 1, axis=0)  # (n+1-k, 1, k+1)
-            wb = sliding_window_view(b, k + 1, axis=0)
-            diff = wa[:, :, :, None, None] - wb[:, None, None, :, :]
-            gk = _zero_floor(_wrapped_arc(diff).min(axis=(1, 2, 3, 4)))
-        multistep[k] = gk
-    return GapProfile(fixed=fixed, multistep=multistep)
+        wa = sliding_window_view(a, k + 1, axis=0)  # (n+1-k, 1, k+1)
+        wb = sliding_window_view(b, k + 1, axis=0)
+        arc = _wrap_phase(wa[:, :, :, None, None] - wb[:, None, None, :, :])
+        gk = np.abs(arc, out=arc).min(axis=(1, 2, 3, 4))
+        gaps[k] = np.where(gk < GAP_ZERO_TOL, 0.0, gk)
+    return gaps
 
 
 def lowest_phase_gap(walks) -> np.ndarray:
@@ -326,9 +287,9 @@ def discrete_adiabatic_bound(c1, c2, delta2, td: int) -> float:
     """Closed-form adiabatic error bound after all td steps.
 
     ``c1`` and ``c2`` are the scaled difference-norm profiles and
-    ``delta2`` the 2-step windowed gap array, ``multistep[2]`` of a
-    GapProfile.  The hat/check regularizations take the max/min over the
-    neighbor steps {j-1, j, j+1} clipped to each profile's domain.  Requires
+    ``delta2`` the 2-step windowed gap array, ``walk_gap_profile(...)[2]``.
+    The hat/check regularizations take the max/min over the neighbor
+    steps {j-1, j, j+1} clipped to each profile's domain.  Requires
     td >= sup_j 4 c1_hat(j) / delta2_check(j); a violation still returns
     the value but carries a StepCountWarning.
     """
@@ -359,6 +320,6 @@ def discrete_adiabatic_bound(c1, c2, delta2, td: int) -> float:
 def adiabatic_error_bound(family: WalkFamily) -> float:
     """discrete_adiabatic_bound with profiles measured from the family."""
     track = track_eigenpaths(family)
-    gaps = walk_gap_profile(track, ks=(2,))
+    delta2 = walk_gap_profile(track, ks=(2,))[2]
     cks = ck_profiles(family, ks=(1, 2))
-    return discrete_adiabatic_bound(cks[1], cks[2], gaps.multistep[2], family.td)
+    return discrete_adiabatic_bound(cks[1], cks[2], delta2, family.td)

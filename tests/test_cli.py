@@ -158,6 +158,12 @@ def test_gap_table_grid_bounds_only_its_schedule_values(tmp_path, monkeypatch, c
         # step counts td = round(T/h) below 1 or above the search cap
         ("fidelity-sweep", {"t_list": [1.0], "h_list": [10.0]}),
         ("fidelity-sweep", {"t_list": [1e15]}),
+        # fewer than two distinct step counts give no slope
+        ("volterra", {"td_list": [100]}),
+        ("volterra", {"td_list": [100, 100]}),
+        # p > 1 search sizes past the power schedule's table
+        ("grover-scaling", {"schedule": "power", "p": 1.5, "n_list": [2 ** 65]}),
+        ("qaoa-export", {"n": 2 ** 65, "p": 1.5}),
     ],
 )
 def test_out_of_range_parameter_is_usage_error(tmp_path, capsys, experiment, parameters):

@@ -19,6 +19,7 @@ from adiawalk.evolution import (
 )
 from adiawalk.integrators import (
     EXP_INTEGRATOR,
+    INTEGRATORS,
     PF1,
     build_walk_family,
     walk_family_from_operators,
@@ -175,6 +176,37 @@ def test_ground_labels_hold_once_the_walk_phases_wrap():
     v = track_eigenpaths(fam).vectors[fam.td][:, 0]
     tracked = np.linalg.norm(res.final_state - v * (v.conj() @ res.final_state))
     assert tracked == pytest.approx(off_ground, rel=1e-6)
+
+
+def test_leakage_holds_at_exact_eigenphase_aliasing(monkeypatch):
+    # At h = 2 pi / (lambda_max - lambda_min) of H1 the extreme eigenphases of
+    # the final walk exp(-i h H1) coincide, so its eigenspace is degenerate
+    # and a basis diagonalized from it mixes the ground state with the top
+    # state.  The leakage must stay the component off H1's ground state.
+    h0, h1 = four_level_pair()
+    w = h1.eigh[0]
+    h = 2.0 * np.pi / (w[-1] - w[0])
+    g1 = ground_state(h1)
+    for kind in (PF1, INTEGRATORS["spf4"], EXP_INTEGRATOR):
+        fam = build_walk_family(h0, h1, LINEAR, kind, h, 200)
+        res = evolve(fam, ground_state(h0))
+        off_ground = np.linalg.norm(res.final_state - g1 * (g1.conj() @ res.final_state))
+        assert res.leakage == pytest.approx(off_ground, rel=1e-9), kind.tag
+    # the final amplitudes come from H1's cached eigenbasis, not from an
+    # eigensolve of the last walk
+    fam = build_walk_family(h0, h1, LINEAR, PF1, h, 200, materialize=True)
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("evolve called np.linalg.eig")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    evolve(fam, ground_state(h0))
+
+
+def test_evolve_rejects_a_family_without_endpoints():
+    with pytest.raises(ValueError, match="H1"):
+        evolve(walk_family_from_operators(np.stack([np.eye(2, dtype=complex)] * 3)),
+               np.array([1.0, 0.0]))
 
 
 def test_evolve_input_validation():
@@ -391,3 +423,11 @@ def test_scaling_report_validation():
     h0, h1 = four_level_pair()
     with pytest.raises(ValueError, match="two step counts"):
         boundary_vs_interior_scaling(h0, h1, (50,), glue_schedule())
+
+
+def test_scaling_report_rejects_repeated_step_counts():
+    # a repeated td gives a zero log-td step: NaN pairwise slopes and a
+    # rank-deficient fit
+    h0, h1 = four_level_pair()
+    with pytest.raises(ValueError, match="distinct"):
+        boundary_vs_interior_scaling(h0, h1, (50, 50), glue_schedule())

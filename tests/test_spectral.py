@@ -63,7 +63,7 @@ def sequential_track(family):
     for j in range(1, family.td + 1):
         lam, vecs = normal_eig(family.walk(j))
         theta = -np.angle(lam)
-        perm, w = spectral._match_columns(vectors[-1], phases[-1], vecs, theta, wrap=True, step=j)
+        perm, w = spectral._match_columns(vectors[-1], phases[-1], vecs, theta, step=j)
         worst = min(worst, w)
         theta, vecs = theta[perm], vecs[:, perm]
         theta = phases[-1] + ((theta - phases[-1] + np.pi) % (2.0 * np.pi) - np.pi)
@@ -129,9 +129,9 @@ def test_two_level_symmetric_phases():
     assert np.allclose(track.phases[:, 1], a, atol=1e-14)
     assert track.min_overlap == pytest.approx(1.0, abs=1e-12)
     prof = walk_gap_profile(track, ks=(0, 1))
-    assert np.allclose(prof.fixed, 2.0 * a, atol=1e-14)
+    assert np.allclose(prof[0], 2.0 * a, atol=1e-14)
     # a is increasing, so each 1-step window bottoms out at its left edge
-    assert np.allclose(prof.multistep[1], 2.0 * a[:-1], atol=1e-14)
+    assert np.allclose(prof[1], 2.0 * a[:-1], atol=1e-14)
 
 
 def test_constant_family_flat_profiles():
@@ -139,9 +139,9 @@ def test_constant_family_flat_profiles():
     fam = build_walk_family(h0, h0, LINEAR, EXP_INTEGRATOR, 0.5, 40)
     track = track_eigenpaths(fam)
     prof = walk_gap_profile(track, ks=(0, 1, 2, 3))
-    assert np.allclose(prof.fixed, prof.fixed[0], atol=1e-13)
+    assert np.allclose(prof[0], prof[0][0], atol=1e-13)
     for k in (1, 2, 3):
-        assert np.allclose(prof.multistep[k], prof.fixed[: len(prof.multistep[k])], atol=1e-13)
+        assert np.allclose(prof[k], prof[0][: len(prof[k])], atol=1e-13)
     cks = ck_profiles(fam, ks=(1, 2))
     assert np.max(cks[1]) <= 1e-9
     assert np.max(cks[2]) <= 1e-9
@@ -303,12 +303,12 @@ def test_multistep_gap_below_windowed_min_and_matches_brute():
     model = build_toy("toy1", 0.05)
     fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 40)
     track = track_eigenpaths(fam)
-    prof = walk_gap_profile(track, ks=(1, 2, 3))
+    prof = walk_gap_profile(track, ks=(0, 1, 2, 3))
     for k in (1, 2, 3):
-        gk = prof.multistep[k]
+        gk = prof[k]
         assert len(gk) == fam.td + 1 - k
         for j in range(len(gk)):
-            assert gk[j] <= np.min(prof.fixed[j : j + k + 1]) + 1e-15
+            assert gk[j] <= np.min(prof[0][j : j + k + 1]) + 1e-15
         for j in (0, 10, 37 - k):
             assert gk[j] == pytest.approx(brute_windowed_gap(track, k, j), abs=1e-13)
 
@@ -328,7 +328,7 @@ def test_exp_walk_gap_is_scaled_hamiltonian_gap():
     h0, h1 = four_level_pair()
     h = 0.7
     fam = build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, h, 200)
-    walk_gaps = walk_gap_profile(track_eigenpaths(fam), ks=(0,)).fixed
+    walk_gaps = walk_gap_profile(track_eigenpaths(fam), ks=(0,))[0]
     w = hamiltonian_bands(h0, h1, schedule_values(LINEAR, np.linspace(0.0, 1.0, 201)))
     ham_gaps = w[:, 1] - w[:, 0]
     assert np.max(np.abs(walk_gaps - h * ham_gaps)) <= 1e-10
@@ -458,7 +458,7 @@ def test_bound_composition_matches_pieces():
     track = track_eigenpaths(fam)
     gaps = walk_gap_profile(track, ks=(2,))
     cks = ck_profiles(fam, ks=(1, 2))
-    manual = discrete_adiabatic_bound(cks[1], cks[2], gaps.multistep[2], fam.td)
+    manual = discrete_adiabatic_bound(cks[1], cks[2], gaps[2], fam.td)
     assert adiabatic_error_bound(fam) == pytest.approx(manual, rel=1e-14)
 
 
