@@ -11,6 +11,15 @@ quartiles per side and seed, the pairs each side won, one traced run per
 side for the named count metrics, each side's first run record
 (versions, BLAS, cpu count) and, with ``--pytest-id``, the call time of
 that test in each checkout.
+
+It prints a verdict for each ``end_to_end`` metric of the change's
+``BENCHMARK.json``, whose bound is a fraction of the parent's median
+(``perfbench/README.md``): "beyond bound" if the change's median is worse
+than the parent's by more than the bound; "unresolved" if the parent's
+quartile spread over its median exceeds the bound and not every change
+run beats every parent run; "gain" if the change wins at least 9 of 10
+pairs and its median beats the parent's by more than the parent's
+quartile spread; otherwise "within bound".
 """
 
 import argparse
@@ -21,7 +30,6 @@ import statistics
 import subprocess
 import sys
 
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
 
@@ -39,6 +47,31 @@ def bench(root, workload, seed, seconds, trace):
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": q2, "q3": q3}
+
+
+def verdict(metric, runs, stats):
+    """Verdict word and report line for one ``end_to_end`` metric; the
+    median change is relative to the parent's median, positive if worse."""
+    name, bound = metric["name"], metric["bound"]
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    base = stats["parent"]["median"]
+    change = sign * (stats["change"]["median"] - base) / base
+    spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / base
+    change_runs = [sign * r["change"][name] for r in runs]
+    parent_runs = [sign * r["parent"][name] for r in runs]
+    wins = sum(c < p for c, p in zip(change_runs, parent_runs))
+    beats_all = max(change_runs) < min(parent_runs)
+    if change > bound:
+        word = "beyond bound"
+    elif spread > bound and not beats_all:
+        word = "unresolved"
+    elif wins >= 0.9 * len(runs) and -change > spread:
+        word = "gain"
+    else:
+        word = "within bound"
+    line = (f"{name}: median {change:+.1%} (bound {bound:.0%}), parent spread "
+            f"{spread:.1%} of its median, change won {wins}/{len(runs)}: {word}")
+    return word, line
 
 
 def pytest_call_s(root, test_id, repeats):
@@ -69,7 +102,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as handle:
-        seconds = json.load(handle)["run_seconds"]
+        declared = json.load(handle)
+    seconds, end_to_end = declared["run_seconds"], declared["end_to_end"]
+    metrics = [m["name"] for m in end_to_end]
 
     runs, records = [], {}
     for seed in args.seeds:
@@ -79,13 +114,14 @@ def main(argv=None):
             for side in order:
                 rec, final = bench(roots[side], args.workload, seed, seconds, 0)
                 records.setdefault(side, rec)
-                pair[side] = {name: final["metrics"][name]["value"] for name in METRICS}
+                pair[side] = {name: final["metrics"][name]["value"] for name in metrics}
                 pair[side].update(failed=final["failed"], attempted=final["attempted"])
                 print(f"seed {seed} pair {k} {side}: {pair[side]}", file=sys.stderr)
             runs.append({"seed": seed, "first": order[0], **pair})
 
     summary = {}
-    for name in METRICS:
+    for metric in end_to_end:
+        name = metric["name"]
         entry = {side: quartiles([r[side][name] for r in runs]) for side in SIDES}
         for seed in args.seeds:
             entry[f"seed_{seed}"] = {
@@ -94,6 +130,8 @@ def main(argv=None):
             }
         entry["change_wins"] = sum(r["change"][name] < r["parent"][name] for r in runs)
         entry["parent_wins"] = sum(r["parent"][name] < r["change"][name] for r in runs)
+        entry["verdict"], line = verdict(metric, runs, entry)
+        print(f"{args.workload} {line}")
         summary[name] = entry
     failures = {side: [sum(r[side][k] for r in runs) for k in ("failed", "attempted")]
                 for side in SIDES}

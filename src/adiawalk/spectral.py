@@ -2,10 +2,11 @@
 
 A walk family W(j/T_d) has eigenphases theta on the unit circle; this
 module follows every eigenpath across the grid by vector overlap, ground
-path first, measures the angular gap between the ground path and the
-others over windows of k + 1 steps (k = 0: pointwise), and evaluates the
-closed-form adiabatic error bound driven by the scaled difference norms
-c_k and the 2-step windowed gap.
+path first, and refuses a step whose labels the overlaps do not
+determine or whose ground path is degenerate.  It measures the angular
+gap between the ground path and the others over windows of k + 1 steps
+(k = 0: pointwise), and evaluates the closed-form adiabatic error bound
+driven by the scaled difference norms c_k and the 2-step windowed gap.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .integrators import (
 )
 from .schedules import Schedule, schedule_values
 
-OVERLAP_FLOOR = 0.5
-OVERLAP_TIE_TOL = 1e-9
 GAP_ZERO_TOL = 1e-14
 TRACK_BLOCK = 256  # walks per batched eigensolve; larger blocks raise peak memory, not speed
-# above the tie tolerance and the eigenvectors' orthonormality tolerance
+# above the eigenvectors' orthonormality tolerance, so a step's overlap matrix,
+# unitary to within it, cannot hold two row maxima in one column
 FAST_MATCH_MARGIN = 1e-6
 
 __all__ = [
@@ -48,41 +48,13 @@ __all__ = [
 
 
 class TrackingAmbiguityError(RuntimeError):
-    """Eigenpath continuation lost its target (best overlap below floor)."""
+    """A step's eigenpath labels are not determined: some path keeps
+    |overlap|^2 of at most 1/2 + FAST_MATCH_MARGIN on every next
+    eigenvector, or the ground path's phase meets another path's."""
 
 
 class StepCountWarning(UserWarning):
     """Step count below the regime the error bound is derived for."""
-
-
-def _match_columns(vprev, tprev, v, t, *, step: int):
-    """Greedy max-overlap assignment of new eigenvectors to previous labels.
-
-    Ties in overlap go to the first nearest in wrapped phase.  Returns the
-    column permutation and the smallest matched overlap amplitude.
-    """
-    d = v.shape[1]
-    m = np.abs(vprev.conj().T @ v)
-    work = m.copy()
-    perm = np.full(d, -1, dtype=int)
-    worst = 1.0
-    for _ in range(d):
-        flat = int(np.argmax(work))
-        r, c = divmod(flat, d)
-        best = work[r, c]
-        if best < OVERLAP_FLOOR:
-            raise TrackingAmbiguityError(
-                f"eigenpath matching ambiguous at step {step}: "
-                f"best remaining overlap {best:.4f} is below {OVERLAP_FLOOR}"
-            )
-        cand = np.argwhere(work >= best - OVERLAP_TIE_TOL)
-        if len(cand) > 1:
-            r, c = cand[np.argmin(np.abs(_wrap_phase(t[cand[:, 1]] - tprev[cand[:, 0]])))]
-        perm[r] = c
-        worst = min(worst, float(m[r, c]))
-        work[r, :] = -1.0
-        work[:, c] = -1.0
-    return perm, worst
 
 
 @dataclass(frozen=True)
@@ -92,7 +64,8 @@ class EigenpathTrack:
     ``phases[j, q]`` is the unwrapped phase of path q at step j (paths are
     labeled ground first at step 0, see ``_label_order``) and
     ``vectors[j, :, q]`` the matching unit eigenvector with phase chosen
-    for continuity in j.
+    for continuity in j.  ``min_overlap``, the least |overlap| of a tracked
+    vector with its predecessor, is above sqrt(1/2) (``track_eigenpaths``).
     """
 
     phases: np.ndarray
@@ -133,16 +106,18 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
     Step 0 fixes the labels (``_label_order``).  Each block of
     ``TRACK_BLOCK`` walks takes one batched eigensolve and one batched
     product for the overlaps of consecutive eigenbases, the previous
-    block's last basis prepended.  Fast path: if every row of a step's
-    overlap matrix peaks above |overlap|^2 = 1/2 + FAST_MATCH_MARGIN, the
-    row argmax is a permutation and the one the greedy matcher would pick.
-    Other steps go through ``_match_columns``: greedy maximal overlap with
-    a floor of 0.5 on the matched amplitude, ties broken by phase.  Label
-    maps are composed only where a step's permutation is not the identity.
-    Phases are unwrapped by a cumulative sum of wrapped differences, then
-    snapped to the raw phase plus a multiple of 2 pi; vector phases follow
-    a cumulative sum of the matched overlap angles, so each vector has a
-    real positive overlap with its predecessor.
+    block's last basis prepended.  A step is matched only if every row of
+    its overlap matrix peaks above |overlap|^2 = 1/2 + FAST_MATCH_MARGIN:
+    the matrix is unitary, so those peaks sit in distinct columns and the
+    row argmax is the step's permutation.  Label maps are composed only
+    where it is not the identity.  Phases are unwrapped by a cumulative
+    sum of wrapped differences, then snapped to the raw phase plus a
+    multiple of 2 pi; vector phases follow a cumulative sum of the matched
+    overlap angles, so each vector has a real positive overlap with its
+    predecessor.  Raises TrackingAmbiguityError at the first step j >= 1
+    that is not matched or whose ground phase (path 0) lies within
+    GAP_ZERO_TOL of another path's: past it, the eigensolver's choice of
+    basis, not the family, would decide the labels.
     """
     td = family.td
     dim = family.dim
@@ -169,21 +144,13 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
         ovs = vs[:-1].conj().transpose(0, 2, 1) @ vs[1:]  # [i, column at j - 1, column at j]
         amp = np.abs(ovs)
         rel = amp.argmax(axis=2)
-        best = amp.max(axis=2)
-        fast = (best ** 2).min(axis=1) > 0.5 + FAST_MATCH_MARGIN
-        if fast.any():
-            worst = min(worst, float(best[fast].min()))
+        best = amp.max(axis=2).min(axis=1)  # each step's least row maximum
         n = j1 - j0
         perms = np.empty((n, dim), dtype=np.intp)
         perm, start = p_last, 0
-        for i in np.flatnonzero(~fast | np.any(rel != identity, axis=1)):
+        for i in np.flatnonzero(np.any(rel != identity, axis=1)):
             perms[start:i] = perm
-            if fast[i]:
-                perm = rel[i, perm]
-            else:
-                perm, w = _match_columns(vs[i][:, perm], ts[i, perm], vs[i + 1], ts[i + 1],
-                                         step=j0 + i)
-                worst = min(worst, w)
+            perm = rel[i, perm]
             start = i
         perms[start:] = perm
         before = np.concatenate([p_last[None], perms[:-1]])
@@ -192,6 +159,18 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
         steps = np.concatenate([t_last[None], _wrap_phase(diff)])
         est = np.cumsum(steps, axis=0)[1:]  # sequential, so blocks do not change roundoff
         phases[j0:j1] = raw + 2.0 * np.pi * np.round((est - raw) / (2.0 * np.pi))
+        unmatched = best ** 2 <= 0.5 + FAST_MATCH_MARGIN
+        arc = np.abs(_wrap_phase(phases[j0:j1, 1:] - phases[j0:j1, :1]))
+        bad = np.flatnonzero(unmatched | (arc.min(axis=1, initial=np.inf) < GAP_ZERO_TOL))
+        if bad.size:  # labels past an unmatched step are arbitrary: the first bad step decides
+            i = bad[0]
+            raise TrackingAmbiguityError(
+                f"eigenpath matching ambiguous at step {j0 + i}: a path's largest overlap "
+                f"{best[i]:.4f} is not above sqrt(1/2)" if unmatched[i] else
+                f"ground eigenpath degenerate at step {j0 + i}: its phase is within "
+                f"{GAP_ZERO_TOL} of another path's"
+            )
+        worst = min(worst, float(best.min()))
         turns = -np.angle(ovs[np.arange(n)[:, None], before, perms])
         angles = np.cumsum(np.concatenate([a_last[None], turns]), axis=0)[1:]
         vecs = np.take_along_axis(v, perms[:, None, :], axis=2)

@@ -373,10 +373,26 @@ def test_spectrum_scan_sidecar_records_min_overlap(tmp_path):
     model = build_toy("toy1", 0.05)
     fam = build_walk_family(model.h0, model.h1, model.schedule, PF1, 1.0, 50)
     assert sidecar["min_overlap"] == track_eigenpaths(fam).min_overlap
-    assert 0.5 <= sidecar["min_overlap"] <= 1.0
+    assert np.sqrt(0.5) <= sidecar["min_overlap"] <= 1.0
     first = (tmp_path / "scan.csv.json").read_bytes()
     assert run_cli(["--config", cfg, "--out", str(out)]) == 0
     assert (tmp_path / "scan.csv.json").read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"model": "toy1", "eps": 0.1, "grid": 10, "integrator": "pf2"}, "ambiguous at step 1:"),
+        ({"model": "toy1", "eps": 0.0, "grid": 60}, "degenerate at step 30:"),
+    ],
+    ids=["ambiguous", "degenerate"],
+)
+def test_spectrum_scan_refuses_undetermined_labels(tmp_path, capsys, params, message):
+    cfg = write_config(tmp_path / "c.json", {"experiment": "spectrum-scan", "parameters": params})
+    out = tmp_path / "scan.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def glue_scheduled_toys(monkeypatch):

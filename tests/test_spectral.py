@@ -11,6 +11,7 @@ from adiawalk.integrators import (
     EXP_INTEGRATOR,
     PF1,
     PF2,
+    PF2_SIMPLIFIED,
     build_walk_family,
     commutator_combo,
     hamiltonian_bands,
@@ -54,8 +55,10 @@ def sorted_step_phases(family, j: int) -> np.ndarray:
 
 def sequential_track(family):
     """Per-step tracking loop: labels in ascending phase order at step 0,
-    then one eigensolve and one greedy match per step, each step unwrapped
-    onto the previous sheet and its vector phases aligned to it."""
+    then one eigensolve per step, each label moved to the column where its
+    row of |overlaps| peaks (asserted above |o|^2 = 1/2, so the peaks form
+    a permutation), unwrapped onto the previous sheet and its vector
+    phases aligned to it."""
     lam, vecs = normal_eig(family.walk(0))
     theta = -np.angle(lam)
     order = np.argsort(theta)
@@ -63,8 +66,10 @@ def sequential_track(family):
     for j in range(1, family.td + 1):
         lam, vecs = normal_eig(family.walk(j))
         theta = -np.angle(lam)
-        perm, w = spectral._match_columns(vectors[-1], phases[-1], vecs, theta, step=j)
-        worst = min(worst, w)
+        amp = np.abs(vectors[-1].conj().T @ vecs)
+        perm, peaks = amp.argmax(axis=1), amp.max(axis=1)
+        assert np.all(peaks ** 2 > 0.5)
+        worst = min(worst, peaks.min())
         theta, vecs = theta[perm], vecs[:, perm]
         theta = phases[-1] + ((theta - phases[-1] + np.pi) % (2.0 * np.pi) - np.pi)
         vecs = vecs * np.exp(-1j * np.angle(np.einsum("ik,ik->k", vectors[-1].conj(), vecs)))
@@ -170,8 +175,8 @@ def test_tracking_ambiguity_on_basis_jump():
 
 def test_tracking_ambiguity_when_row_maxima_form_a_permutation():
     # Every row of |O| peaks in a different column, so the row argmax is a
-    # permutation, but row 5 peaks at 0.454: the step must fail the fast
-    # test and the matcher must stop at the 0.5 floor.
+    # permutation, but row 5 peaks at 0.454, so its label is not determined
+    # and the step must be refused.
     rounded = np.array([
         [-0.263, 0.265, 0.365, -0.091, -0.809, 0.254],
         [-0.142, -0.382, 0.328, -0.295, 0.331, 0.728],
@@ -210,14 +215,16 @@ def test_tracked_vectors_have_real_positive_consecutive_overlaps():
 
 @pytest.mark.parametrize(
     "kind,eps,integrator,td",
-    [("toy1", 0.0, PF1, 50), ("toy2", 0.05, PF1, 50), ("toy2", 0.05, PF2, 400)],
-    ids=["toy1-eps0-pf1-50", "toy2-pf1-50", "toy2-pf2-400"],
+    [("toy1", 0.0, PF1, 51), ("toy2", 0.05, PF1, 50), ("toy2", 0.05, PF2, 400)],
+    ids=["toy1-eps0-pf1-51", "toy2-pf1-50", "toy2-pf2-400"],
 )
 def test_tracks_glue_families_near_f_one(kind, eps, integrator, td):
     # The glue schedule approaches f = 1 so slowly that the last walks hold
     # a mirror pair of eigenphases near +-1 rad whose cosines differ by
     # 1e-7 or less; a solver that splits them through the Hermitian part
-    # mixes their vectors and fails its reconstruction check there.
+    # mixes their vectors and fails its reconstruction check there.  (toy1
+    # at eps 0 and td 50 puts a step on its degenerate midpoint; see
+    # test_degenerate_ground_step_raises.)
     model = build_toy(kind, eps)
     fam = build_walk_family(model.h0, model.h1, glue_schedule(), integrator, 1.0, td)
     track = track_eigenpaths(fam)
@@ -232,8 +239,7 @@ def rotated_step_family():
 
     |O| = [[.766, .369, .527], [.643, .439, .628], [0, .819, .574]]: rows
     0 and 1 both peak in column 0 and row 1 peaks at |O|^2 = 0.41 < 1/2,
-    so step 6 fails the fast test and the greedy matcher must decide.  It
-    takes (2, 1) = .819, then (0, 0) = .766, then (1, 2) = cos 40 sin 55.
+    so the overlaps do not determine the labels at step 6.
     """
     phi = np.array([0.2, 0.9, 2.0])
     a, b = np.radians(40.0), np.radians(55.0)
@@ -246,24 +252,38 @@ def rotated_step_family():
 
 
 @pytest.mark.parametrize("block", [spectral.TRACK_BLOCK, 6, 4])
-def test_fallback_step_matches_the_greedy_assignment(block, monkeypatch):
+def test_rotated_step_raises(block, monkeypatch):
+    # block 6 puts step 6 first in its block, block 4 in the middle of one
     monkeypatch.setattr(spectral, "TRACK_BLOCK", block)
-    track = track_eigenpaths(rotated_step_family())
-    assert np.allclose(track.phases[:6], [0.2, 0.9, 2.0], atol=1e-14)
-    # label 1 (column 1 at step 0) moves to column 2, label 2 to column 1
-    assert np.allclose(track.phases[6:], [0.2, 2.0, 0.9], atol=1e-14)
-    expected = math.cos(math.radians(40.0)) * math.sin(math.radians(55.0))
-    assert track.min_overlap == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(TrackingAmbiguityError, match="ambiguous at step 6:"):
+        track_eigenpaths(rotated_step_family())
 
 
-@pytest.mark.parametrize("case", ["toy1-pf1", "toy2-glue-pf2", "rotated-step"])
+@pytest.mark.parametrize(
+    "kind,sched,integrator,td,step",
+    [
+        ("toy1", LINEAR, PF1, 60, 30),
+        ("toy1", LINEAR, PF2_SIMPLIFIED, 60, 30),
+        ("toy2", LINEAR, EXP_INTEGRATOR, 400, 200),
+        ("toy1", glue_schedule(), PF1, 50, 25),
+    ],
+    ids=["toy1-pf1-60", "toy1-pf2s-60", "toy2-exp-400", "toy1-glue-pf1-50"],
+)
+def test_degenerate_ground_step_raises(kind, sched, integrator, td, step):
+    # At eps 0 the midpoint walk has phases (-0.5, -0.5, 0.2, 0.6): path 0
+    # meets path 1 there, and the eigensolver may return any basis of that
+    # eigenspace, so the labels past it would be arbitrary.
+    model = build_toy(kind, 0.0)
+    fam = build_walk_family(model.h0, model.h1, sched, integrator, 1.0, td)
+    with pytest.raises(TrackingAmbiguityError, match=f"degenerate at step {step}:"):
+        track_eigenpaths(fam)
+
+
+@pytest.mark.parametrize("case", ["toy1-pf1", "toy2-glue-pf2"])
 def test_batched_tracking_matches_the_per_step_loop(case, monkeypatch):
-    if case == "rotated-step":
-        fam = rotated_step_family()
-    else:
-        model = build_toy(case[:4], 0.05)
-        sched = glue_schedule() if "glue" in case else LINEAR
-        fam = build_walk_family(model.h0, model.h1, sched, PF2 if "pf2" in case else PF1, 1.0, 90)
+    model = build_toy(case[:4], 0.05)
+    sched = glue_schedule() if "glue" in case else LINEAR
+    fam = build_walk_family(model.h0, model.h1, sched, PF2 if "pf2" in case else PF1, 1.0, 90)
     monkeypatch.setattr(spectral, "TRACK_BLOCK", 16)
     track = track_eigenpaths(fam)
     phases, vectors, worst = sequential_track(fam)
