@@ -9,8 +9,9 @@ the side that runs first alternates from pair to pair.  The output JSON
 holds every run's end-to-end metrics and failure counts, the median and
 quartiles per side and seed, the pairs each side won, one traced run per
 side for the named count metrics, each side's first run record
-(versions, BLAS, cpu count) and, with ``--pytest-id``, the call time of
-that test in each checkout.
+(versions, BLAS, cpu count) and, with ``--pytest-id``, the set-up and
+call times of that test in each checkout; a module fixture's cost is the
+set-up time of the first test that requests it.
 
 It prints a verdict for each ``end_to_end`` metric of the change's
 ``BENCHMARK.json``, whose bound is a fraction of the parent's median
@@ -74,18 +75,20 @@ def verdict(metric, runs, stats):
     return word, line
 
 
-def pytest_call_s(root, test_id, repeats):
-    """Minimum over ``repeats`` runs of the test's call phase, in seconds."""
+def pytest_phases_s(root, test_id, repeats):
+    """Minimum over ``repeats`` runs of the test's set-up and call phases,
+    in seconds."""
     env = dict(os.environ, PYTHONPATH="src")
-    times = []
+    times = {"setup": [], "call": []}
     for _ in range(repeats):
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "--durations=0", "--durations-min=0", test_id],
             cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True,
         ).stdout
-        times.append(float(re.search(r"([\d.]+)s call ", out).group(1)))
-    return min(times)
+        for phase, found in times.items():
+            found.append(float(re.search(rf"([\d.]+)s {phase} ", out).group(1)))
+    return {phase: min(found) for phase, found in times.items()}
 
 
 def main(argv=None):
@@ -97,7 +100,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True, help="pairs per seed")
     parser.add_argument("--counts", nargs="*", default=[],
                         help="per-layer count metrics to read from one traced run per side")
-    parser.add_argument("--pytest-id", help="test whose call time to report per side")
+    parser.add_argument("--pytest-id", help="test whose set-up and call times to report per side")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -151,10 +154,11 @@ def main(argv=None):
         result["counts"] = {name: {side: traced[side]["metrics"][name]["value"] for side in SIDES}
                             for name in args.counts}
     if args.pytest_id:
-        result["pytest_call_s"] = {
-            "test": args.pytest_id,
-            **{side: pytest_call_s(roots[side], args.pytest_id, 3) for side in SIDES},
-        }
+        phases = {side: pytest_phases_s(roots[side], args.pytest_id, 3) for side in SIDES}
+        result["pytest_s"] = {"test": args.pytest_id, **phases}
+        for side in SIDES:
+            print(f"{args.pytest_id} {side}: setup {phases[side]['setup']:.3f} s, "
+                  f"call {phases[side]['call']:.3f} s")
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
         handle.write("\n")

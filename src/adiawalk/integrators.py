@@ -32,8 +32,19 @@ left multiplication is one GEMM whose output columns run over the steps,
 so the unitarity check of a lazily built block and its chain product run
 along the step axis.  A single walk is a GEMM of the same shape over one
 step, and comes out bitwise equal to the same step inside a family block.
-``hamiltonian_bands`` is the only code that assembles and diagonalizes
-H(s).
+Every phase, of either kind, is exp(-i x) from ``_phases``, which writes
+cos and sin into one complex array.  ``hamiltonian_bands`` is the only
+code that assembles and diagonalizes H(s).
+
+Long products (``WalkFamily.chain``, which ``evolve`` calls) go in the
+first factor's eigenbasis: W_j = V_a M_j V_a^dag, so a block's product is
+V_a (M_{j1-1} ... M_{j0}) V_a^dag, neighbouring steps' V_a^dag V_a
+cancel, and M_j is built like W_j but from V_b^dag V_a and without the
+last product by V_a.  That takes a pf1 step from 2 GEMMs to 1 and a pf2
+step from 3 to 2.  The unitarity check runs on every M_j at the same
+``WALK_UNITARITY_TOL``: V_a is unitary to about 1e-15, so M_j's 2-norm
+deviation from unitary is W_j's, and its largest entry deviation is
+within a factor d of W_j's.
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
@@ -66,6 +77,7 @@ ORACLE_TOL = 1e-12  # accepted difference of consecutive Romberg diagonal entrie
 ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
 PF1_FACTORS = ((1, 1.0), (0, 1.0))  # exp(-i h f H1) exp(-i h (1-f) H0)
+PHASES_COS_SIN_MIN = 256  # phase arrays from this size on take cos and sin (``_phases``)
 
 __all__ = [
     "GaplessError",
@@ -190,7 +202,23 @@ def hamiltonian_bands(H0, H1, f, *, vectors: bool = False):
     return np.linalg.eigh(hs) if vectors else np.linalg.eigvalsh(hs)
 
 
-def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray) -> np.ndarray:
+def _phases(x: np.ndarray) -> np.ndarray:
+    """exp(-i x) for a real array x.  From ``PHASES_COS_SIN_MIN`` entries
+    on, cos and sin are written into the real and imaginary views of one
+    complex array, about 30% faster than ``np.exp(-1j * x)`` at the size
+    of a walk block (see the ``linalg`` timing table); below it, the two
+    calls of ``np.exp(-1j * x)`` cost less than the four of that path.
+    The two paths agreed bitwise on the machine of that table."""
+    if x.size < PHASES_COS_SIN_MIN:
+        return np.exp(-1j * x)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
+def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, *, frame: bool = False):
     """Walks at step h, one per schedule value in ``f``, as a steps-last stack.
 
     ``h0`` and ``h1`` are HermitianOperators (see ``_endpoints``); only a
@@ -203,24 +231,35 @@ def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray) -> np.nda
     vary with f, so each product is one (d, d) @ (d, d n) GEMM by a
     constant matrix, never a batched product of two varying stacks.
     ``exp`` diagonalizes every H(f) instead.
+
+    With ``frame`` a product formula returns (V_a, M) with
+    M_j = V_a^dag W_j V_a: the build starts from V_b^dag V_a, the link
+    ``links[b]`` or the identity when the list starts and ends on one
+    operator, and the last product by V_a is left out.
     """
     if not kind.factors:
         w, v = hamiltonian_bands(h0, h1, f, vectors=True)
-        ws = np.einsum("nik,nk,njk->ijn", v, np.exp(-1j * h * w), v.conj(), order="C")
+        ws = np.einsum("nik,nk,njk->ijn", v, _phases(h * w), v.conj(), order="C")
         return steps_last_stack(ws)
     d, ends = h0.dim, (h0.eigh, h1.eigh)
     c = ends[1][1].conj().T @ ends[0][1]  # C = V1^dag V0
     links = (c.conj().T, c)  # into the H0 and into the H1 eigenbasis
+    a, b = kind.factors[0][0], kind.factors[-1][0]
+    if frame:
+        start = links[b] if a != b else np.eye(d)
+    else:
+        start = ends[b][1].conj().T
     acc = None
     for op, weight in reversed(kind.factors):
-        w, v = ends[op]
-        ph = np.exp(-1j * h * weight * np.outer(w, f if op else 1.0 - f))[:, None, :]
+        ph = _phases(h * weight * np.outer(ends[op][0], f if op else 1.0 - f))[:, None, :]
         if acc is None:
-            acc = np.ascontiguousarray(v.conj().T)[:, :, None] * ph  # C order: reshapes are views
+            acc = np.ascontiguousarray(start)[:, :, None] * ph  # C order: reshapes are views
         else:
             acc = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape)
             acc *= ph
-    return steps_last_stack((v @ acc.reshape(d, -1)).reshape(acc.shape))
+    if frame:
+        return ends[a][1], steps_last_stack(acc)
+    return steps_last_stack((ends[a][1] @ acc.reshape(d, -1)).reshape(acc.shape))
 
 
 def walk_operator(
@@ -259,9 +298,10 @@ class WalkFamily:
     """Grid {W(j/T_d)} for j = 0..T_d, possibly built lazily in blocks.
     Step j reads the schedule at min(j/T_d + offset/T_d, 1).
 
-    ``walks`` materializes the whole stack; ``block(j0, j1)`` builds the
-    sub-stack for steps j0..j1-1, which keeps very long evolutions out of
-    memory.  Treat instances as immutable.
+    ``walks`` materializes the whole stack, read-only; ``block(j0, j1)``
+    builds the sub-stack for steps j0..j1-1 and ``chain(j0, j1)`` their
+    product, which keeps very long evolutions out of memory.  Treat
+    instances as immutable.
     """
 
     td: int
@@ -273,18 +313,37 @@ class WalkFamily:
     schedule: Schedule | None = None
     _walks: np.ndarray | None = field(default=None, repr=False)
 
-    def block(self, j0: int, j1: int) -> np.ndarray:
-        """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
+    def _stack(self, j0: int, j1: int, frame: bool) -> tuple:
+        """Steps j0..j1-1 as (None, walks), from the cache or built and
+        checked for unitarity; with ``frame`` a lazy product formula comes
+        as (V_a, M), W_j = V_a M_j V_a^dag, and the check runs on M."""
         if not 0 <= j0 < j1 <= self.td + 1:
             raise ValueError(f"bad block range [{j0}, {j1}) for td = {self.td}")
         if self._walks is not None:
-            return self._walks[j0:j1]
+            return None, self._walks[j0:j1]
         s = np.arange(j0, j1) / self.td
         if self.kind.offset:
             s = np.minimum(s + self.kind.offset / self.td, 1.0)
-        ws = _walk_stack(self.h0, self.h1, self.kind, self.h, schedule_values(self.schedule, s))
+        f = schedule_values(self.schedule, s)
+        if frame and self.kind.factors:
+            va, ws = _walk_stack(self.h0, self.h1, self.kind, self.h, f, frame=True)
+        else:
+            va, ws = None, _walk_stack(self.h0, self.h1, self.kind, self.h, f)
         _check_unitary(ws, RuntimeError, "walk block lost unitarity")
-        return ws
+        return va, ws
+
+    def block(self, j0: int, j1: int) -> np.ndarray:
+        """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
+        return self._stack(j0, j1, frame=False)[1]
+
+    def chain(self, j0: int, j1: int) -> np.ndarray:
+        """The product W_{j1-1} ... W_{j0} of steps j0..j1-1.  A lazy
+        product formula multiplies its steps in the first factor's
+        eigenbasis, V_a (M_{j1-1} ... M_{j0}) V_a^dag, where neighbouring
+        steps' V_a^dag V_a cancel; see the module docstring."""
+        va, ws = self._stack(j0, j1, frame=True)
+        prod = chain_product(ws)
+        return prod if va is None else va @ prod @ va.conj().T
 
     def walk(self, j: int) -> np.ndarray:
         return self.block(j, j + 1)[0]
@@ -293,6 +352,7 @@ class WalkFamily:
     def walks(self) -> np.ndarray:
         if self._walks is None:
             self._walks = self.block(0, self.td + 1)
+            self._walks.flags.writeable = False
         return self._walks
 
 
@@ -321,8 +381,11 @@ def build_walk_family(
 
 
 def walk_family_from_operators(walks, h: float = 1.0) -> WalkFamily:
-    """Wrap an explicit stack of unitaries (step j at index j) as a family."""
-    ws = np.asarray(walks, dtype=complex)
+    """Wrap an explicit stack of unitaries (step j at index j) as a family.
+    The family holds a read-only copy, so later writes to ``walks`` do not
+    reach it past its unitarity check."""
+    ws = np.array(walks, dtype=complex, order="K")
+    ws.flags.writeable = False
     if ws.ndim != 3 or ws.shape[1] != ws.shape[2] or ws.shape[0] < 2:
         raise ValueError(f"expected a stack of at least 2 square matrices, got {ws.shape}")
     _check_unitary(ws, ValueError, "entry not unitary")

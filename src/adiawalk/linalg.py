@@ -23,8 +23,12 @@ d <= ``EINSUM_CHAIN_MAX_DIM`` and by batched ``@`` otherwise.
 ``operator_norm`` of a stack takes ``eigvalsh`` of the Gram matrices, not
 ``svd``; a rank-1 block Q X v v^dag needs only |Q X v| (the Volterra
 profiles).  Prefix products (``evolution._running_product``) go in blocks
-of sqrt(n) steps.  Times in ms at n = 65,536, 4,000 for the norms and
-1,601 for the prefix products (2 cores, BLAS at 1 thread, min of 10):
+of sqrt(n) steps.  The walk phases exp(-i x), one (d, n) array per
+factor, come from cos and sin written into one complex array, not from
+``np.exp`` of a complex array, once they have 256 entries or more
+(``integrators._phases``).  Times
+in ms at n = 65,536, 4,000 for the norms and 1,601 for the prefix
+products (2 cores, BLAS at 1 thread, min of 10):
 
     d                              2     3     4     5     6
     chain, batched @              27    29    22    44    43
@@ -38,6 +42,8 @@ of sqrt(n) steps.  Times in ms at n = 65,536, 4,000 for the norms and
     norm, rank-1 block |Q X v|     0.22  0.19  0.21  0.41  0.56
     prefix products, loop          4.0   4.0   4.9   4.7   4.7
     prefix products, blocked       0.69  0.85  0.83  1.0   1.1
+    d x n phases, np.exp(-1j x)    7.4  11    15    18    20
+    d x n phases, cos/sin          5.1   7.8   9.8  13    16
 
 Walk eigenphases are reported as ``theta = -arg(lambda)``, so a walk
 built as ``exp(-i h H)`` has eigenphases ``h * eig(H)`` whenever

@@ -203,6 +203,30 @@ def test_leakage_holds_at_exact_eigenphase_aliasing(monkeypatch):
     evolve(fam, ground_state(h0))
 
 
+@pytest.mark.parametrize("sched", [LINEAR, glue_schedule()], ids=["linear", "glue"])
+@pytest.mark.parametrize("tag", [tag for tag, kind in INTEGRATORS.items() if kind.factors])
+def test_lazy_and_materialized_evolve_agree(tag, sched):
+    # a lazy product formula chains its blocks in the first factor's
+    # eigenbasis, a materialized one multiplies its cached walks
+    h0, h1 = four_level_pair()
+    psi0 = ground_state(h0)
+    for h in (0.7, 3.0):
+        lazy, eager = (build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, 3000,
+                                         materialize=m) for m in (False, True))
+        a, b = evolve(lazy, psi0), evolve(eager, psi0)
+        assert np.max(np.abs(a.final_state - b.final_state)) <= 1e-11
+        assert abs(a.leakage - b.leakage) <= 1e-12
+
+
+def test_evolve_raises_when_the_phases_overflow():
+    # at h = 1e308 the phases h w g lambda overflow and turn NaN, which the
+    # unitarity check of every step must catch
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 1e308, 100, materialize=False)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="unitarity"):
+        evolve(fam, ground_state(h0))
+
+
 def test_evolve_rejects_a_family_without_endpoints():
     with pytest.raises(ValueError, match="H1"):
         evolve(walk_family_from_operators(np.stack([np.eye(2, dtype=complex)] * 3)),

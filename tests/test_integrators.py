@@ -23,6 +23,7 @@ from adiawalk.integrators import (
     ProblemConstants,
     WalkFamily,
     _endpoints,
+    _phases,
     _walk_stack,
     build_walk_family,
     commutator_combo,
@@ -36,7 +37,7 @@ from adiawalk.integrators import (
     walk_family_from_operators,
     walk_operator,
 )
-from adiawalk.linalg import HermitianOperator, operator_norm
+from adiawalk.linalg import HermitianOperator, chain_product, operator_norm
 from adiawalk.schedules import (
     bc_composite_schedule,
     glue_schedule,
@@ -637,3 +638,108 @@ def test_non_finite_walks_fail_the_unitarity_checks():
             off[4] *= 1.0 + 1e-10  # |W^dag W - I| = 2e-10 > WALK_UNITARITY_TOL
             with pytest.raises(ValueError, match="unitary"):
                 walk_family_from_operators(off)
+
+
+# ---------------------------------------------------------------------------
+# chains in the first factor's eigenbasis
+
+PRODUCT_FORMULAS = [tag for tag, kind in INTEGRATORS.items() if kind.factors]
+
+
+def test_phases_match_the_complex_exponential():
+    rng = np.random.default_rng(68)
+    x = np.concatenate([np.linspace(-1e6, 1e6, 200_001), rng.uniform(-1e6, 1e6, 100_000),
+                        rng.uniform(-4.0, 4.0, 100_000)])
+    assert x.size >= integrators.PHASES_COS_SIN_MIN
+    assert np.max(np.abs(_phases(x) - np.exp(-1j * x))) <= 2.3e-16
+    small = x[: integrators.PHASES_COS_SIN_MIN - 1]
+    assert np.max(np.abs(_phases(small) - np.exp(-1j * small))) <= 2.3e-16
+    for size in (1, integrators.PHASES_COS_SIN_MIN):
+        assert np.all(_phases(np.zeros(size)) == 1.0)
+    assert np.array_equal(_phases(x[1:].reshape(4, -1)), _phases(x[1:]).reshape(4, -1))
+
+
+@pytest.mark.parametrize("sched", [LINEAR, glue_schedule()], ids=["linear", "glue"])
+@pytest.mark.parametrize("tag", PRODUCT_FORMULAS)
+def test_eigenframe_chain_matches_the_walk_product(tag, sched):
+    h0, h1 = four_level_pair()
+    td = 3000
+    for h in (0.7, 3.0):
+        fam = build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, td, materialize=False)
+        for j0, j1 in ((0, td), (17, 18), (1234, td + 1)):
+            ref = chain_product(fam.block(j0, j1))
+            assert np.max(np.abs(fam.chain(j0, j1) - ref)) <= 1e-11, (h, j0, j1)
+
+
+def test_eigenframe_frame_and_link_match_the_walks():
+    # (V_a, M) with W_j = V_a M_j V_a^dag, for lists that start and end on
+    # different operators (pf1: H1 then H0) and on one operator (pf2: H0).
+    # Both bases are far from the identity; toy2's diagonal H1 has V1 = I,
+    # so it cannot tell a frame from no frame.
+    h0, h1 = four_level_pair()
+    for op in (h0, h1):
+        assert np.max(np.abs(np.abs(op.eigh[1]) - np.eye(4))) > 0.1
+    f = np.linspace(0.0, 1.0, 7)
+    for kind, first in ((PF1, h1), (PF2, h0), (INTEGRATORS["spf4"], h0)):
+        va, ms = _walk_stack(h0, h1, kind, 0.9, f, frame=True)
+        assert va is first.eigh[1]
+        ws = _walk_stack(h0, h1, kind, 0.9, f)
+        assert np.max(np.abs(va @ ms @ va.conj().T - ws)) <= 1e-14
+
+
+def test_chain_of_exp_and_materialized_families_is_the_block_product():
+    h0, h1 = four_level_pair()
+    td = 300
+    families = [
+        build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, 0.7, td, materialize=False),
+        build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, 0.7, td, materialize=True),
+        build_walk_family(h0, h1, glue_schedule(), PF1, 3.0, td, materialize=True),
+        build_walk_family(h0, h1, LINEAR, INTEGRATORS["spf4"], 0.7, td, materialize=True),
+    ]
+    families.append(walk_family_from_operators(families[-1].walks))
+    for fam in families:
+        for j0, j1 in ((0, td), (5, 6), (100, td + 1)):
+            assert np.array_equal(fam.chain(j0, j1), chain_product(fam.block(j0, j1)))
+        with pytest.raises(ValueError, match="block range"):
+            fam.chain(4, 4)
+        with pytest.raises(ValueError, match="block range"):
+            fam.chain(0, td + 2)
+
+
+def test_eigenframe_chain_checks_every_step(monkeypatch):
+    # one phase of one step off the unit circle by 1e-8 makes that M_j
+    # non-unitary by far more than WALK_UNITARITY_TOL; the chain must see it
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500, materialize=False)
+    fam.chain(0, 500)
+    phases = integrators._phases
+
+    def one_bad_phase(x):
+        out = phases(x)
+        if out.shape[1] > 321:
+            out[2, 321] *= 1.0 + 1e-8
+        return out
+
+    monkeypatch.setattr(integrators, "_phases", one_bad_phase)
+    with pytest.raises(RuntimeError, match="unitarity"):
+        fam.chain(0, 500)
+    fam.chain(0, 321)  # the bad step lies outside this range
+
+
+def test_cached_and_wrapped_walks_are_read_only():
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 1.0, 50)
+    assert fam._walks is not None
+    with pytest.raises(ValueError, match="read-only"):
+        fam.walk(10)[:] = 1j * np.eye(4)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.block(3, 9)[0, 0, 0] = 0.0
+    # a wrapped stack is a copy: later writes by the caller do not reach it
+    steps_first = fam.walks.copy(order="C")
+    steps_last = fam.walks.transpose(1, 2, 0).copy(order="C").transpose(2, 0, 1)
+    for stack in (steps_first, steps_last):
+        wrapped = walk_family_from_operators(stack)
+        stack[10] = 2.0 * np.eye(4)
+        assert np.array_equal(wrapped.walk(10), fam.walk(10))
+        with pytest.raises(ValueError, match="read-only"):
+            wrapped.walk(10)[:] = 1j * np.eye(4)
