@@ -18,9 +18,11 @@ It prints a verdict for each ``end_to_end`` metric of the change's
 (``perfbench/README.md``): "beyond bound" if the change's median is worse
 than the parent's by more than the bound; "unresolved" if the parent's
 quartile spread over its median exceeds the bound and not every change
-run beats every parent run; "gain" if the change wins at least 9 of 10
-pairs and its median beats the parent's by more than the parent's
-quartile spread; otherwise "within bound".
+run beats every parent run; "gain" if at least ``GAIN_MIN_PAIRS`` pairs
+ran in total, the change wins at least 9 of 10 of them and its median
+beats the parent's by more than the parent's quartile spread; "too few
+pairs for a gain" if the last two hold on fewer pairs; otherwise "within
+bound".
 """
 
 import argparse
@@ -32,6 +34,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+GAIN_MIN_PAIRS = 10  # a "gain" needs 9 wins in 10 pairs, so 3 wins in 3 pairs is not one
 
 
 def bench(root, workload, seed, seconds, trace):
@@ -67,7 +70,7 @@ def verdict(metric, runs, stats):
     elif spread > bound and not beats_all:
         word = "unresolved"
     elif wins >= 0.9 * len(runs) and -change > spread:
-        word = "gain"
+        word = "gain" if len(runs) >= GAIN_MIN_PAIRS else "too few pairs for a gain"
     else:
         word = "within bound"
     line = (f"{name}: median {change:+.1%} (bound {bound:.0%}), parent spread "

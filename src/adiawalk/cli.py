@@ -33,7 +33,6 @@ from .schedules import (
 )
 from .integrators import (
     INTEGRATORS,
-    MATERIALIZE_LIMIT,
     GaplessError,
     build_walk_family,
     hamiltonian_bands,
@@ -61,6 +60,7 @@ from .toymodels import (
 )
 
 GAPLESS_TOL = 1e-12
+MATERIALIZE_LIMIT = 2 ** 22  # complex entries of the largest stack a config may ask for
 
 __all__ = ["main", "EXPERIMENTS"]
 

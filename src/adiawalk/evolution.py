@@ -70,9 +70,9 @@ class EvolutionResult:
 def evolve(family: WalkFamily, initial) -> EvolutionResult:
     """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
     walks at a time, each block's product (``WalkFamily.chain``) released
-    before the next is built.  A lazy product formula multiplies its block
-    in the first factor's eigenbasis and checks the unitarity of every
-    step there; see the ``integrators`` module docstring.
+    before the next is built.  A product formula multiplies its block in
+    the first factor's eigenbasis, cached stack or not, and checks the
+    unitarity of every step there; see the ``integrators`` module docstring.
 
     The final state is read on H1's cached eigenbasis: at f = 1 every
     walk is exp(-i h H1), so this is the last walk's eigenbasis, labeled
@@ -298,6 +298,7 @@ def _offdiag_endpoints(H0, H1, sched, td: int):
     of one step count outlives its call, and the track is released before
     the comparison series is built, which keeps peak memory down."""
     fam = build_walk_family(H0, H1, sched, EXP_INTEGRATOR, 1.0, td)
+    fam.walks  # noqa: B018  (built once for the tracker, the ideal family and the series)
     ideal = ideal_adiabatic_family(track_eigenpaths(fam), fam)
     diag = volterra_diagnostics(ideal, fam, j_max=1)
     return diag.off_diag_terms[1], float(diag.off_diag_omega[-1])

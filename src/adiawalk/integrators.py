@@ -29,22 +29,25 @@ by constant matrices only.  The eigenbases are each
 ``HermitianOperator``'s own ``eigh``, computed once on first use; ``exp``
 walks never read them.  Its stacks are steps-last (see ``linalg``): each
 left multiplication is one GEMM whose output columns run over the steps,
-so the unitarity check of a lazily built block and its chain product run
-along the step axis.  A single walk is a GEMM of the same shape over one
+so the unitarity check of a block and its chain product run along the
+step axis.  A single walk is a GEMM of the same shape over one
 step, and comes out bitwise equal to the same step inside a family block.
 Every phase, of either kind, is exp(-i x) from ``_phases``, which writes
 cos and sin into one complex array.  ``hamiltonian_bands`` is the only
 code that assembles and diagonalizes H(s).
 
-Long products (``WalkFamily.chain``, which ``evolve`` calls) go in the
-first factor's eigenbasis: W_j = V_a M_j V_a^dag, so a block's product is
+A family builds its walks on demand and caches its stack only once
+``walks`` is read.  Long products (``WalkFamily.chain``, which ``evolve``
+calls) of a product formula always go in the first factor's eigenbasis,
+never through the cache: W_j = V_a M_j V_a^dag, so a block's product is
 V_a (M_{j1-1} ... M_{j0}) V_a^dag, neighbouring steps' V_a^dag V_a
 cancel, and M_j is built like W_j but from V_b^dag V_a and without the
 last product by V_a.  That takes a pf1 step from 2 GEMMs to 1 and a pf2
 step from 3 to 2.  The unitarity check runs on every M_j at the same
 ``WALK_UNITARITY_TOL``: V_a is unitary to about 1e-15, so M_j's 2-norm
 deviation from unitary is W_j's, and its largest entry deviation is
-within a factor d of W_j's.
+within a factor d of W_j's.  ``exp`` walks and wrapped stacks multiply
+their ``block``; a block sliced from the cache is bitwise the one built.
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
@@ -72,7 +75,6 @@ from .schedules import Schedule, schedule_values
 
 COEFFICIENT_SUM_TOL = 1e-12
 WALK_UNITARITY_TOL = 1e-10
-MATERIALIZE_LIMIT = 2 ** 22  # complex entries held by an eager family
 ORACLE_TOL = 1e-12  # accepted difference of consecutive Romberg diagonal entries
 ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
@@ -295,55 +297,55 @@ def _check_unitary(ws: np.ndarray, error: type, message: str) -> None:
 
 @dataclass
 class WalkFamily:
-    """Grid {W(j/T_d)} for j = 0..T_d, possibly built lazily in blocks.
+    """Grid {W(j/T_d)} for j = 0..T_d, built on demand in blocks.
     Step j reads the schedule at min(j/T_d + offset/T_d, 1).
 
-    ``walks`` materializes the whole stack, read-only; ``block(j0, j1)``
-    builds the sub-stack for steps j0..j1-1 and ``chain(j0, j1)`` their
-    product, which keeps very long evolutions out of memory.  Treat
-    instances as immutable.
+    ``block(j0, j1)`` is the stack of steps j0..j1-1 and ``chain(j0, j1)``
+    their product (see the module docstring), which keeps very long
+    evolutions out of memory; ``walks`` builds and caches the whole stack,
+    read-only, which ``block`` then slices.  Treat instances as immutable.
     """
 
     td: int
-    h: float
     dim: int
+    h: float | None = None
     kind: IntegratorKind | None = None
     h0: HermitianOperator | None = None
     h1: HermitianOperator | None = None
     schedule: Schedule | None = None
     _walks: np.ndarray | None = field(default=None, repr=False)
 
-    def _stack(self, j0: int, j1: int, frame: bool) -> tuple:
-        """Steps j0..j1-1 as (None, walks), from the cache or built and
-        checked for unitarity; with ``frame`` a lazy product formula comes
-        as (V_a, M), W_j = V_a M_j V_a^dag, and the check runs on M."""
+    def _check_range(self, j0: int, j1: int) -> None:
         if not 0 <= j0 < j1 <= self.td + 1:
             raise ValueError(f"bad block range [{j0}, {j1}) for td = {self.td}")
-        if self._walks is not None:
-            return None, self._walks[j0:j1]
+
+    def _values(self, j0: int, j1: int) -> np.ndarray:
+        """Schedule values that steps j0..j1-1 read, after the range check."""
+        self._check_range(j0, j1)
         s = np.arange(j0, j1) / self.td
         if self.kind.offset:
             s = np.minimum(s + self.kind.offset / self.td, 1.0)
-        f = schedule_values(self.schedule, s)
-        if frame and self.kind.factors:
-            va, ws = _walk_stack(self.h0, self.h1, self.kind, self.h, f, frame=True)
-        else:
-            va, ws = None, _walk_stack(self.h0, self.h1, self.kind, self.h, f)
-        _check_unitary(ws, RuntimeError, "walk block lost unitarity")
-        return va, ws
+        return schedule_values(self.schedule, s)
 
     def block(self, j0: int, j1: int) -> np.ndarray:
-        """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack."""
-        return self._stack(j0, j1, frame=False)[1]
+        """Walk operators at steps j0..j1-1 as an (j1-j0, dim, dim) stack,
+        sliced from the cache or built and checked for unitarity."""
+        if self._walks is not None:
+            self._check_range(j0, j1)
+            return self._walks[j0:j1]
+        ws = _walk_stack(self.h0, self.h1, self.kind, self.h, self._values(j0, j1))
+        _check_unitary(ws, RuntimeError, "walk block lost unitarity")
+        return ws
 
     def chain(self, j0: int, j1: int) -> np.ndarray:
-        """The product W_{j1-1} ... W_{j0} of steps j0..j1-1.  A lazy
-        product formula multiplies its steps in the first factor's
-        eigenbasis, V_a (M_{j1-1} ... M_{j0}) V_a^dag, where neighbouring
-        steps' V_a^dag V_a cancel; see the module docstring."""
-        va, ws = self._stack(j0, j1, frame=True)
-        prod = chain_product(ws)
-        return prod if va is None else va @ prod @ va.conj().T
+        """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: a product
+        formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag, each M_j checked for
+        unitarity, or the product of ``block``; see the module docstring."""
+        if self.kind is None or not self.kind.factors:
+            return chain_product(self.block(j0, j1))
+        va, ms = _walk_stack(self.h0, self.h1, self.kind, self.h, self._values(j0, j1), frame=True)
+        _check_unitary(ms, RuntimeError, "walk block lost unitarity")
+        return va @ chain_product(ms) @ va.conj().T
 
     def walk(self, j: int) -> np.ndarray:
         return self.block(j, j + 1)[0]
@@ -363,24 +365,18 @@ def build_walk_family(
     kind: IntegratorKind,
     h: float,
     td: int,
-    *,
-    materialize: bool | None = None,
 ) -> WalkFamily:
-    """Family of walk operators on the inclusive grid s = j/td, j = 0..td."""
+    """Family of walk operators on the inclusive grid s = j/td, j = 0..td;
+    nothing is built until ``block``, ``chain`` or ``walks`` asks."""
     if td < 1:
         raise ValueError(f"need td >= 1, got {td}")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
     h0, h1 = _endpoints(H0, H1)
-    fam = WalkFamily(td=td, h=float(h), dim=h0.dim, kind=kind, h0=h0, h1=h1, schedule=sched)
-    if materialize is None:
-        materialize = (td + 1) * h0.dim * h0.dim <= MATERIALIZE_LIMIT
-    if materialize:
-        fam.walks  # noqa: B018  (builds and caches the full stack)
-    return fam
+    return WalkFamily(td=td, dim=h0.dim, h=float(h), kind=kind, h0=h0, h1=h1, schedule=sched)
 
 
-def walk_family_from_operators(walks, h: float = 1.0) -> WalkFamily:
+def walk_family_from_operators(walks) -> WalkFamily:
     """Wrap an explicit stack of unitaries (step j at index j) as a family.
     The family holds a read-only copy, so later writes to ``walks`` do not
     reach it past its unitarity check."""
@@ -389,7 +385,7 @@ def walk_family_from_operators(walks, h: float = 1.0) -> WalkFamily:
     if ws.ndim != 3 or ws.shape[1] != ws.shape[2] or ws.shape[0] < 2:
         raise ValueError(f"expected a stack of at least 2 square matrices, got {ws.shape}")
     _check_unitary(ws, ValueError, "entry not unitary")
-    return WalkFamily(td=ws.shape[0] - 1, h=float(h), dim=ws.shape[1], _walks=ws)
+    return WalkFamily(td=ws.shape[0] - 1, dim=ws.shape[1], _walks=ws)
 
 
 # ---------------------------------------------------------------------------

@@ -265,16 +265,20 @@ def _neighbour_reduce(x: np.ndarray, op) -> np.ndarray:
 def discrete_adiabatic_bound(c1, c2, delta2, td: int) -> float:
     """Closed-form adiabatic error bound after all td steps.
 
-    ``c1`` and ``c2`` are the scaled difference-norm profiles and
-    ``delta2`` the 2-step windowed gap array, ``walk_gap_profile(...)[2]``.
-    The hat/check regularizations take the max/min over the neighbor
-    steps {j-1, j, j+1} clipped to each profile's domain.  Requires
-    td >= sup_j 4 c1_hat(j) / delta2_check(j); a violation still returns
-    the value but carries a StepCountWarning.
+    ``c1`` and ``c2`` are the scaled difference-norm profiles, td and
+    td - 1 entries (``ck_profiles``), and ``delta2`` the 2-step windowed
+    gap array, td - 1 entries (``walk_gap_profile(...)[2]``); other
+    lengths, or td < 2, are a ValueError.  The hat/check regularizations
+    take the max/min over the neighbor steps {j-1, j, j+1} clipped to each
+    profile's domain.  Requires td >= sup_j 4 c1_hat(j) / delta2_check(j);
+    a violation still returns the value but carries a StepCountWarning.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
+    if td < 2 or (c1.shape, c2.shape, delta2.shape) != ((td,), (td - 1,), (td - 1,)):
+        raise ValueError(f"profiles of shapes {c1.shape}, {c2.shape}, {delta2.shape} do not fit "
+                         f"td = {td}: td >= 2, c1 needs td entries, c2 and delta2 td - 1 each")
     if np.any(delta2 <= 0.0):
         warnings.warn("2-step gap vanishes somewhere; bound is infinite", StepCountWarning)
         return float("inf")

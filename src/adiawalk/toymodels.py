@@ -215,9 +215,7 @@ def fidelity_sweep(t_list, h_list, *, eps: float = 0.0, kind: str = "toy2") -> l
             td = int(round(float(t) / float(h)))
             if td < 1:
                 raise ValueError(f"T = {t}, h = {h} gives no steps")
-            fam = build_walk_family(
-                model.h0, model.h1, model.schedule, PF1, float(h), td, materialize=False
-            )
+            fam = build_walk_family(model.h0, model.h1, model.schedule, PF1, float(h), td)
             res = evolve(fam, psi0)
             norm = float(np.linalg.norm(res.fidelities))
             if not abs(norm - 1.0) <= STATE_NORM_TOL:

@@ -121,8 +121,7 @@ def test_evolve_keeps_one_walk_block_alive(monkeypatch):
     # one block plus its construction and product temporaries
     monkeypatch.setattr(evolution, "EVOLVE_BLOCK", 4096)
     model = build_toy("toy2", 0.05)
-    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 3 * 4096,
-                            materialize=False)
+    fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 3 * 4096)
     psi0 = ground_state(fam.h0)
     block_bytes = 4096 * fam.dim * fam.dim * 16
     tracemalloc.start()
@@ -194,7 +193,7 @@ def test_leakage_holds_at_exact_eigenphase_aliasing(monkeypatch):
         assert res.leakage == pytest.approx(off_ground, rel=1e-9), kind.tag
     # the final amplitudes come from H1's cached eigenbasis, not from an
     # eigensolve of the last walk
-    fam = build_walk_family(h0, h1, LINEAR, PF1, h, 200, materialize=True)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, h, 200)
 
     def no_eig(*args, **kwargs):
         raise AssertionError("evolve called np.linalg.eig")
@@ -204,25 +203,29 @@ def test_leakage_holds_at_exact_eigenphase_aliasing(monkeypatch):
 
 
 @pytest.mark.parametrize("sched", [LINEAR, glue_schedule()], ids=["linear", "glue"])
-@pytest.mark.parametrize("tag", [tag for tag, kind in INTEGRATORS.items() if kind.factors])
+@pytest.mark.parametrize("tag", list(INTEGRATORS))
 def test_lazy_and_materialized_evolve_agree(tag, sched):
-    # a lazy product formula chains its blocks in the first factor's
-    # eigenbasis, a materialized one multiplies its cached walks
+    # evolve and chain give bitwise the same before and after the stack is
+    # cached: a product formula never chains from the cache, and a block
+    # sliced from the cache is bitwise the block built on demand
     h0, h1 = four_level_pair()
     psi0 = ground_state(h0)
+    td = 3000
+    ranges = ((17, 18), (255, 513), (2900, td + 1))  # evolve covers (0, td)
     for h in (0.7, 3.0):
-        lazy, eager = (build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, 3000,
-                                         materialize=m) for m in (False, True))
-        a, b = evolve(lazy, psi0), evolve(eager, psi0)
-        assert np.max(np.abs(a.final_state - b.final_state)) <= 1e-11
-        assert abs(a.leakage - b.leakage) <= 1e-12
+        fam = build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, td)
+        before = [evolve(fam, psi0).final_state] + [fam.chain(*r) for r in ranges]
+        fam.walks  # noqa: B018  (builds and caches the stack)
+        after = [evolve(fam, psi0).final_state] + [fam.chain(*r) for r in ranges]
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b), (h, tag)
 
 
 def test_evolve_raises_when_the_phases_overflow():
     # at h = 1e308 the phases h w g lambda overflow and turn NaN, which the
     # unitarity check of every step must catch
     h0, h1 = four_level_pair()
-    fam = build_walk_family(h0, h1, LINEAR, PF1, 1e308, 100, materialize=False)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 1e308, 100)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="unitarity"):
         evolve(fam, ground_state(h0))
 
@@ -411,6 +414,7 @@ def test_volterra_path_keeps_few_walk_stacks_alive():
     # were not released.
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, glue_schedule(), EXP_INTEGRATOR, 1.0, 400)
+    fam.walks  # noqa: B018  (cached up front, as boundary_vs_interior_scaling does)
     track = track_eigenpaths(fam)
     tracemalloc.start()
     try:

@@ -569,14 +569,22 @@ def test_family_matches_single_operators():
             assert np.max(np.abs(fam.walk(j) - single)) < 1e-12
 
 
-def test_family_lazy_equals_materialized():
+def test_family_lazy_equals_materialized(monkeypatch):
     h0, h1 = random_pair(62)
-    lazy = build_walk_family(h0, h1, LINEAR, PF1, 0.5, 9, materialize=False)
-    eager = build_walk_family(h0, h1, LINEAR, PF1, 0.5, 9, materialize=True)
-    assert lazy._walks is None
-    assert eager._walks is not None
+    lazy = build_walk_family(h0, h1, LINEAR, PF1, 0.5, 9)
+    eager = build_walk_family(h0, h1, LINEAR, PF1, 0.5, 9)
+    eager.walks  # noqa: B018  (builds and caches the stack)
+    assert eager.walks is eager.walks
     assert np.allclose(lazy.block(2, 7), eager.walks[2:7], atol=1e-15)
     assert np.allclose(lazy.walks, eager.walks, atol=1e-15)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("walks built before a block, chain or walks was asked for")
+
+    # construction builds nothing; a cached family slices its blocks
+    monkeypatch.setattr(integrators, "_walk_stack", no_build)
+    build_walk_family(h0, h1, LINEAR, PF1, 0.5, 9)
+    assert np.array_equal(eager.block(2, 7), eager.walks[2:7])
 
 
 def test_family_grid_and_block_bounds():
@@ -605,7 +613,7 @@ def test_family_from_explicit_operators():
     for _ in range(3):
         q, r = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         qs.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    fam = walk_family_from_operators(np.stack(qs), h=0.5)
+    fam = walk_family_from_operators(np.stack(qs))
     assert fam.td == 2
     assert fam.dim == 3
     assert np.array_equal(fam.walk(1), qs[1])
@@ -665,7 +673,7 @@ def test_eigenframe_chain_matches_the_walk_product(tag, sched):
     h0, h1 = four_level_pair()
     td = 3000
     for h in (0.7, 3.0):
-        fam = build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, td, materialize=False)
+        fam = build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, td)
         for j0, j1 in ((0, td), (17, 18), (1234, td + 1)):
             ref = chain_product(fam.block(j0, j1))
             assert np.max(np.abs(fam.chain(j0, j1) - ref)) <= 1e-11, (h, j0, j1)
@@ -688,18 +696,24 @@ def test_eigenframe_frame_and_link_match_the_walks():
 
 
 def test_chain_of_exp_and_materialized_families_is_the_block_product():
+    # exp and wrapped stacks multiply their blocks; a product formula whose
+    # stack is cached still chains in the eigenframe, as a fresh family does
     h0, h1 = four_level_pair()
     td = 300
-    families = [
-        build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, 0.7, td, materialize=False),
-        build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, 0.7, td, materialize=True),
-        build_walk_family(h0, h1, glue_schedule(), PF1, 3.0, td, materialize=True),
-        build_walk_family(h0, h1, LINEAR, INTEGRATORS["spf4"], 0.7, td, materialize=True),
-    ]
+    args = ((LINEAR, EXP_INTEGRATOR, 0.7), (LINEAR, EXP_INTEGRATOR, 0.7),
+            (glue_schedule(), PF1, 3.0), (LINEAR, INTEGRATORS["spf4"], 0.7))
+    families = [build_walk_family(h0, h1, *a, td) for a in args]
+    for fam in families[1:]:
+        fam.walks  # noqa: B018  (builds and caches the stack)
     families.append(walk_family_from_operators(families[-1].walks))
-    for fam in families:
-        for j0, j1 in ((0, td), (5, 6), (100, td + 1)):
-            assert np.array_equal(fam.chain(j0, j1), chain_product(fam.block(j0, j1)))
+    ranges = ((0, td), (5, 6), (100, td + 1))
+    for i, fam in enumerate(families):
+        for j0, j1 in ranges:
+            if fam.kind is not None and fam.kind.factors:
+                fresh = build_walk_family(h0, h1, *args[i], td)
+                assert np.array_equal(fam.chain(j0, j1), fresh.chain(j0, j1))
+            else:
+                assert np.array_equal(fam.chain(j0, j1), chain_product(fam.block(j0, j1)))
         with pytest.raises(ValueError, match="block range"):
             fam.chain(4, 4)
         with pytest.raises(ValueError, match="block range"):
@@ -710,7 +724,7 @@ def test_eigenframe_chain_checks_every_step(monkeypatch):
     # one phase of one step off the unit circle by 1e-8 makes that M_j
     # non-unitary by far more than WALK_UNITARITY_TOL; the chain must see it
     h0, h1 = four_level_pair()
-    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500, materialize=False)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500)
     fam.chain(0, 500)
     phases = integrators._phases
 
@@ -729,7 +743,7 @@ def test_eigenframe_chain_checks_every_step(monkeypatch):
 def test_cached_and_wrapped_walks_are_read_only():
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, LINEAR, PF1, 1.0, 50)
-    assert fam._walks is not None
+    fam.walks  # noqa: B018  (builds and caches the stack)
     with pytest.raises(ValueError, match="read-only"):
         fam.walk(10)[:] = 1j * np.eye(4)
     with pytest.raises(ValueError, match="read-only"):

@@ -444,23 +444,48 @@ def test_gap_window_rejects_oversized_step():
 # ---------------------------------------------------------------------------
 # error bounds
 
+def flat_profiles(td: int, gap: float) -> tuple:
+    """c1 = 1, c2 = 1 and delta2 = gap at the lengths that fit td."""
+    return np.full(td, 1.0), np.full(td - 1, 1.0), np.full(td - 1, gap)
+
+
 def test_bound_warns_below_regime():
-    c1 = np.full(4, 1.0)
-    c2 = np.full(3, 1.0)
-    delta2 = np.full(2, 0.1)
     # regime needs td >= 4 * 1.0 / 0.1 = 40
     with pytest.warns(StepCountWarning, match="threshold"):
-        value = discrete_adiabatic_bound(c1, c2, delta2, td=3)
+        value = discrete_adiabatic_bound(*flat_profiles(3, 0.1), td=3)
     assert math.isfinite(value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        discrete_adiabatic_bound(c1, c2, delta2, td=41)
+        discrete_adiabatic_bound(*flat_profiles(41, 0.1), td=41)
 
 
 def test_bound_infinite_on_vanishing_gap():
+    c1, c2, delta2 = flat_profiles(100, 0.1)
+    delta2[-1] = 0.0
     with pytest.warns(StepCountWarning, match="vanishes"):
-        value = discrete_adiabatic_bound(np.ones(4), np.ones(3), np.array([0.1, 0.0]), td=100)
+        value = discrete_adiabatic_bound(c1, c2, delta2, td=100)
     assert value == math.inf
+
+
+def test_bound_rejects_profiles_that_do_not_fit_td():
+    # profiles measured at td = 120 and passed with td = 400 used to give
+    # 0.263 instead of 1.93 without a warning
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, EXP_INTEGRATOR, 0.5, 120)
+    delta2 = walk_gap_profile(track_eigenpaths(fam), ks=(2,))[2]
+    cks = ck_profiles(fam, ks=(1, 2))
+    assert (len(cks[1]), len(cks[2]), len(delta2)) == (120, 119, 119)
+    assert discrete_adiabatic_bound(cks[1], cks[2], delta2, 120) == pytest.approx(1.93, rel=1e-2)
+    with pytest.raises(ValueError, match="do not fit td = 400"):
+        discrete_adiabatic_bound(cks[1], cks[2], delta2, 400)
+    with pytest.raises(ValueError, match="do not fit"):
+        discrete_adiabatic_bound(cks[1][:-1], cks[2], delta2, 120)
+    c1, c2, d2 = flat_profiles(41, 0.1)
+    for bad in ((c1[:-1], c2, d2), (c1, c2[:-1], d2), (c1, c2, d2[1:]), (c1[:, None], c2, d2)):
+        with pytest.raises(ValueError, match="do not fit"):
+            discrete_adiabatic_bound(*bad, td=41)
+    with pytest.raises(ValueError, match="do not fit td = 1"):
+        discrete_adiabatic_bound(np.ones(1), np.ones(0), np.ones(0), td=1)
 
 
 def test_bound_halves_with_step_doubling():
