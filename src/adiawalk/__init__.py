@@ -45,7 +45,6 @@ from .integrators import (
     problem_constants,
     recommended_step_size,
     suzuki_coefficients,
-    walk_family_from_operators,
     walk_operator,
 )
 from .spectral import (

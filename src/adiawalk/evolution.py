@@ -78,11 +78,9 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
     walk is exp(-i h H1), so this is the last walk's eigenbasis, labeled
     by energy even where its eigenphases alias.  The leakage, a norm of
     amplitudes, keeps its relative precision where 1 - |P psi|^2 would
-    cancel.  A family without H1 (``walk_family_from_operators``) is a
-    ValueError.
+    cancel.  A bad input is a ValueError; a final norm off 1 by more than
+    ``STATE_NORM_TOL`` is a numerical failure, a RuntimeError.
     """
-    if family.h1 is None:
-        raise ValueError("evolve reads H1's eigenbasis: build the family from H0 and H1")
     psi = np.asarray(initial, dtype=complex).reshape(-1)
     if psi.shape[0] != family.dim:
         raise ValueError(f"state dim {psi.shape[0]} does not match family dim {family.dim}")
@@ -91,6 +89,9 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
     td = family.td
     for j0 in range(0, td, EVOLVE_BLOCK):
         psi = family.chain(j0, min(j0 + EVOLVE_BLOCK, td)) @ psi
+    norm = float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
+        raise RuntimeError(f"final state norm drifted to {norm!r} over {td} steps")
     fidelities = np.abs(family.h1.eigh[1].conj().T @ psi)
     leakage = float(np.linalg.norm(fidelities[1:]))
     return EvolutionResult(final_state=psi, leakage=leakage, fidelities=fidelities)

@@ -46,8 +46,8 @@ last product by V_a.  That takes a pf1 step from 2 GEMMs to 1 and a pf2
 step from 3 to 2.  The unitarity check runs on every M_j at the same
 ``WALK_UNITARITY_TOL``: V_a is unitary to about 1e-15, so M_j's 2-norm
 deviation from unitary is W_j's, and its largest entry deviation is
-within a factor d of W_j's.  ``exp`` walks and wrapped stacks multiply
-their ``block``; a block sliced from the cache is bitwise the one built.
+within a factor d of W_j's.  ``exp`` walks multiply their ``block``; a
+block sliced from the cache is bitwise the one built.
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,6 @@ __all__ = [
     "walk_operator",
     "WalkFamily",
     "build_walk_family",
-    "walk_family_from_operators",
     "exact_step_propagator",
     "nested_commutator_sum",
     "commutator_combo",
@@ -281,23 +281,25 @@ def walk_operator(
         raise ValueError(f"step size must be positive, got {h}")
     f = schedule_values(sched, np.array([float(s)]))
     ws = _walk_stack(*_endpoints(H0, H1), kind, h, f)
-    _check_unitary(ws, RuntimeError, "walk lost unitarity")
+    _check_unitary(ws, "walk lost unitarity")
     return ws[0].copy()  # owns its memory: a view keeps a second array header per walk
 
 
 # ---------------------------------------------------------------------------
 # walk families
 
-def _check_unitary(ws: np.ndarray, error: type, message: str) -> None:
-    """Raise ``error`` unless max |W^dag W - I| <= WALK_UNITARITY_TOL (NaN fails)."""
+def _check_unitary(ws: np.ndarray, message: str) -> None:
+    """Raise RuntimeError unless max |W^dag W - I| <= WALK_UNITARITY_TOL (NaN fails)."""
     dev = float(unitarity_deviation(ws).max())
     if not dev <= WALK_UNITARITY_TOL:
-        raise error(f"{message}: deviation {dev:.3e}")
+        raise RuntimeError(f"{message}: deviation {dev:.3e}")
 
 
 @dataclass
 class WalkFamily:
-    """Grid {W(j/T_d)} for j = 0..T_d, built on demand in blocks.
+    """Grid {W(j/T_d)} for j = 0..T_d of the walks of ``kind`` at step
+    size ``h`` between the endpoints ``h0`` and ``h1`` along ``schedule``,
+    built on demand in blocks (``build_walk_family`` validates the inputs).
     Step j reads the schedule at min(j/T_d + offset/T_d, 1).
 
     ``block(j0, j1)`` is the stack of steps j0..j1-1 and ``chain(j0, j1)``
@@ -307,13 +309,16 @@ class WalkFamily:
     """
 
     td: int
-    dim: int
-    h: float | None = None
-    kind: IntegratorKind | None = None
-    h0: HermitianOperator | None = None
-    h1: HermitianOperator | None = None
-    schedule: Schedule | None = None
-    _walks: np.ndarray | None = field(default=None, repr=False)
+    h: float
+    kind: IntegratorKind
+    h0: HermitianOperator
+    h1: HermitianOperator
+    schedule: Schedule
+    _walks: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.h0.dim
 
     def _check_range(self, j0: int, j1: int) -> None:
         if not 0 <= j0 < j1 <= self.td + 1:
@@ -334,21 +339,18 @@ class WalkFamily:
             self._check_range(j0, j1)
             return self._walks[j0:j1]
         ws = _walk_stack(self.h0, self.h1, self.kind, self.h, self._values(j0, j1))
-        _check_unitary(ws, RuntimeError, "walk block lost unitarity")
+        _check_unitary(ws, "walk block lost unitarity")
         return ws
 
     def chain(self, j0: int, j1: int) -> np.ndarray:
         """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: a product
         formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag, each M_j checked for
         unitarity, or the product of ``block``; see the module docstring."""
-        if self.kind is None or not self.kind.factors:
+        if not self.kind.factors:
             return chain_product(self.block(j0, j1))
         va, ms = _walk_stack(self.h0, self.h1, self.kind, self.h, self._values(j0, j1), frame=True)
-        _check_unitary(ms, RuntimeError, "walk block lost unitarity")
+        _check_unitary(ms, "walk block lost unitarity")
         return va @ chain_product(ms) @ va.conj().T
-
-    def walk(self, j: int) -> np.ndarray:
-        return self.block(j, j + 1)[0]
 
     @property
     def walks(self) -> np.ndarray:
@@ -367,25 +369,18 @@ def build_walk_family(
     td: int,
 ) -> WalkFamily:
     """Family of walk operators on the inclusive grid s = j/td, j = 0..td;
-    nothing is built until ``block``, ``chain`` or ``walks`` asks."""
+    nothing is built until ``block``, ``chain`` or ``walks`` asks.  ``td``
+    is an integer (a float is a ValueError, even when integral)."""
+    try:
+        td = operator.index(td)
+    except TypeError:
+        raise ValueError(f"td must be an integer, got {td!r}") from None
     if td < 1:
         raise ValueError(f"need td >= 1, got {td}")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive, got {h}")
     h0, h1 = _endpoints(H0, H1)
-    return WalkFamily(td=td, dim=h0.dim, h=float(h), kind=kind, h0=h0, h1=h1, schedule=sched)
-
-
-def walk_family_from_operators(walks) -> WalkFamily:
-    """Wrap an explicit stack of unitaries (step j at index j) as a family.
-    The family holds a read-only copy, so later writes to ``walks`` do not
-    reach it past its unitarity check."""
-    ws = np.array(walks, dtype=complex, order="K")
-    ws.flags.writeable = False
-    if ws.ndim != 3 or ws.shape[1] != ws.shape[2] or ws.shape[0] < 2:
-        raise ValueError(f"expected a stack of at least 2 square matrices, got {ws.shape}")
-    _check_unitary(ws, ValueError, "entry not unitary")
-    return WalkFamily(td=ws.shape[0] - 1, dim=ws.shape[1], _walks=ws)
+    return WalkFamily(td=td, h=float(h), kind=kind, h0=h0, h1=h1, schedule=sched)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,11 @@ class EigenpathTrack:
     """Continuously labeled eigenphases and eigenvectors over a step grid.
 
     ``phases[j, q]`` is the unwrapped phase of path q at step j (paths are
-    labeled ground first at step 0, see ``_label_order``) and
-    ``vectors[j, :, q]`` the matching unit eigenvector with phase chosen
-    for continuity in j.  ``min_overlap``, the least |overlap| of a tracked
-    vector with its predecessor, is above sqrt(1/2) (``track_eigenpaths``).
+    labeled at step 0 by ascending H0 energy, ground first, see
+    ``_label_order``) and ``vectors[j, :, q]`` the matching unit
+    eigenvector with phase chosen for continuity in j.  ``min_overlap``,
+    the least |overlap| of a tracked vector with its predecessor, is above
+    sqrt(1/2) (``track_eigenpaths``).
     """
 
     phases: np.ndarray
@@ -89,13 +90,11 @@ class EigenpathTrack:
         return self.phases.shape[1]
 
 
-def _label_order(family: WalkFamily, vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Ground-first column order of the eigenvectors ``vecs`` (phases
-    ``theta``) of walk 0: by energy sum_k |<u_k|v>|^2 E_k against H0's
-    cached eigenpairs (E_k, u_k), which stays right once h * lambda wraps
-    past pi, or by phase for a family built from raw operators."""
-    if family.h0 is None:
-        return np.argsort(theta)
+def _label_order(family: WalkFamily, vecs: np.ndarray) -> np.ndarray:
+    """Ground-first column order of the eigenvectors ``vecs`` of walk 0: by
+    energy sum_k |<u_k|v>|^2 E_k against H0's cached eigenpairs (E_k, u_k).
+    Unlike the order of the phases, this stays right once h * lambda wraps
+    past pi."""
     w, u = family.h0.eigh
     return np.argsort(w @ np.abs(u.conj().T @ vecs) ** 2)
 
@@ -131,7 +130,7 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
         lam, v = _normal_eig_stack(family.block(j0, j1))
         theta = -np.angle(lam)
         if last is None:
-            perm = _label_order(family, v[0], theta[0])
+            perm = _label_order(family, v[0])
             phases[0] = theta[0, perm]
             vectors[0] = v[0][:, perm]
             last = (v[0], theta[0], perm, phases[0], np.zeros(dim))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from adiawalk import cli
-from adiawalk.integrators import INTEGRATORS, PF1, build_walk_family
+from adiawalk.integrators import INTEGRATORS, PF1, WalkFamily, build_walk_family
 from adiawalk.schedules import glue_schedule, schedule_values
 from adiawalk.spectral import TrackingAmbiguityError, track_eigenpaths
 from adiawalk.toymodels import build_toy
@@ -302,6 +302,19 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "never.csv"
     assert run_cli(["gap-table", "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_state_norm_drift_exits_3(tmp_path, monkeypatch, capsys):
+    # a drifted final norm used to leave evolve as a ValueError: exit 1
+    # with a traceback
+    chain = WalkFamily.chain
+    monkeypatch.setattr(WalkFamily, "chain", lambda self, j0, j1: (1.0 + 1e-8) * chain(self, j0, j1))
+    cfg = write_config(tmp_path / "c.json", {"experiment": "fidelity-sweep",
+                                             "parameters": {"t_list": [20.0], "h_list": [1.0]}})
+    out = tmp_path / "never.csv"
+    assert run_cli(["--config", cfg, "--out", str(out)]) == 3
+    assert "norm drifted" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -21,8 +21,8 @@ from adiawalk.integrators import (
     EXP_INTEGRATOR,
     INTEGRATORS,
     PF1,
+    WalkFamily,
     build_walk_family,
-    walk_family_from_operators,
 )
 from adiawalk.linalg import normal_eig
 from adiawalk.schedules import glue_schedule, linear_schedule
@@ -39,13 +39,13 @@ def brute_evolution_operator(family, n: int) -> np.ndarray:
     """Running walk product by a plain left-multiplication loop."""
     u = np.eye(family.dim, dtype=complex)
     for j in range(n):
-        u = family.walk(j) @ u
+        u = family.block(j, j + 1)[0] @ u
     return u
 
 
 def final_basis_overlaps(family, psi: np.ndarray) -> np.ndarray:
     """Overlap amplitudes against the last walk's ascending-phase basis."""
-    lam, vecs = normal_eig(family.walk(family.td))
+    lam, vecs = normal_eig(family.block(family.td, family.td + 1)[0])
     return np.abs(vecs[:, np.argsort(-np.angle(lam))].conj().T @ psi)
 
 
@@ -230,10 +230,15 @@ def test_evolve_raises_when_the_phases_overflow():
         evolve(fam, ground_state(h0))
 
 
-def test_evolve_rejects_a_family_without_endpoints():
-    with pytest.raises(ValueError, match="H1"):
-        evolve(walk_family_from_operators(np.stack([np.eye(2, dtype=complex)] * 3)),
-               np.array([1.0, 0.0]))
+def test_evolve_raises_when_the_state_norm_drifts(monkeypatch):
+    # a drifted norm is a numerical failure of the run, not a bad input
+    fam = toy_family(20)
+    psi0 = ground_state(fam.h0)
+    evolve(fam, psi0)
+    chain = WalkFamily.chain
+    monkeypatch.setattr(WalkFamily, "chain", lambda self, j0, j1: (1.0 + 1e-8) * chain(self, j0, j1))
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        evolve(fam, psi0)
 
 
 def test_evolve_input_validation():
@@ -303,8 +308,8 @@ def test_ideal_family_checks_track_compatibility():
 def test_gap_collapse_on_orthogonal_projector_jump():
     # the tracked ground vector flips to the orthogonal basis vector in one
     # step, so S(0) = P(1)P(0) + Q(1)Q(0) is singular
-    walks = np.stack([np.eye(2, dtype=complex)] * 2)
-    fam = walk_family_from_operators(walks)
+    h = np.diag([0.0, 1.0])
+    fam = build_walk_family(h, h, LINEAR, EXP_INTEGRATOR, 1.0, 1)
     track = EigenpathTrack(
         phases=np.zeros((2, 2)),
         vectors=np.stack(

@@ -22,6 +22,7 @@ from adiawalk.integrators import (
     GaplessError,
     ProblemConstants,
     WalkFamily,
+    _check_unitary,
     _endpoints,
     _phases,
     _walk_stack,
@@ -34,7 +35,6 @@ from adiawalk.integrators import (
     problem_constants,
     recommended_step_size,
     suzuki_coefficients,
-    walk_family_from_operators,
     walk_operator,
 )
 from adiawalk.linalg import HermitianOperator, chain_product, operator_norm
@@ -210,7 +210,7 @@ def test_walk_operator_is_the_family_kernel_at_one_point():
             for j in range(td + 1):
                 s = min(j / td + kind.offset / td, 1.0)  # the family's read point
                 w = walk_operator(h0, h1, sched, kind, 0.7, s)
-                assert np.array_equal(w, fam.walk(j)), (tag, sched.kind, j)
+                assert np.array_equal(w, fam.block(j, j + 1)[0]), (tag, sched.kind, j)
 
 
 def test_hamiltonian_bands_match_pointwise_eigvalsh():
@@ -254,9 +254,9 @@ def test_pf2_simplified_matches_expm_product():
 def test_pf2_midpoint_reads_shifted_schedule():
     h0, h1 = random_pair(24)
     fam = build_walk_family(h0, h1, LINEAR, PF2, 0.9, 10)
-    assert np.max(np.abs(fam.walk(4) - expm_pf2(h0, h1, 0.45, 0.9))) < 1e-12
+    assert np.max(np.abs(fam.block(4, 5)[0] - expm_pf2(h0, h1, 0.45, 0.9))) < 1e-12
     # the midpoint never reads beyond the end of the schedule
-    assert np.max(np.abs(fam.walk(10) - expm_pf2(h0, h1, 1.0, 0.9))) < 1e-12
+    assert np.max(np.abs(fam.block(10, 11)[0] - expm_pf2(h0, h1, 1.0, 0.9))) < 1e-12
 
 
 def test_one_point_pf2_walk_is_pf2_simplified():
@@ -566,7 +566,7 @@ def test_family_matches_single_operators():
         for j in (0, 5, td):
             s = min(j / td + kind.offset / td, 1.0)  # the family's read point
             single = walk_operator(h0, h1, LINEAR, kind, 0.5, s)
-            assert np.max(np.abs(fam.walk(j) - single)) < 1e-12
+            assert np.max(np.abs(fam.block(j, j + 1)[0] - single)) < 1e-12
 
 
 def test_family_lazy_equals_materialized(monkeypatch):
@@ -607,25 +607,23 @@ def test_family_construction_errors():
         build_walk_family(h0, np.eye(3), LINEAR, PF1, 0.5, 4)
 
 
-def test_family_from_explicit_operators():
-    rng = np.random.default_rng(65)
-    qs = []
-    for _ in range(3):
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        qs.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    fam = walk_family_from_operators(np.stack(qs))
-    assert fam.td == 2
-    assert fam.dim == 3
-    assert np.array_equal(fam.walk(1), qs[1])
-    with pytest.raises(ValueError, match="unitary"):
-        walk_family_from_operators(np.stack([qs[0], 1.1 * qs[1]]))
+def test_family_td_must_be_an_integer():
+    # a float td used to build and serve blocks, then stop evolve and the
+    # tracker with a TypeError from range()
+    h0, h1 = random_pair(65)
+    for td in (100.0, 2.5):
+        with pytest.raises(ValueError, match="integer"):
+            build_walk_family(h0, h1, LINEAR, PF1, 0.5, td)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.5, np.int64(4))
+    assert type(fam.td) is int and fam.td == 4
+    assert fam.dim == 4
 
 
 def test_non_finite_walks_fail_the_unitarity_checks():
-    with pytest.raises(ValueError, match="unitary"):
-        walk_family_from_operators(np.full((3, 2, 2), np.nan))
+    with pytest.raises(RuntimeError, match="unitarity"):
+        _check_unitary(np.full((3, 2, 2), np.nan), "walk lost unitarity")
     h0, h1 = random_pair(66, n=2)
-    fam = WalkFamily(td=2, h=math.nan, dim=2, kind=PF1, h0=HermitianOperator(h0),
+    fam = WalkFamily(td=2, h=math.nan, kind=PF1, h0=HermitianOperator(h0),
                      h1=HermitianOperator(h1), schedule=LINEAR)
     with pytest.raises(RuntimeError, match="unitarity"):
         fam.block(0, 3)
@@ -637,15 +635,15 @@ def test_non_finite_walks_fail_the_unitarity_checks():
         q, r = np.linalg.qr(rng.standard_normal((9, d, d)) + 1j * rng.standard_normal((9, d, d)))
         qs = q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, None, :]
         for ws in (qs, np.ascontiguousarray(qs.transpose(1, 2, 0)).transpose(2, 0, 1)):
-            walk_family_from_operators(ws)
+            _check_unitary(ws, "walk lost unitarity")
             bad = ws.copy(order="K")
             bad[-1, -1, -1] = np.nan
-            with pytest.raises(ValueError, match="unitary"):
-                walk_family_from_operators(bad)
+            with pytest.raises(RuntimeError, match="unitarity"):
+                _check_unitary(bad, "walk lost unitarity")
             off = ws.copy(order="K")
             off[4] *= 1.0 + 1e-10  # |W^dag W - I| = 2e-10 > WALK_UNITARITY_TOL
-            with pytest.raises(ValueError, match="unitary"):
-                walk_family_from_operators(off)
+            with pytest.raises(RuntimeError, match="unitarity"):
+                _check_unitary(off, "walk lost unitarity")
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +694,8 @@ def test_eigenframe_frame_and_link_match_the_walks():
 
 
 def test_chain_of_exp_and_materialized_families_is_the_block_product():
-    # exp and wrapped stacks multiply their blocks; a product formula whose
-    # stack is cached still chains in the eigenframe, as a fresh family does
+    # exp families multiply their blocks; a product formula whose stack is
+    # cached still chains in the eigenframe, as a fresh family does
     h0, h1 = four_level_pair()
     td = 300
     args = ((LINEAR, EXP_INTEGRATOR, 0.7), (LINEAR, EXP_INTEGRATOR, 0.7),
@@ -705,11 +703,10 @@ def test_chain_of_exp_and_materialized_families_is_the_block_product():
     families = [build_walk_family(h0, h1, *a, td) for a in args]
     for fam in families[1:]:
         fam.walks  # noqa: B018  (builds and caches the stack)
-    families.append(walk_family_from_operators(families[-1].walks))
     ranges = ((0, td), (5, 6), (100, td + 1))
     for i, fam in enumerate(families):
         for j0, j1 in ranges:
-            if fam.kind is not None and fam.kind.factors:
+            if fam.kind.factors:
                 fresh = build_walk_family(h0, h1, *args[i], td)
                 assert np.array_equal(fam.chain(j0, j1), fresh.chain(j0, j1))
             else:
@@ -740,20 +737,11 @@ def test_eigenframe_chain_checks_every_step(monkeypatch):
     fam.chain(0, 321)  # the bad step lies outside this range
 
 
-def test_cached_and_wrapped_walks_are_read_only():
+def test_cached_walks_are_read_only():
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, LINEAR, PF1, 1.0, 50)
     fam.walks  # noqa: B018  (builds and caches the stack)
     with pytest.raises(ValueError, match="read-only"):
-        fam.walk(10)[:] = 1j * np.eye(4)
+        fam.walks[10][:] = 1j * np.eye(4)
     with pytest.raises(ValueError, match="read-only"):
         fam.block(3, 9)[0, 0, 0] = 0.0
-    # a wrapped stack is a copy: later writes by the caller do not reach it
-    steps_first = fam.walks.copy(order="C")
-    steps_last = fam.walks.transpose(1, 2, 0).copy(order="C").transpose(2, 0, 1)
-    for stack in (steps_first, steps_last):
-        wrapped = walk_family_from_operators(stack)
-        stack[10] = 2.0 * np.eye(4)
-        assert np.array_equal(wrapped.walk(10), fam.walk(10))
-        with pytest.raises(ValueError, match="read-only"):
-            wrapped.walk(10)[:] = 1j * np.eye(4)

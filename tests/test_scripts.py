@@ -1,14 +1,24 @@
-"""Verdicts of scripts/bench_pairs.py on synthetic runs."""
+"""Verdicts of scripts/bench_pairs.py on synthetic runs, and the file
+comparison helpers of scripts/compare_outputs.py on synthetic outputs."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_script("bench_pairs")
+compare_outputs = load_script("compare_outputs")
 
 WALL = {"name": "wall_s", "better": "lower", "bound": 0.25}
 
@@ -33,3 +43,49 @@ def test_fewer_pairs_still_read_bounds():
     parent = [1.0, 1.001, 1.002]
     assert verdict_of(parent, [1.5 * p for p in parent]) == "beyond bound"
     assert verdict_of(parent, [1.01 * p for p in parent]) == "within bound"
+
+
+# ---------------------------------------------------------------------------
+# compare_outputs.py
+
+CSV_META = "# adiawalk 0.1\n# config: {}\n# timestamp: 2026-01-01T00:00:00\n"
+
+
+def write(path: pathlib.Path, text: str) -> pathlib.Path:
+    path.write_text(text)
+    return path
+
+
+def test_comparable_drops_only_the_timestamp_line(tmp_path):
+    csv = write(tmp_path / "a.csv", CSV_META + "x,y\n1,2\n")
+    assert compare_outputs.comparable(csv) == b"# adiawalk 0.1\n# config: {}\nx,y\n1,2\n"
+    other = write(tmp_path / "a.json", "# timestamp: kept\n{}\n")
+    assert compare_outputs.comparable(other) == other.read_bytes()
+
+
+def test_without_metadata_drops_config_lines_and_keys(tmp_path):
+    csv = write(tmp_path / "a.csv", CSV_META + "x,y\n1,2\n")
+    assert compare_outputs.without_metadata(csv) == b"x,y\n1,2\n"
+    sidecar = write(tmp_path / "a.csv.json", json.dumps(
+        {"config": {"grid": 3}, "config_sha256": "00", "experiment": "e", "slopes": [1.5]}))
+    assert compare_outputs.without_metadata(sidecar) == {"experiment": "e", "slopes": [1.5]}
+
+
+def test_numeric_difference_reads_one_sided_nan_as_infinite(tmp_path):
+    first = write(tmp_path / "a.csv", CSV_META + "x,y\n1.0,nan\n2.0,3.0\n")
+    second = write(tmp_path / "b.csv", "x,y\n1.0,0.5\n2.0,3.0\n")
+    assert compare_outputs.numeric_difference(first, second) == (
+        " (largest difference inf absolute, inf relative)")
+    both = write(tmp_path / "c.csv", "x,y\n1.0,nan\n2.5,3.0\n")
+    assert compare_outputs.numeric_difference(first, both) == (
+        " (largest difference 0.5 absolute, 0.2 relative)")
+
+
+def test_numeric_difference_is_empty_for_other_shapes(tmp_path):
+    first = write(tmp_path / "a.csv", "x,y\n1.0,2.0\n")
+    header = write(tmp_path / "b.csv", "x,z\n1.0,3.0\n")
+    rows = write(tmp_path / "c.csv", "x,y\n1.0,2.0\n1.0,2.0\n")
+    assert compare_outputs.numeric_difference(first, header) == ""
+    assert compare_outputs.numeric_difference(first, rows) == ""
+    assert compare_outputs.numeric_difference(write(tmp_path / "a.json", "{}"),
+                                              write(tmp_path / "b.json", "[]")) == ""

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from adiawalk.integrators import (
     commutator_combo,
     hamiltonian_bands,
     nested_commutator_sum,
-    walk_family_from_operators,
     walk_operator,
 )
-from adiawalk.linalg import chain_product, normal_eig, operator_norm
+from adiawalk.linalg import HermitianOperator, chain_product, normal_eig, operator_norm
 from adiawalk.schedules import glue_schedule, linear_schedule, schedule_values
 from adiawalk import spectral
 from adiawalk.spectral import (
@@ -50,7 +50,7 @@ def wrapped_arc(x: float) -> float:
 def sorted_step_phases(family, j: int) -> np.ndarray:
     """Principal eigenphases of W(j/td), sorted, with no continuity logic
     and no code shared with the tracker's eigensolver."""
-    return np.sort(-np.angle(np.linalg.eigvals(family.walk(j))))
+    return np.sort(-np.angle(np.linalg.eigvals(family.block(j, j + 1)[0])))
 
 
 def sequential_track(family):
@@ -59,12 +59,12 @@ def sequential_track(family):
     row of |overlaps| peaks (asserted above |o|^2 = 1/2, so the peaks form
     a permutation), unwrapped onto the previous sheet and its vector
     phases aligned to it."""
-    lam, vecs = normal_eig(family.walk(0))
+    lam, vecs = normal_eig(family.block(0, 1)[0])
     theta = -np.angle(lam)
     order = np.argsort(theta)
     phases, vectors, worst = [theta[order]], [vecs[:, order]], 1.0
     for j in range(1, family.td + 1):
-        lam, vecs = normal_eig(family.walk(j))
+        lam, vecs = normal_eig(family.block(j, j + 1)[0])
         theta = -np.angle(lam)
         amp = np.abs(vectors[-1].conj().T @ vecs)
         perm, peaks = amp.argmax(axis=1), amp.max(axis=1)
@@ -81,7 +81,8 @@ def sequential_track(family):
 def brute_difference_norm(family, k: int, j: int) -> float:
     acc = np.zeros((family.dim, family.dim), dtype=complex)
     for m in range(k + 1):
-        acc = acc + ((-1.0) ** m) * math.comb(k, m) * family.walk(j + k - m)
+        i = j + k - m
+        acc = acc + ((-1.0) ** m) * math.comb(k, m) * family.block(i, i + 1)[0]
     return operator_norm(acc)
 
 
@@ -115,12 +116,12 @@ def random_pair(seed: int, n: int = 4):
     return herm(), herm()
 
 
-def symmetric_phase_family(angles: np.ndarray):
-    """Stack of diag(e^{-ia}, e^{ia}) walks with eigenphases exactly +-a."""
-    ws = np.zeros((len(angles), 2, 2), dtype=complex)
-    ws[:, 0, 0] = np.exp(-1j * angles)
-    ws[:, 1, 1] = np.exp(1j * angles)
-    return walk_family_from_operators(ws)
+def symmetric_phase_family(a0: float, a1: float, td: int):
+    """Exp walks at h = 1 along the linear schedule from diag(-a0, a0) to
+    diag(-a1, a1): step j has eigenphases exactly -+a for
+    a = (1 - j/td) a0 + (j/td) a1, the ground path at -a."""
+    return build_walk_family(np.diag([-a0, a0]), np.diag([-a1, a1]), LINEAR, EXP_INTEGRATOR,
+                             1.0, td)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,8 @@ def symmetric_phase_family(angles: np.ndarray):
 
 def test_two_level_symmetric_phases():
     a = np.linspace(0.3, 1.2, 21)
-    track = track_eigenpaths(symmetric_phase_family(a))
-    # phases are -angle(eigenvalue); ascending order at step 0 puts -a first
+    track = track_eigenpaths(symmetric_phase_family(0.3, 1.2, 20))
+    # phases are -angle(eigenvalue); H0's ground energy -a0 labels -a first
     assert np.allclose(track.phases[:, 0], -a, atol=1e-14)
     assert np.allclose(track.phases[:, 1], a, atol=1e-14)
     assert track.min_overlap == pytest.approx(1.0, abs=1e-12)
@@ -166,9 +167,8 @@ def test_tracking_ambiguity_on_basis_jump():
     # so every overlap with the step-0 basis is 1/sqrt(5) < 0.5
     d = 5
     f = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
-    w0 = np.diag(np.exp(-1j * np.array([0.1, 0.7, 1.3, 1.9, 2.5])))
-    w1 = f @ w0 @ f.conj().T
-    fam = walk_family_from_operators(np.stack([w0, w1]))
+    h0 = np.diag([0.1, 0.7, 1.3, 1.9, 2.5])
+    fam = build_walk_family(h0, f @ h0 @ f.conj().T, LINEAR, EXP_INTEGRATOR, 1.0, 1)
     with pytest.raises(TrackingAmbiguityError, match="step 1"):
         track_eigenpaths(fam)
 
@@ -189,17 +189,15 @@ def test_tracking_ambiguity_when_row_maxima_form_a_permutation():
     o = u @ vt  # the nearest orthogonal matrix, within 3e-4 of the rounded one
     assert sorted(np.abs(o).argmax(axis=1)) == list(range(6))
     assert np.abs(o).max(axis=1).min() < 0.46
-    phi = np.linspace(0.1, 2.6, 6)
-    w0 = np.diag(np.exp(-1j * phi))
-    w1 = (o * np.exp(-1j * phi)) @ o.T
-    fam = walk_family_from_operators(np.stack([w0, w0, w1]))
-    with pytest.raises(TrackingAmbiguityError, match="step 2"):
+    h0 = np.diag(np.linspace(0.1, 2.6, 6))
+    fam = build_walk_family(h0, o @ h0 @ o.T, LINEAR, EXP_INTEGRATOR, 1.0, 1)
+    with pytest.raises(TrackingAmbiguityError, match="step 1"):
         track_eigenpaths(fam)
 
 
 def test_unwraps_phases_across_the_branch_cut():
     a = np.linspace(2.5, 3.8, 27)  # -arg(e^{-ia}) jumps from pi to -pi near a = pi
-    track = track_eigenpaths(symmetric_phase_family(a))
+    track = track_eigenpaths(symmetric_phase_family(2.5, 3.8, 26))
     assert np.allclose(track.phases[:, 0], -a, atol=1e-14)
     assert np.allclose(track.phases[:, 1], a, atol=1e-14)
 
@@ -235,7 +233,9 @@ def test_tracks_glue_families_near_f_one(kind, eps, integrator, td):
 
 def rotated_step_family():
     """Walks diag(e^{-i phi}) for steps 0..5, then the same phases on the
-    columns of O = R_z(40 deg) R_x(55 deg) for steps 6..11.
+    columns of O = R_z(40 deg) R_x(55 deg) for steps 6..11, as a stand-in
+    with the attributes the tracker reads: no schedule holds H(f) piecewise
+    constant.  H0 = diag(phi) labels the paths at step 0.
 
     |O| = [[.766, .369, .527], [.643, .439, .628], [0, .819, .574]]: rows
     0 and 1 both peak in column 0 and row 1 peaks at |O|^2 = 0.41 < 1/2,
@@ -248,7 +248,9 @@ def rotated_step_family():
     o = rz @ rx
     w0 = np.diag(np.exp(-1j * phi))
     w1 = (o * np.exp(-1j * phi)) @ o.T
-    return walk_family_from_operators(np.stack([w0] * 6 + [w1] * 6))
+    ws = np.stack([w0] * 6 + [w1] * 6)
+    return SimpleNamespace(td=11, dim=3, h0=HermitianOperator(np.diag(phi)),
+                           block=lambda j0, j1: ws[j0:j1])
 
 
 @pytest.mark.parametrize("block", [spectral.TRACK_BLOCK, 6, 4])
@@ -334,7 +336,7 @@ def test_multistep_gap_below_windowed_min_and_matches_brute():
 
 
 def test_window_size_validation():
-    fam = symmetric_phase_family(np.linspace(0.3, 0.5, 4))
+    fam = symmetric_phase_family(0.3, 0.5, 3)
     track = track_eigenpaths(fam)
     with pytest.raises(ValueError, match="window"):
         walk_gap_profile(track, ks=(-1,))
