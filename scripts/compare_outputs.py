@@ -15,9 +15,11 @@ only)`` when it matches without its metadata: a CSV without its ``#``
 lines, a JSON file without its ``config`` and ``config_sha256`` keys
 (the sidecars'), so a change of config alone, such as a removed
 parameter, is told apart from a change of results.  A differing CSV
-with the same header and row count also gets the largest absolute and
-relative difference over its numeric fields, the relative one taken
-against the larger magnitude of the pair.  The line count of
+with the same header and row count, or a differing JSON file whose two
+sides (without their metadata) have the same keys and list lengths, also
+gets the largest absolute and relative difference over its numeric
+fields or leaves, the relative one taken against the larger magnitude of
+the pair.  The line count of
 each checkout's ``src/`` Python files (as ``wc -l`` counts them) is
 printed last.
 """
@@ -72,30 +74,59 @@ def without_metadata(path: pathlib.Path):
     return data
 
 
-def numeric_difference(first: pathlib.Path, second: pathlib.Path) -> str:
-    """The largest absolute and relative difference over the numeric fields
-    of two CSVs with one header and row count, as a suffix for the report
-    line; empty for any other pair of files."""
+def _json_leaves(a, b, pairs: list) -> bool:
+    """Append the pairs of numeric leaves of two JSON values to ``pairs``;
+    False if their dict keys or list lengths differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_leaves(a[k], b[k], pairs) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_json_leaves(x, y, pairs) for x, y in zip(a, b))
+    if isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
+        return False
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        pairs.append((float(a), float(b)))
+    return True
+
+
+def numeric_pairs(first: pathlib.Path, second: pathlib.Path):
+    """The pairs of numbers at one place in two CSVs with one header and
+    row count, or in two JSON files of one structure; None for any other
+    pair of files."""
+    if first.suffix == ".json":
+        pairs = []
+        same = _json_leaves(without_metadata(first), without_metadata(second), pairs)
+        return pairs if same else None
     if first.suffix != ".csv":
-        return ""
+        return None
     tables = [[ln.split(",") for ln in p.read_text().splitlines() if not ln.startswith("#")]
               for p in (first, second)]
     if len(tables[0]) != len(tables[1]) or tables[0][:1] != tables[1][:1]:
-        return ""
-    worst_abs = worst_rel = 0.0
+        return None
+    pairs = []
     for row_a, row_b in zip(tables[0][1:], tables[1][1:]):
         for a, b in zip(row_a, row_b):
             try:
-                x, y = float(a), float(b)
+                pairs.append((float(a), float(b)))
             except ValueError:
                 continue
-            if x == y or (math.isnan(x) and math.isnan(y)):
-                continue
-            diff = abs(x - y)
-            rel = diff / max(abs(x), abs(y))
-            if not math.isfinite(diff):  # a NaN or an infinity on one side only
-                diff = rel = math.inf
-            worst_abs, worst_rel = max(worst_abs, diff), max(worst_rel, rel)
+    return pairs
+
+
+def numeric_difference(first: pathlib.Path, second: pathlib.Path) -> str:
+    """The largest absolute and relative difference over ``numeric_pairs``,
+    as a suffix for the report line; empty where there are no such pairs."""
+    pairs = numeric_pairs(first, second)
+    if pairs is None:
+        return ""
+    worst_abs = worst_rel = 0.0
+    for x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        diff = abs(x - y)
+        rel = diff / max(abs(x), abs(y))
+        if not math.isfinite(diff):  # a NaN or an infinity on one side only
+            diff = rel = math.inf
+        worst_abs, worst_rel = max(worst_abs, diff), max(worst_rel, rel)
     return f" (largest difference {worst_abs:.3g} absolute, {worst_rel:.3g} relative)"
 
 

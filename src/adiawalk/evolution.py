@@ -1,7 +1,7 @@
 """State propagation under walk families and its ideal-adiabatic reference.
 
 The product U(n) = W((n-1)/T_d) ... W(1/T_d) W(0) drives a state across
-the schedule.  Its ideal counterpart U_A follows the tracked spectral
+the schedule.  Its ideal counterpart U_A follows the tracked ground
 projectors exactly; comparing the two through the discrete integral
 kernel K diagnoses where adiabatic error is generated (interior of the
 schedule versus its endpoints).
@@ -104,15 +104,16 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
 class IdealAdiabaticFamily:
     """Projector-following reference evolution for one walk family.
 
-    ``v_rotations[j]`` is the unitary part of S(j) = P(j+1)P(j) +
-    Q(j+1)Q(j); the adiabatic walks are V(j) W(j) and ``adiabatic_evolution``
-    their running product, which intertwines the endpoint projectors up to
-    ``intertwining_residual``.  S(j) and V(j) W(j) are not kept: each
-    (td, d, d) stack held here adds to the peak memory of the Volterra
-    diagnostics built on top.
+    ``ground[j]`` is the tracked ground eigenvector g(j); with
+    P(j) = g(j) g(j)^dag and Q(j) = I - P(j), ``v_rotations[j]`` is the
+    unitary part of S(j) = P(j+1)P(j) + Q(j+1)Q(j).  The adiabatic walks
+    are V(j) W(j) and ``adiabatic_evolution`` their running product, which
+    intertwines the endpoint projectors up to ``intertwining_residual``.
+    Neither P, S(j) nor V(j) W(j) is kept: each (td, d, d) stack held here
+    adds to the peak memory of the Volterra diagnostics built on top.
     """
 
-    projectors: np.ndarray
+    ground: np.ndarray
     singular_values: np.ndarray
     v_rotations: np.ndarray
     adiabatic_evolution: np.ndarray
@@ -143,13 +144,10 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
     td = family.td
     if track.steps != td or track.dim != family.dim:
         raise ValueError("track does not match the family")
-    d = family.dim
-    eye = np.eye(d)
     # Intermediate stacks are released as soon as they are used, so that
     # the ideal family and the Volterra series stay the only large arrays.
-    g = track.vectors[:, :, 0]
-    p = np.einsum("ni,nj->nij", g, g.conj())  # projectors onto the ground path (path 0)
-    q = eye - p
+    p = np.einsum("ni,nj->nij", track.ground, track.ground.conj())
+    q = np.eye(family.dim) - p
     s = p[1:] @ p[:-1] + q[1:] @ q[:-1]
     del q
     w, r = np.linalg.eigh(s @ s.conj().transpose(0, 2, 1))
@@ -172,7 +170,7 @@ def ideal_adiabatic_family(track: EigenpathTrack, family: WalkFamily) -> IdealAd
         )
     sv = np.sqrt(np.maximum(w, 0.0))
     return IdealAdiabaticFamily(
-        projectors=p,
+        ground=track.ground,
         singular_values=sv,
         v_rotations=v,
         adiabatic_evolution=ua,
@@ -205,13 +203,13 @@ class VolterraDiagnostics:
     residual_identity: float
 
 
-def _offdiag_profile(x: np.ndarray, p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """||Q0 X P0|| for every X of an (n, d, d) stack.  P0 = v v^dag has
-    rank 1, so Q0 X P0 = (Q0 X v) v^dag has one nonzero singular value, the
-    vector norm |Q0 X v|."""
+def _offdiag_profile(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    """||Q0 X P0|| for every X of an (n, d, d) stack, P0 = g0 g0^dag and
+    Q0 = I - P0.  P0 has rank 1, so Q0 X P0 = (Q0 X g0) g0^dag has one
+    nonzero singular value, the vector norm |Q0 X g0|."""
     n, d, _ = x.shape
-    v = np.linalg.eigh(p0)[1][:, -1]
-    return np.linalg.norm((x.reshape(-1, d) @ v).reshape(n, d) @ q0.T, axis=1)
+    y = (x.reshape(-1, d) @ g0).reshape(n, d)
+    return np.linalg.norm(y - np.outer(y @ g0.conj(), g0), axis=1)
 
 
 def volterra_diagnostics(
@@ -256,10 +254,9 @@ def volterra_diagnostics(
     if not unit_dev <= SERIES_IDENTITY_TOL:
         raise RuntimeError(f"comparison operator lost unitarity: {unit_dev:.3e}")
 
-    p0 = ideal.projectors[0]
-    q0 = eye - p0
-    off_omega = _offdiag_profile(omega, p0, q0)
-    off_terms = np.stack([_offdiag_profile(terms[j], p0, q0) for j in range(j_max + 1)])
+    g0 = ideal.ground[0]
+    off_omega = _offdiag_profile(omega, g0)
+    off_terms = np.stack([_offdiag_profile(terms[j], g0) for j in range(j_max + 1)])
     return VolterraDiagnostics(
         omega=omega,
         omega_terms=terms,

@@ -264,6 +264,11 @@ def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, *, frame:
     return steps_last_stack((ends[a][1] @ acc.reshape(d, -1)).reshape(acc.shape))
 
 
+def _check_step_size(h: float) -> None:
+    if not (np.isfinite(h) and h > 0):  # NaN fails
+        raise ValueError(f"step size must be positive, got {h}")
+
+
 def walk_operator(
     H0,
     H1,
@@ -277,8 +282,7 @@ def walk_operator(
     Step j of a family is this walk at its read point
     s = min(j/T_d + offset/T_d, 1).
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step_size(h)
     f = schedule_values(sched, np.array([float(s)]))
     ws = _walk_stack(*_endpoints(H0, H1), kind, h, f)
     _check_unitary(ws, "walk lost unitarity")
@@ -377,8 +381,7 @@ def build_walk_family(
         raise ValueError(f"td must be an integer, got {td!r}") from None
     if td < 1:
         raise ValueError(f"need td >= 1, got {td}")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step_size(h)
     h0, h1 = _endpoints(H0, H1)
     return WalkFamily(td=td, h=float(h), kind=kind, h0=h0, h1=h1, schedule=sched)
 
@@ -405,14 +408,18 @@ def exact_step_propagator(
     ``ORACLE_TOL`` of the previous one is returned.  Roundoff grows
     linearly in m, so the diagonal differences reach a floor and then
     grow: once they stop shrinking, the previous entry is returned if its
-    difference is below
-    ``ORACLE_ROUNDOFF``; above it the table is taken to be pre-asymptotic
-    and doubling goes on.  Doubling past ``ORACLE_MAX_SUBSTEPS`` raises.
+    difference is below ``ORACLE_ROUNDOFF``; above it the table is taken
+    to be pre-asymptotic and doubling goes on.  Doubling past
+    ``ORACLE_MAX_SUBSTEPS`` raises.  A window [s, s + ds] outside [0, 1],
+    past the slack that ``schedule_values`` allows, is a ValueError.
     """
+    _check_step_size(h)
+    if not (ds >= 0 and s + ds <= 1.0 + 1e-12):  # NaN fails
+        raise ValueError(f"schedule window [{s}, {s} + {ds}] does not fit in [0, 1]")
     h0, h1 = _endpoints(H0, H1)
 
     def chain(m: int) -> np.ndarray:
-        f = schedule_values(sched, np.minimum(s + ds * (np.arange(m) + 0.5) / m, 1.0))
+        f = schedule_values(sched, s + ds * (np.arange(m) + 0.5) / m)
         return chain_product(_walk_stack(h0, h1, PF2, h / m, f))
 
     row = [chain(1)]

@@ -2,8 +2,9 @@
 
 A walk family W(j/T_d) has eigenphases theta on the unit circle; this
 module follows every eigenpath across the grid by vector overlap, ground
-path first, and refuses a step whose labels the overlaps do not
-determine or whose ground path is degenerate.  It measures the angular
+path first, keeping all phases but only the ground path's eigenvectors,
+and refuses a step whose labels the overlaps do not determine or whose
+ground path is degenerate.  It measures the angular
 gap between the ground path and the others over windows of k + 1 steps
 (k = 0: pointwise), and evaluates the closed-form adiabatic error bound
 driven by the scaled difference norms c_k and the 2-step windowed gap.
@@ -59,27 +60,27 @@ class StepCountWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EigenpathTrack:
-    """Continuously labeled eigenphases and eigenvectors over a step grid.
+    """Continuously labeled eigenphases and ground eigenvectors over a step grid.
 
     ``phases[j, q]`` is the unwrapped phase of path q at step j (paths are
     labeled at step 0 by ascending H0 energy, ground first, see
-    ``_label_order``) and ``vectors[j, :, q]`` the matching unit
-    eigenvector with phase chosen for continuity in j.  ``min_overlap``,
-    the least |overlap| of a tracked vector with its predecessor, is above
-    sqrt(1/2) (``track_eigenpaths``).
+    ``_label_order``) and ``ground[j]`` the unit eigenvector of path 0 at
+    step j, in the eigensolver's phase, which its projector does not see.
+    ``min_overlap``, the least |overlap| of any path's eigenvector with its
+    predecessor, is above sqrt(1/2) (``track_eigenpaths``).
     """
 
     phases: np.ndarray
-    vectors: np.ndarray
+    ground: np.ndarray
     min_overlap: float
 
     def __post_init__(self):
         ph = np.asarray(self.phases, dtype=float)
-        vec = np.asarray(self.vectors, dtype=complex)
-        if ph.ndim != 2 or vec.shape != (*ph.shape, ph.shape[1]):
-            raise ValueError(f"inconsistent track shapes {ph.shape} / {vec.shape}")
+        g = np.asarray(self.ground, dtype=complex)
+        if ph.ndim != 2 or g.shape != ph.shape:
+            raise ValueError(f"inconsistent track shapes {ph.shape} / {g.shape}")
         object.__setattr__(self, "phases", ph)
-        object.__setattr__(self, "vectors", vec)
+        object.__setattr__(self, "ground", g)
 
     @property
     def steps(self) -> int:
@@ -110,21 +111,20 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
     the matrix is unitary, so those peaks sit in distinct columns and the
     row argmax is the step's permutation.  Label maps are composed only
     where it is not the identity.  Phases are unwrapped by a cumulative
-    sum of wrapped differences, then snapped to the raw phase plus a
-    multiple of 2 pi; vector phases follow a cumulative sum of the matched
-    overlap angles, so each vector has a real positive overlap with its
-    predecessor.  Raises TrackingAmbiguityError at the first step j >= 1
-    that is not matched or whose ground phase (path 0) lies within
+    sum of the wrapped differences of the labeled raw phases, then snapped
+    to the raw phase plus a multiple of 2 pi.  Of the eigenvectors only
+    path 0's is kept.  Raises TrackingAmbiguityError at the first step
+    j >= 1 that is not matched or whose ground phase (path 0) lies within
     GAP_ZERO_TOL of another path's: past it, the eigensolver's choice of
     basis, not the family, would decide the labels.
     """
     td = family.td
     dim = family.dim
     phases = np.empty((td + 1, dim))
-    vectors = np.empty((td + 1, dim, dim), dtype=complex)
+    ground = np.empty((td + 1, dim), dtype=complex)
     worst = 1.0
     identity = np.arange(dim)
-    last = None  # raw vectors, raw phases, label map, tracked phases, vector angles
+    last = None  # raw vectors, label map, labeled raw phases, tracked phases
     for j0 in range(0, td + 1, TRACK_BLOCK):
         j1 = min(j0 + TRACK_BLOCK, td + 1)
         lam, v = _normal_eig_stack(family.block(j0, j1))
@@ -132,16 +132,14 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
         if last is None:
             perm = _label_order(family, v[0])
             phases[0] = theta[0, perm]
-            vectors[0] = v[0][:, perm]
-            last = (v[0], theta[0], perm, phases[0], np.zeros(dim))
+            ground[0] = v[0][:, perm[0]]
+            last = (v[0], perm, phases[0], phases[0])
             v, theta, j0 = v[1:], theta[1:], 1
             if j0 == j1:
                 continue
-        v_prev, t_prev, p_last, t_last, a_last = last
+        v_prev, p_last, r_last, t_last = last
         vs = np.concatenate([v_prev[None], v])
-        ts = np.concatenate([t_prev[None], theta])
-        ovs = vs[:-1].conj().transpose(0, 2, 1) @ vs[1:]  # [i, column at j - 1, column at j]
-        amp = np.abs(ovs)
+        amp = np.abs(vs[:-1].conj().transpose(0, 2, 1) @ vs[1:])  # [i, column j - 1, column j]
         rel = amp.argmax(axis=2)
         best = amp.max(axis=2).min(axis=1)  # each step's least row maximum
         n = j1 - j0
@@ -152,9 +150,8 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
             perm = rel[i, perm]
             start = i
         perms[start:] = perm
-        before = np.concatenate([p_last[None], perms[:-1]])
         raw = np.take_along_axis(theta, perms, axis=1)
-        diff = raw - np.take_along_axis(ts[:-1], before, axis=1)
+        diff = np.diff(raw, axis=0, prepend=r_last[None])
         steps = np.concatenate([t_last[None], _wrap_phase(diff)])
         est = np.cumsum(steps, axis=0)[1:]  # sequential, so blocks do not change roundoff
         phases[j0:j1] = raw + 2.0 * np.pi * np.round((est - raw) / (2.0 * np.pi))
@@ -170,12 +167,9 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
                 f"{GAP_ZERO_TOL} of another path's"
             )
         worst = min(worst, float(best.min()))
-        turns = -np.angle(ovs[np.arange(n)[:, None], before, perms])
-        angles = np.cumsum(np.concatenate([a_last[None], turns]), axis=0)[1:]
-        vecs = np.take_along_axis(v, perms[:, None, :], axis=2)
-        vectors[j0:j1] = vecs * np.exp(1j * angles)[:, None, :]
-        last = (v[-1], theta[-1], perms[-1], phases[j1 - 1], angles[-1])
-    return EigenpathTrack(phases=phases, vectors=vectors, min_overlap=worst)
+        ground[j0:j1] = v[np.arange(n), :, perms[:, 0]]
+        last = (v[-1], perms[-1], raw[-1], phases[j1 - 1])
+    return EigenpathTrack(phases=phases, ground=ground, min_overlap=worst)
 
 
 # ---------------------------------------------------------------------------

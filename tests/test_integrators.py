@@ -416,6 +416,29 @@ def test_oracle_raises_when_capped_early(monkeypatch):
         exact_step_propagator(h0, h1, LINEAR, 3.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "h,s,ds,match",
+    [
+        (0.5, 0.95, 0.5, "window"),  # not to be clipped into [0.95, 1]
+        (0.5, 0.5, -0.1, "window"),
+        (0.5, 0.3, float("nan"), "window"),
+        (-0.5, 0.3, 0.1, "positive"),
+        (float("nan"), 0.3, 0.1, "positive"),
+    ],
+    ids=["past-one", "negative-ds", "nan-ds", "negative-h", "nan-h"],
+)
+def test_oracle_rejects_bad_windows_and_step_sizes(h, s, ds, match):
+    h0, h1 = random_pair(35)
+    with pytest.raises(ValueError, match=match):
+        exact_step_propagator(h0, h1, LINEAR, h, s, ds)
+
+
+def test_oracle_accepts_a_window_ending_within_roundoff_of_one():
+    h0, h1 = random_pair(36)
+    u = exact_step_propagator(h0, h1, LINEAR, 0.5, 0.9, 0.1 + 1e-13)
+    assert operator_norm(u - ode_propagator(h0, h1, LINEAR, 0.5, 0.9, 0.1)) < 1e-8
+
+
 def test_oracle_matches_tight_ode_solver():
     # windows of up to a tenth of the schedule, so the time ordering matters
     worst = 0.0

@@ -89,3 +89,19 @@ def test_numeric_difference_is_empty_for_other_shapes(tmp_path):
     assert compare_outputs.numeric_difference(first, rows) == ""
     assert compare_outputs.numeric_difference(write(tmp_path / "a.json", "{}"),
                                               write(tmp_path / "b.json", "[]")) == ""
+
+
+def test_numeric_difference_reads_json_leaves_of_one_structure(tmp_path):
+    # the config keys are metadata; strings and booleans are not numbers
+    first = write(tmp_path / "a.json", json.dumps(
+        {"config": {"td": [100]}, "slopes": {"interior": -1.0, "pairwise": [-2.0, -4.0]},
+         "experiment": "volterra", "ok": True}))
+    second = write(tmp_path / "b.json", json.dumps(
+        {"config": {"td": [100, 200]}, "slopes": {"interior": -1.0, "pairwise": [-2.5, -4.0]},
+         "experiment": "other", "ok": False}))
+    assert compare_outputs.numeric_difference(first, second) == (
+        " (largest difference 0.5 absolute, 0.2 relative)")
+    longer = write(tmp_path / "c.json", json.dumps(
+        {"slopes": {"interior": -1.0, "pairwise": [-2.0, -4.0, -8.0]},
+         "experiment": "volterra", "ok": True}))
+    assert compare_outputs.numeric_difference(first, longer) == ""
