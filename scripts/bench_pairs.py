@@ -13,6 +13,12 @@ side for the named count metrics, each side's first run record
 call times of that test in each checkout; a module fixture's cost is the
 set-up time of the first test that requests it.
 
+Every child runs without ``PYTHONDONTWRITEBYTECODE``, so each checkout
+caches its bytecode and ``perfbench``'s first set-up probe leaves it
+cached for the timed ones; with it set, a checkout without
+``__pycache__`` compiles the package on every probe.  The output JSON
+records the variables removed (``child_env_removed``).
+
 It prints a verdict for each ``end_to_end`` metric of the change's
 ``BENCHMARK.json``, whose bound is a fraction of the parent's median
 (``perfbench/README.md``): "beyond bound" if the change's median is worse
@@ -35,13 +41,21 @@ import sys
 
 SIDES = ("parent", "change")
 GAIN_MIN_PAIRS = 10  # a "gain" needs 9 wins in 10 pairs, so 3 wins in 3 pairs is not one
+CHILD_ENV_REMOVED = ("PYTHONDONTWRITEBYTECODE",)
+
+
+def child_env(**extra):
+    """The caller's environment without ``CHILD_ENV_REMOVED``, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k not in CHILD_ENV_REMOVED}
+    env.update(extra)
+    return env
 
 
 def bench(root, workload, seed, seconds, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=root, env=child_env(), stdout=subprocess.PIPE, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
     record = next(json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("run_record "))
@@ -81,7 +95,7 @@ def verdict(metric, runs, stats):
 def pytest_phases_s(root, test_id, repeats):
     """Minimum over ``repeats`` runs of the test's set-up and call phases,
     in seconds."""
-    env = dict(os.environ, PYTHONPATH="src")
+    env = child_env(PYTHONPATH="src")
     times = {"setup": [], "call": []}
     for _ in range(repeats):
         out = subprocess.run(
@@ -146,6 +160,7 @@ def main(argv=None):
         "workload": args.workload,
         "seconds": seconds,
         "pairs": len(runs),
+        "child_env_removed": list(CHILD_ENV_REMOVED),
         "run_records": records,
         "summary": summary,
         "failed_of_attempted": failures,

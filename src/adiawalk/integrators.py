@@ -39,15 +39,42 @@ code that assembles and diagonalizes H(s).
 A family builds its walks on demand and caches its stack only once
 ``walks`` is read.  Long products (``WalkFamily.chain``, which ``evolve``
 calls) of a product formula always go in the first factor's eigenbasis,
-never through the cache: W_j = V_a M_j V_a^dag, so a block's product is
-V_a (M_{j1-1} ... M_{j0}) V_a^dag, neighbouring steps' V_a^dag V_a
-cancel, and M_j is built like W_j but from V_b^dag V_a and without the
-last product by V_a.  That takes a pf1 step from 2 GEMMs to 1 and a pf2
-step from 3 to 2.  The unitarity check runs on every M_j at the same
-``WALK_UNITARITY_TOL``: V_a is unitary to about 1e-15, so M_j's 2-norm
-deviation from unitary is W_j's, and its largest entry deviation is
-within a factor d of W_j's.  ``exp`` walks multiply their ``block``; a
-block sliced from the cache is bitwise the one built.
+never through the cache: W_j = V_a M_j V_a^dag, so the product over a
+range is V_a (M_{j1-1} ... M_{j0}) V_a^dag and neighbouring steps'
+V_a^dag V_a cancel.  Each M_j = D_1 X D_2 X' ... D_m V_b^dag V_a is made
+of phase diagonals and the two constant links only, so the product of
+k = ``CHAIN_GROUP`` = 16 consecutive steps, P_i = M_{ik+k-1} ... M_{ik},
+is the walk kernel run over their concatenated factor lists
+(``_group_products``): from the identity, one (d, d) @ (d, d n/k) GEMM by
+a link wherever the operator changes, and none at the seam of two steps
+whose lists end and start on one operator (pf2, spf2, spf4-8).
+A last group holds the n mod k steps left over.  A pf1 step takes two
+link GEMMs on n/k columns, where building each M_j alone takes one on n
+columns; in return ``chain_product`` reduces about n/k varying d x d
+matrices instead of n, and only those n/k are Gram-checked.
+
+Three checks bound every step without a Gram check per step: the modulus
+of every phase within delta = ``WALK_UNITARITY_TOL`` / (2m) of 1, for a
+list of m factors; the link C, once per ``chain`` call; and the Gram
+check of every P_i, all at ``WALK_UNITARITY_TOL``.  The bound behind
+them: X = A B has X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I),
+so to first order the 2-norm deviations from unitary of a product's
+factors add.  A
+diagonal of phases within delta of the unit circle deviates by at most
+2 delta + delta^2, and M_j has m diagonals and at most m links, so
+
+    ||M_j^dag M_j - I|| <= m (2 delta + delta^2) + m eps_C + rho
+                        ~= WALK_UNITARITY_TOL + m eps_C + rho,
+
+with eps_C the link's deviation (below 1e-15 on the models here) and rho
+the rounding of the m products, O(m d eps).  The Gram check of P_i reads
+any one step's deviation unchanged, since the steps around it are
+unitary: P_i = A M_j B with A and B unitary has
+P_i^dag P_i - I = B^dag (M_j^dag M_j - I) B.  V_a is unitary to
+about 1e-15, so M_j's 2-norm deviation is W_j's.  Summed over the steps
+of a long evolution, rho is its norm drift, about 1e-16 per factor.
+``exp`` walks multiply their ``block``; a block sliced from the cache is
+bitwise the one built.
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
@@ -81,6 +108,8 @@ ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
 PF1_FACTORS = ((1, 1.0), (0, 1.0))  # exp(-i h f H1) exp(-i h (1-f) H0)
 PHASES_COS_SIN_MIN = 256  # phase arrays from this size on take cos and sin (``_phases``)
+CHAIN_GROUP = 16  # steps per product in a product formula's ``WalkFamily.chain``
+PHASE_BATCH = 2 ** 16  # entries of one phase array of ``_group_products``
 
 __all__ = [
     "GaplessError",
@@ -220,7 +249,15 @@ def _phases(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, *, frame: bool = False):
+def _links(h0, h1) -> tuple:
+    """The endpoint eigendecompositions and the links into the H0 and into
+    the H1 eigenbasis, C^dag = V0^dag V1 and C = V1^dag V0."""
+    ends = (h0.eigh, h1.eigh)
+    c = ends[1][1].conj().T @ ends[0][1]
+    return ends, (c.conj().T, c)
+
+
+def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
     """Walks at step h, one per schedule value in ``f``, as a steps-last stack.
 
     ``h0`` and ``h1`` are HermitianOperators (see ``_endpoints``); only a
@@ -233,35 +270,70 @@ def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, *, frame:
     vary with f, so each product is one (d, d) @ (d, d n) GEMM by a
     constant matrix, never a batched product of two varying stacks.
     ``exp`` diagonalizes every H(f) instead.
-
-    With ``frame`` a product formula returns (V_a, M) with
-    M_j = V_a^dag W_j V_a: the build starts from V_b^dag V_a, the link
-    ``links[b]`` or the identity when the list starts and ends on one
-    operator, and the last product by V_a is left out.
     """
     if not kind.factors:
         w, v = hamiltonian_bands(h0, h1, f, vectors=True)
         ws = np.einsum("nik,nk,njk->ijn", v, _phases(h * w), v.conj(), order="C")
         return steps_last_stack(ws)
-    d, ends = h0.dim, (h0.eigh, h1.eigh)
-    c = ends[1][1].conj().T @ ends[0][1]  # C = V1^dag V0
-    links = (c.conj().T, c)  # into the H0 and into the H1 eigenbasis
+    d = h0.dim
+    ends, links = _links(h0, h1)
     a, b = kind.factors[0][0], kind.factors[-1][0]
-    if frame:
-        start = links[b] if a != b else np.eye(d)
-    else:
-        start = ends[b][1].conj().T
     acc = None
     for op, weight in reversed(kind.factors):
         ph = _phases(h * weight * np.outer(ends[op][0], f if op else 1.0 - f))[:, None, :]
         if acc is None:
-            acc = np.ascontiguousarray(start)[:, :, None] * ph  # C order: reshapes are views
+            acc = np.ascontiguousarray(ends[b][1].conj().T)[:, :, None] * ph  # C order: reshapes are views
         else:
             acc = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape)
             acc *= ph
-    if frame:
-        return ends[a][1], steps_last_stack(acc)
     return steps_last_stack((ends[a][1] @ acc.reshape(d, -1)).reshape(acc.shape))
+
+
+def _group_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
+    """(V_a, P) for a product formula, with P the steps-last stack of the
+    products P_i = M_{ik+k-1} ... M_{ik} of k = ``CHAIN_GROUP`` consecutive
+    steps, M_j = V_a^dag W_j V_a, one per schedule value in ``f``; a last
+    group holds the len(f) mod k steps left over.
+
+    Each P_i runs the walk kernel over the k steps' factor lists
+    concatenated, step ik's last factor first: from the identity in the
+    first factor's basis, each factor's rows are scaled by its phases, read
+    at its own step's schedule value, after one (d, d) @ (d, d n/k) GEMM by
+    the link into its basis wherever the operator changes.  A factor on the
+    operator of the one before it, as at the seam of two pf2 steps, is only
+    scaled.  The phases of up to ``PHASE_BATCH`` entries' worth of
+    consecutive factors come from one call.  See the module docstring for
+    the three checks and the bound they give.
+    """
+    d, (a, _) = h0.dim, kind.factors[0]
+    ends, links = _links(h0, h1)
+    _check_unitary(links[1], "walk link lost unitarity")
+    phase_tol = WALK_UNITARITY_TOL / (2 * len(kind.factors))
+    ops = np.array([op for op, _ in reversed(kind.factors)])  # in the order they act
+    lams = np.array([ends[op][0] for op in ops])[:, :, None]
+    hws = h * np.array([w for _, w in reversed(kind.factors)])[:, None, None]
+    full = len(f) - len(f) % CHAIN_GROUP
+    groups = []
+    for fs in (f[:full].reshape(-1, CHAIN_GROUP), f[full:].reshape(1, -1)):
+        if not fs.size:
+            continue
+        acc, basis = np.repeat(np.eye(d, dtype=complex)[:, :, None], len(fs), axis=2), a
+        batch = max(1, PHASE_BATCH // acc[0].size)
+        for g1 in np.ascontiguousarray(fs.T):  # one step of every group
+            g = np.stack((1.0 - g1, g1))
+            for i in range(0, len(ops), batch):
+                phs = _phases(hws[i : i + batch] * (lams[i : i + batch] * g[ops[i : i + batch], None, :]))
+                dev = float(np.abs(np.abs(phs) - 1.0).max())
+                if not dev <= phase_tol:
+                    raise RuntimeError(f"walk phases lost unitarity: modulus deviation {dev:.3e}")
+                for op, ph in zip(ops[i : i + batch], phs):
+                    if op != basis:
+                        acc, basis = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape), op
+                    acc *= ph[:, None, :]
+        groups.append(acc)
+    ps = steps_last_stack(np.concatenate(groups, axis=2))
+    _check_unitary(ps, "walk block lost unitarity")
+    return ends[a][1], ps
 
 
 def _check_step_size(h: float) -> None:
@@ -348,13 +420,13 @@ class WalkFamily:
 
     def chain(self, j0: int, j1: int) -> np.ndarray:
         """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: a product
-        formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag, each M_j checked for
-        unitarity, or the product of ``block``; see the module docstring."""
+        formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag from its 16-step
+        products, with their phases, link and products checked, or the
+        product of ``block``; see the module docstring."""
         if not self.kind.factors:
             return chain_product(self.block(j0, j1))
-        va, ms = _walk_stack(self.h0, self.h1, self.kind, self.h, self._values(j0, j1), frame=True)
-        _check_unitary(ms, "walk block lost unitarity")
-        return va @ chain_product(ms) @ va.conj().T
+        va, ps = _group_products(self.h0, self.h1, self.kind, self.h, self._values(j0, j1))
+        return va @ chain_product(ps) @ va.conj().T
 
     @property
     def walks(self) -> np.ndarray:

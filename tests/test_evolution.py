@@ -230,6 +230,17 @@ def test_evolve_raises_when_the_phases_overflow():
         evolve(fam, ground_state(h0))
 
 
+def test_long_pf1_evolution_stays_near_the_unit_sphere():
+    # the norm drift of a product formula grows linearly in the step count:
+    # 5.59e-11 over 262,144 pf1 steps at h = 1/32 on the four-level pair;
+    # this bound keeps a larger per-step bias from hiding below
+    # STATE_NORM_TOL = 1e-9, which that drift reaches at about 4.7M steps
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 1 / 32, 2 ** 18)
+    psi = evolve(fam, ground_state(h0)).final_state
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+
+
 def test_evolve_raises_when_the_state_norm_drifts(monkeypatch):
     # a drifted norm is a numerical failure of the run, not a bad input
     fam = toy_family(20)

@@ -24,6 +24,7 @@ from adiawalk.integrators import (
     WalkFamily,
     _check_unitary,
     _endpoints,
+    _group_products,
     _phases,
     _walk_stack,
     build_walk_family,
@@ -691,29 +692,38 @@ def test_phases_match_the_complex_exponential():
 @pytest.mark.parametrize("sched", [LINEAR, glue_schedule()], ids=["linear", "glue"])
 @pytest.mark.parametrize("tag", PRODUCT_FORMULAS)
 def test_eigenframe_chain_matches_the_walk_product(tag, sched):
+    # range lengths 1, 15, 16, 17, 32, 1767 and 3000: a remainder group
+    # alone, one full group, groups with and without a remainder
+    assert integrators.CHAIN_GROUP == 16
     h0, h1 = four_level_pair()
     td = 3000
+    ranges = ((17, 18), (5, 20), (16, 32), (100, 117), (33, 65), (1234, td + 1), (0, td))
     for h in (0.7, 3.0):
         fam = build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, td)
-        for j0, j1 in ((0, td), (17, 18), (1234, td + 1)):
+        for j0, j1 in ranges:
             ref = chain_product(fam.block(j0, j1))
             assert np.max(np.abs(fam.chain(j0, j1) - ref)) <= 1e-11, (h, j0, j1)
 
 
-def test_eigenframe_frame_and_link_match_the_walks():
-    # (V_a, M) with W_j = V_a M_j V_a^dag, for lists that start and end on
-    # different operators (pf1: H1 then H0) and on one operator (pf2: H0).
-    # Both bases are far from the identity; toy2's diagonal H1 has V1 = I,
-    # so it cannot tell a frame from no frame.
+def test_group_products_match_the_walks():
+    # (V_a, P) with P_i = V_a^dag (W_{ik+k-1} ... W_{ik}) V_a, for lists that
+    # start and end on different operators (pf1: H1 then H0) and on one
+    # operator (pf2, spf4: H0), over three full groups and a remainder of
+    # five steps.  Both bases are far from the identity; toy2's diagonal H1
+    # has V1 = I, so it cannot tell a frame from no frame.
     h0, h1 = four_level_pair()
     for op in (h0, h1):
         assert np.max(np.abs(np.abs(op.eigh[1]) - np.eye(4))) > 0.1
-    f = np.linspace(0.0, 1.0, 7)
+    k = integrators.CHAIN_GROUP
+    f = np.linspace(0.0, 1.0, 3 * k + 5)
     for kind, first in ((PF1, h1), (PF2, h0), (INTEGRATORS["spf4"], h0)):
-        va, ms = _walk_stack(h0, h1, kind, 0.9, f, frame=True)
+        va, ps = _group_products(h0, h1, kind, 0.9, f)
         assert va is first.eigh[1]
+        assert ps.shape == (4, 4, 4)
         ws = _walk_stack(h0, h1, kind, 0.9, f)
-        assert np.max(np.abs(va @ ms @ va.conj().T - ws)) <= 1e-14
+        for i, p in enumerate(ps):
+            ref = va.conj().T @ chain_product(ws[i * k : (i + 1) * k]) @ va
+            assert np.max(np.abs(p - ref)) <= 1e-13, (kind.tag, i)
 
 
 def test_chain_of_exp_and_materialized_families_is_the_block_product():
@@ -740,24 +750,86 @@ def test_chain_of_exp_and_materialized_families_is_the_block_product():
             fam.chain(0, td + 2)
 
 
+def one_bad_phase_at(monkeypatch, fam, step, error=1e-8):
+    """Make ``integrators._phases`` put a modulus error ``error`` on one phase
+    of the H1 factor of ``step`` of the pf1 family ``fam``.  That factor's
+    phase arguments h lambda_1 f(step) are found by value, as a column of
+    a phase array of the kernel, wherever the kernel lays the step out."""
+    f = schedule_values(fam.schedule, np.array([step / fam.td]))
+    target = fam.h * np.outer(fam.h1.eigh[0], f)
+    phases = integrators._phases
+
+    def one_bad_phase(x):
+        out = phases(x)
+        hit = np.isclose(x, target, rtol=1e-14, atol=0.0).all(axis=-2)
+        out[..., 2, :] *= np.where(hit, 1.0 + error, 1.0)
+        return out
+
+    monkeypatch.setattr(integrators, "_phases", one_bad_phase)
+
+
 def test_eigenframe_chain_checks_every_step(monkeypatch):
     # one phase of one step off the unit circle by 1e-8 makes that M_j
     # non-unitary by far more than WALK_UNITARITY_TOL; the chain must see it
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500)
     fam.chain(0, 500)
-    phases = integrators._phases
-
-    def one_bad_phase(x):
-        out = phases(x)
-        if out.shape[1] > 321:
-            out[2, 321] *= 1.0 + 1e-8
-        return out
-
-    monkeypatch.setattr(integrators, "_phases", one_bad_phase)
+    one_bad_phase_at(monkeypatch, fam, 321)
     with pytest.raises(RuntimeError, match="unitarity"):
         fam.chain(0, 500)
     fam.chain(0, 321)  # the bad step lies outside this range
+
+
+def test_eigenframe_chain_checks_the_steps_of_its_last_group(monkeypatch):
+    # 500 = 31 * 16 + 4: step 497 lies in the remainder group of four steps
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500)
+    one_bad_phase_at(monkeypatch, fam, 497)
+    with pytest.raises(RuntimeError, match="unitarity"):
+        fam.chain(0, 500)
+    with pytest.raises(RuntimeError, match="unitarity"):
+        fam.chain(496, 498)
+    fam.chain(0, 497)  # the bad step lies outside this range
+
+
+def test_eigenframe_chain_checks_every_phase_modulus(monkeypatch):
+    # one phase off by 1.2 times the per-phase budget WALK_UNITARITY_TOL / (2m)
+    # leaves its step and its group product within WALK_UNITARITY_TOL: only
+    # the phase check sees it
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500)
+    budget = integrators.WALK_UNITARITY_TOL / (2 * len(PF1.factors))
+    one_bad_phase_at(monkeypatch, fam, 321, 1.2 * budget)
+    with pytest.raises(RuntimeError, match="walk phases lost unitarity"):
+        fam.chain(0, 500)
+
+
+def test_eigenframe_chain_checks_the_link(monkeypatch):
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 40)
+    links = integrators._links
+
+    def bad_link(*args):
+        ends, (cd, c) = links(*args)
+        return ends, (cd, c * (1.0 + 1e-9))
+
+    monkeypatch.setattr(integrators, "_links", bad_link)
+    with pytest.raises(RuntimeError, match="walk link lost unitarity"):
+        fam.chain(0, 40)
+
+
+def test_eigenframe_chain_checks_its_group_products(monkeypatch):
+    # every phase off the unit circle by 0.9 of the per-phase tolerance
+    # passes the phase check and leaves each step within WALK_UNITARITY_TOL,
+    # but 32 such phases make a 16-step pf1 product non-unitary by about
+    # 1.4e-9: the Gram check of the group products must see it
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 64)
+    phases = integrators._phases
+    scale = 1.0 + 0.9 * integrators.WALK_UNITARITY_TOL / (2 * len(PF1.factors))
+    monkeypatch.setattr(integrators, "_phases", lambda x: phases(x) * scale)
+    with pytest.raises(RuntimeError, match="walk block lost unitarity"):
+        fam.chain(0, 64)
 
 
 def test_cached_walks_are_read_only():

@@ -45,6 +45,36 @@ def test_fewer_pairs_still_read_bounds():
     assert verdict_of(parent, [1.01 * p for p in parent]) == "within bound"
 
 
+def test_children_run_without_the_bytecode_switch(monkeypatch, tmp_path):
+    # a child that may not write bytecode recompiles the package on every
+    # set-up probe of perfbench, which then times compilation
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    seen = []
+
+    def fake_run(argv, *, env, **kwargs):
+        seen.append(env)
+        final = {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
+        out = f'run_record {{"cpu_count": 2}}\n{json.dumps(final)}\n'
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, stdout=out)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [WALL]}))
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "long-evolve", "--seeds", "1", "--pairs", "2",
+                      "--out", str(out)])
+    assert len(seen) == 4
+    for env in seen:
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["BENCH_PAIRS_PROBE"] == "kept"
+    assert json.loads(out.read_text())["child_env_removed"] == ["PYTHONDONTWRITEBYTECODE"]
+    assert bench_pairs.child_env(PYTHONPATH="src")["PYTHONPATH"] == "src"
+
+
 # ---------------------------------------------------------------------------
 # compare_outputs.py
 
