@@ -16,50 +16,48 @@ schedule, and the splitting order that the step-size rules use:
 * ``spf4``, ``spf6``, ``spf8``: the Trotter-Suzuki fractal recursion on
   the Strang list with adjacent factors of one operator merged, offset 0.
 
-One private kernel, ``_walk_stack``, builds every walk from the two
-endpoint operators, a factor list and a vector of schedule values;
-``walk_operator``, ``WalkFamily``, the reference propagator and the
-toy-model gap table all call it.  Only a family applies the offset:
-``walk_operator`` reads the schedule at its s for every kind, so its pf2
-walk equals its pf2-simplified walk.  Each factor is a phase vector D_i
-in its operator's eigenbasis, so a walk is V_a D_1 X D_2 X' ... D_k
-V_b^dag, built from the right, with X, X' alternating between the fixed
-links C = V1^dag V0 and C^dag: phase scalings and left multiplications
-by constant matrices only.  The eigenbases are each
-``HermitianOperator``'s own ``eigh``, computed once on first use; ``exp``
-walks never read them.  Its stacks are steps-last (see ``linalg``): each
-left multiplication is one GEMM whose output columns run over the steps,
-so the unitarity check of a block and its chain product run along the
-step axis.  A single walk is a GEMM of the same shape over one
-step, and comes out bitwise equal to the same step inside a family block.
-Every phase, of either kind, is exp(-i x) from ``_phases``, which writes
-cos and sin into one complex array.  ``hamiltonian_bands`` is the only
-code that assembles and diagonalizes H(s).
+Every product-formula walk and chain comes from one loop over a factor
+list, ``_factor_products``.  Each factor is a phase vector D_i in its
+operator's eigenbasis (``HermitianOperator.eigh``, computed once), so a
+walk is W = V_a D_1 X D_2 X' ... D_m V_b^dag, with a and b the first and
+last factors' operators and X, X' the fixed links C = V1^dag V0 and
+C^dag.  The loop multiplies the factor lists of k consecutive steps, the
+first step's last factor first, on a (d, d, n/k) array whose last axis
+runs over the groups: each factor scales the rows by its phases, read at
+its own step's schedule value, after one (d, d) @ (d, d n/k) GEMM by a
+link wherever the operator changes; at the seam of two pf2, spf2 or
+spf4-8 steps it only scales.  Every phase is exp(-i x) from ``_phases``.
 
-A family builds its walks on demand and caches its stack only once
-``walks`` is read.  Long products (``WalkFamily.chain``, which ``evolve``
-calls) of a product formula always go in the first factor's eigenbasis,
-never through the cache: W_j = V_a M_j V_a^dag, so the product over a
-range is V_a (M_{j1-1} ... M_{j0}) V_a^dag and neighbouring steps'
-V_a^dag V_a cancel.  Each M_j = D_1 X D_2 X' ... D_m V_b^dag V_a is made
-of phase diagonals and the two constant links only, so the product of
-k = ``CHAIN_GROUP`` = 16 consecutive steps, P_i = M_{ik+k-1} ... M_{ik},
-is the walk kernel run over their concatenated factor lists
-(``_group_products``): from the identity, one (d, d) @ (d, d n/k) GEMM by
-a link wherever the operator changes, and none at the seam of two steps
-whose lists end and start on one operator (pf2, spf2, spf4-8).
-A last group holds the n mod k steps left over.  A pf1 step takes two
-link GEMMs on n/k columns, where building each M_j alone takes one on n
-columns; in return ``chain_product`` reduces about n/k varying d x d
-matrices instead of n, and only those n/k are Gram-checked.
+* ``_walk_stack`` starts on V_b^dag at k = 1 and multiplies by V_a: the
+  walks at n schedule values as a steps-last stack (see ``linalg``), so a
+  block's unitarity check and chain product run along the step axis.
+  ``walk_operator``, ``WalkFamily.block``, the reference propagator and
+  the toy-model gap table call it; a single walk is bitwise the same step
+  of a family block.  ``exp`` walks diagonalize every H(f) instead, in
+  ``hamiltonian_bands``, the only code that assembles and diagonalizes
+  H(s).  Only a family applies the offset, so ``walk_operator``'s pf2
+  walk equals its pf2-simplified walk.
+* ``WalkFamily.chain``, which ``evolve`` calls, starts on the link
+  V_b^dag V_a (I when a = b) and gets the products
+  P_i = M_{ik+k-1} ... M_{ik} in the first factor's eigenbasis,
+  W_j = V_a M_j V_a^dag.  The chain is V_a (P_last ... P_0) V_a^dag, so
+  ``chain_product`` reduces n/k matrices, not n; a last group holds the
+  n mod k steps left over.  It never reads a family's cache, and reduces
+  the phase moduli ``MODULI_BATCH`` at a time.
+  A larger k costs k m passes of the loop for a list of m factors (and
+  pf1 one more GEMM per seam); a smaller one leaves more products to
+  check and reduce.  ``_group_size`` takes the minimum of that cost,
+  k = sqrt(n / (``CHAIN_GROUP_SCALE`` m)) as calibrated by
+  ``scripts/kernel_timings.py``, at most ``CHAIN_GROUP`` = 16.
 
-Three checks bound every step without a Gram check per step: the modulus
-of every phase within delta = ``WALK_UNITARITY_TOL`` / (2m) of 1, for a
-list of m factors; the link C, once per ``chain`` call; and the Gram
-check of every P_i, all at ``WALK_UNITARITY_TOL``.  The bound behind
-them: X = A B has X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I),
-so to first order the 2-norm deviations from unitary of a product's
-factors add.  A
+A chain's three checks bound every step without a Gram check per step:
+the modulus of every phase within delta = ``WALK_UNITARITY_TOL`` / (2m)
+of 1; the link C, once per ``chain`` call; and the Gram check of every
+P_i, all at ``WALK_UNITARITY_TOL``.  (``walk_operator`` and ``block``
+Gram-check each walk; the gap table's and the reference propagator's
+walks go unchecked.)  The bound behind them: X = A B has
+X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I), so to first order
+the 2-norm deviations from unitary of a product's factors add.  A
 diagonal of phases within delta of the unit circle deviates by at most
 2 delta + delta^2, and M_j has m diagonals and at most m links, so
 
@@ -108,8 +106,9 @@ ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
 PF1_FACTORS = ((1, 1.0), (0, 1.0))  # exp(-i h f H1) exp(-i h (1-f) H0)
 PHASES_COS_SIN_MIN = 256  # phase arrays from this size on take cos and sin (``_phases``)
-CHAIN_GROUP = 16  # steps per product in a product formula's ``WalkFamily.chain``
-PHASE_BATCH = 2 ** 16  # entries of one phase array of ``_group_products``
+CHAIN_GROUP = 16  # most steps per product in a product formula's ``WalkFamily.chain``
+CHAIN_GROUP_SCALE = 20  # a chain of n steps of m factors groups sqrt(n / (20 m)) steps
+MODULI_BATCH = 2 ** 13  # phase moduli a chain holds before it reduces them (64 KiB)
 
 __all__ = [
     "GaplessError",
@@ -257,83 +256,71 @@ def _links(h0, h1) -> tuple:
     return ends, (c.conj().T, c)
 
 
-def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
-    """Walks at step h, one per schedule value in ``f``, as a steps-last stack.
-
-    ``h0`` and ``h1`` are HermitianOperators (see ``_endpoints``); only a
-    product formula reads their ``eigh``.  It is built from its last factor
-    leftwards: D_k V_b^dag, the rows of V_b^dag scaled by the phases
-    exp(-i h w g(f) lambda), is left-multiplied by the link into each
-    earlier factor's basis, C^dag = V0^dag V1 for an H0 factor or
-    C = V1^dag V0 for an H1 factor, and its rows are scaled in place; a
-    last product by V_a leaves the first factor's basis.  Only the phases
-    vary with f, so each product is one (d, d) @ (d, d n) GEMM by a
-    constant matrix, never a batched product of two varying stacks.
-    ``exp`` diagonalizes every H(f) instead.
+def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: int,
+                     *, walks: bool = False):
+    """Products of the factor lists of k consecutive steps of a product
+    formula, one step per schedule value in ``f``, as a (d, d, groups)
+    array, and the largest deviation of a phase modulus from 1; a last
+    group holds the len(f) mod k steps left over.  Each product starts on
+    V_b^dag V_a, or I when a = b, or with ``walks`` (k = 1) on V_b^dag,
+    whose phases then go unchecked (the deviation is None); see the module
+    docstring.  ``h0`` and ``h1`` are HermitianOperators (``_endpoints``).
     """
+    d, a, b = h0.dim, kind.factors[0][0], kind.factors[-1][0]
+    ends, links = _links(h0, h1)
+    start = ends[b][1].conj().T if walks else (links[b] if a != b else np.eye(d, dtype=complex))
+    start = np.ascontiguousarray(start)[:, :, None]  # C order: reshapes of the products are views
+    factors = kind.factors[::-1]  # in the order they act
+    full = len(f) - len(f) % k
+    groups, devs = [], []
+    for lo, hi, kk in ((0, full, k), (full, len(f), len(f) - full)):  # steps lo..hi-1, kk per group
+        if lo == hi:
+            continue
+        acc, basis = start, b  # the product, broadcast over the groups until the first scaling
+        x = np.empty((d, (hi - lo) // kk))  # phase arguments
+        mods, j = None if walks else np.empty((max(1, MODULI_BATCH // x.size), *x.shape)), 0
+        for t in range(lo, lo + kk):  # one step of every group
+            g1 = np.ascontiguousarray(f[t:hi:kk])
+            g = (1.0 - g1, g1)
+            for op, w in factors:
+                np.multiply(ends[op][0][:, None], g[op], out=x)
+                x *= h * w
+                ph = _phases(x)
+                if not walks:
+                    if j == len(mods):  # full: keep only the extreme moduli
+                        devs += (mods.max() - 1.0, 1.0 - mods.min())
+                        j = 0
+                    np.abs(ph, out=mods[j])
+                    j += 1
+                if op != basis:
+                    acc, basis = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape), op
+                if acc is start:
+                    acc = start * ph[:, None, :]
+                else:
+                    acc *= ph[:, None, :]
+        groups.append(acc)
+        if j:
+            devs += (mods[:j].max() - 1.0, 1.0 - mods[:j].min())
+    products = groups[0] if len(groups) == 1 else np.concatenate(groups, axis=2)
+    return products, None if walks else float(np.max(devs))
+
+
+def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
+    """Walks at step h, one per schedule value in ``f``, as a steps-last
+    stack: a product formula's is V_a times its one-step factor products
+    (``_factor_products``); ``exp`` diagonalizes every H(f) instead."""
     if not kind.factors:
         w, v = hamiltonian_bands(h0, h1, f, vectors=True)
         ws = np.einsum("nik,nk,njk->ijn", v, _phases(h * w), v.conj(), order="C")
         return steps_last_stack(ws)
-    d = h0.dim
-    ends, links = _links(h0, h1)
-    a, b = kind.factors[0][0], kind.factors[-1][0]
-    acc = None
-    for op, weight in reversed(kind.factors):
-        ph = _phases(h * weight * np.outer(ends[op][0], f if op else 1.0 - f))[:, None, :]
-        if acc is None:
-            acc = np.ascontiguousarray(ends[b][1].conj().T)[:, :, None] * ph  # C order: reshapes are views
-        else:
-            acc = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape)
-            acc *= ph
-    return steps_last_stack((ends[a][1] @ acc.reshape(d, -1)).reshape(acc.shape))
+    acc, _ = _factor_products(h0, h1, kind, h, f, 1, walks=True)
+    va = (h0, h1)[kind.factors[0][0]].eigh[1]
+    return steps_last_stack((va @ acc.reshape(h0.dim, -1)).reshape(acc.shape))
 
 
-def _group_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
-    """(V_a, P) for a product formula, with P the steps-last stack of the
-    products P_i = M_{ik+k-1} ... M_{ik} of k = ``CHAIN_GROUP`` consecutive
-    steps, M_j = V_a^dag W_j V_a, one per schedule value in ``f``; a last
-    group holds the len(f) mod k steps left over.
-
-    Each P_i runs the walk kernel over the k steps' factor lists
-    concatenated, step ik's last factor first: from the identity in the
-    first factor's basis, each factor's rows are scaled by its phases, read
-    at its own step's schedule value, after one (d, d) @ (d, d n/k) GEMM by
-    the link into its basis wherever the operator changes.  A factor on the
-    operator of the one before it, as at the seam of two pf2 steps, is only
-    scaled.  The phases of up to ``PHASE_BATCH`` entries' worth of
-    consecutive factors come from one call.  See the module docstring for
-    the three checks and the bound they give.
-    """
-    d, (a, _) = h0.dim, kind.factors[0]
-    ends, links = _links(h0, h1)
-    _check_unitary(links[1], "walk link lost unitarity")
-    phase_tol = WALK_UNITARITY_TOL / (2 * len(kind.factors))
-    ops = np.array([op for op, _ in reversed(kind.factors)])  # in the order they act
-    lams = np.array([ends[op][0] for op in ops])[:, :, None]
-    hws = h * np.array([w for _, w in reversed(kind.factors)])[:, None, None]
-    full = len(f) - len(f) % CHAIN_GROUP
-    groups = []
-    for fs in (f[:full].reshape(-1, CHAIN_GROUP), f[full:].reshape(1, -1)):
-        if not fs.size:
-            continue
-        acc, basis = np.repeat(np.eye(d, dtype=complex)[:, :, None], len(fs), axis=2), a
-        batch = max(1, PHASE_BATCH // acc[0].size)
-        for g1 in np.ascontiguousarray(fs.T):  # one step of every group
-            g = np.stack((1.0 - g1, g1))
-            for i in range(0, len(ops), batch):
-                phs = _phases(hws[i : i + batch] * (lams[i : i + batch] * g[ops[i : i + batch], None, :]))
-                dev = float(np.abs(np.abs(phs) - 1.0).max())
-                if not dev <= phase_tol:
-                    raise RuntimeError(f"walk phases lost unitarity: modulus deviation {dev:.3e}")
-                for op, ph in zip(ops[i : i + batch], phs):
-                    if op != basis:
-                        acc, basis = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape), op
-                    acc *= ph[:, None, :]
-        groups.append(acc)
-    ps = steps_last_stack(np.concatenate(groups, axis=2))
-    _check_unitary(ps, "walk block lost unitarity")
-    return ends[a][1], ps
+def _group_size(n: int, m: int) -> int:
+    """Steps per product in a chain of n steps of a list of m factors."""
+    return min(CHAIN_GROUP, max(1, math.isqrt(n // (CHAIN_GROUP_SCALE * m))))
 
 
 def _check_step_size(h: float) -> None:
@@ -420,12 +407,19 @@ class WalkFamily:
 
     def chain(self, j0: int, j1: int) -> np.ndarray:
         """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: a product
-        formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag from its 16-step
-        products, with their phases, link and products checked, or the
-        product of ``block``; see the module docstring."""
+        formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag from the products of
+        ``_group_size`` steps each, with their phases, link and products
+        checked, or the product of ``block``; see the module docstring."""
         if not self.kind.factors:
             return chain_product(self.block(j0, j1))
-        va, ps = _group_products(self.h0, self.h1, self.kind, self.h, self._values(j0, j1))
+        _check_unitary(_links(self.h0, self.h1)[1][1], "walk link lost unitarity")
+        f, m = self._values(j0, j1), len(self.kind.factors)
+        ps, dev = _factor_products(self.h0, self.h1, self.kind, self.h, f, _group_size(len(f), m))
+        if not dev <= WALK_UNITARITY_TOL / (2 * m):
+            raise RuntimeError(f"walk phases lost unitarity: modulus deviation {dev:.3e}")
+        ps = steps_last_stack(ps)
+        _check_unitary(ps, "walk block lost unitarity")
+        va = (self.h0, self.h1)[self.kind.factors[0][0]].eigh[1]
         return va @ chain_product(ps) @ va.conj().T
 
     @property

@@ -20,10 +20,10 @@ innermost and contiguous one: a (d, d, n) array seen through its
 d(d+1)/2 step-axis dot products, on either layout.  ``chain_product``
 multiplies neighbour pairs by ``einsum`` on a steps-last stack of
 d <= ``EINSUM_CHAIN_MAX_DIM`` and by batched ``@`` otherwise.
-A product formula's ``WalkFamily.chain`` hands it products of 16 steps
-built from the constant links (``integrators._group_products``), so it
-reduces n/16 matrices; the whole chain runs 1.5x (d = 2) to 2.7x (d = 6)
-faster than one step at a time.
+A product formula's ``WalkFamily.chain`` hands it products of k <= 16
+steps built from the constant links (``integrators._factor_products``),
+so it reduces n/k matrices; at n = 65,536 (k = 16) the whole chain runs
+1.5x (d = 2) to 2.7x (d = 6) faster than one step at a time.
 ``operator_norm`` of a stack takes ``eigvalsh`` of the Gram matrices, not
 ``svd``; a rank-1 block Q X v v^dag needs only |Q X v| (the Volterra
 profiles).  Prefix products (``evolution._running_product``) go in blocks
@@ -55,7 +55,8 @@ The two pf1 chain rows time ``WalkFamily.chain`` over n steps of random
 Hermitian pairs, phases, products and checks included: one step at a
 time builds and Gram-checks every step's walk in the first factor's
 eigenbasis and reduces all n of them; the 16-step groups are the chain
-as it is built now.
+as it is built now.  ``scripts/kernel_timings.py`` times chains of every
+length against ``chain_product`` of their ``block`` at d = 4.
 
 Walk eigenphases are reported as ``theta = -arg(lambda)``, so a walk
 built as ``exp(-i h H)`` has eigenphases ``h * eig(H)`` whenever

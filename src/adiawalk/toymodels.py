@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import HermitianOperator, normal_eig
 from .schedules import Schedule, linear_schedule, schedule_values
-from .integrators import PF1, _walk_stack, build_walk_family, hamiltonian_bands
+from .integrators import PF1, _walk_stack, build_walk_family, hamiltonian_bands, walk_operator
 from .spectral import GAP_ZERO_TOL, lowest_phase_gap
 from .evolution import STATE_NORM_TOL, evolve, ground_state
 
@@ -101,7 +101,7 @@ def build_toy(kind: str, eps: float = 0.0) -> ToyModel:
         lam, v = normal_eig((v * np.exp(-1j * -0.5 * w)) @ v.conj().T @ target)
         theta = (v * np.angle(lam)) @ v.conj().T
         h0 = HermitianOperator(-2.0 * ((theta + theta.conj().T) / 2))
-        mid = _walk_stack(h0, h1, PF1, 1.0, np.array([0.5]))[0]
+        mid = walk_operator(h0, h1, sched, PF1, 1.0, 0.5)
         dev = float(np.max(np.abs(mid - target)))
         if not dev <= MIDPOINT_WALK_TOL:
             raise RuntimeError(f"midpoint walk deviates from its target by {dev:.3e}")
@@ -159,8 +159,10 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     schedule, one row per eps, on grid + 1 evenly spaced points.
 
     The walk is the first-order splitting at h = 1, built by the walk
-    kernel from the same schedule values as the bands.  Its gap is the
-    untracked arc from the lowest eigenphase to the nearest other one.
+    kernel from the same schedule values as the bands, without the Gram
+    check of ``walk_operator`` (a toy1 table has about 110 chunks).  Its
+    gap is the untracked arc from the lowest eigenphase to the nearest
+    other one.
     Both are taken ``GAP_TABLE_CHUNK`` points at a time, which bounds the
     memory a worker thread of the CLI holds on to after it is done and
     keeps it the same from one run to the next.

@@ -24,7 +24,8 @@ from adiawalk.integrators import (
     WalkFamily,
     _check_unitary,
     _endpoints,
-    _group_products,
+    _factor_products,
+    _group_size,
     _phases,
     _walk_stack,
     build_walk_family,
@@ -606,7 +607,7 @@ def test_family_lazy_equals_materialized(monkeypatch):
         raise AssertionError("walks built before a block, chain or walks was asked for")
 
     # construction builds nothing; a cached family slices its blocks
-    monkeypatch.setattr(integrators, "_walk_stack", no_build)
+    monkeypatch.setattr(integrators, "_factor_products", no_build)
     build_walk_family(h0, h1, LINEAR, PF1, 0.5, 9)
     assert np.array_equal(eager.block(2, 7), eager.walks[2:7])
 
@@ -651,6 +652,8 @@ def test_non_finite_walks_fail_the_unitarity_checks():
                      h1=HermitianOperator(h1), schedule=LINEAR)
     with pytest.raises(RuntimeError, match="unitarity"):
         fam.block(0, 3)
+    with pytest.raises(RuntimeError, match="walk phases lost unitarity"):
+        fam.chain(0, 3)
     # one bad entry among unitary walks, in either stack layout: a NaN in the
     # last column of the last step enters only late pairs of the Gram
     # triangle, where a max() fold over per-pair maxima would drop it
@@ -692,12 +695,13 @@ def test_phases_match_the_complex_exponential():
 @pytest.mark.parametrize("sched", [LINEAR, glue_schedule()], ids=["linear", "glue"])
 @pytest.mark.parametrize("tag", PRODUCT_FORMULAS)
 def test_eigenframe_chain_matches_the_walk_product(tag, sched):
-    # range lengths 1, 15, 16, 17, 32, 1767 and 3000: a remainder group
-    # alone, one full group, groups with and without a remainder
-    assert integrators.CHAIN_GROUP == 16
+    # range lengths 1, 15, 16, 17, 32, 1767 and 3000: one product per step
+    # for every list, and for pf1 groups of 6 steps with a remainder of 3
+    # and of 8 with none (pf2: 5 with a remainder of 2, 7 with one of 4)
     h0, h1 = four_level_pair()
     td = 3000
     ranges = ((17, 18), (5, 20), (16, 32), (100, 117), (33, 65), (1234, td + 1), (0, td))
+    assert [_group_size(j1 - j0, 2) for j0, j1 in ranges] == [1, 1, 1, 1, 1, 6, 8]
     for h in (0.7, 3.0):
         fam = build_walk_family(h0, h1, sched, INTEGRATORS[tag], h, td)
         for j0, j1 in ranges:
@@ -705,25 +709,40 @@ def test_eigenframe_chain_matches_the_walk_product(tag, sched):
             assert np.max(np.abs(fam.chain(j0, j1) - ref)) <= 1e-11, (h, j0, j1)
 
 
+def test_group_size_follows_the_chain_length():
+    # about sqrt(n / (20 m)) steps per product, at most CHAIN_GROUP: one
+    # per step for short chains and long factor lists
+    assert integrators.CHAIN_GROUP == 16
+    lengths = (1, 79, 80, 300, 3000, 10240, 65536)
+    assert [_group_size(n, 2) for n in lengths] == [1, 1, 1, 2, 8, 16, 16]
+    assert [_group_size(n, 11) for n in (17, 3000, 65536)] == [1, 3, 16]
+    assert [_group_size(n, 251) for n in (17, 3000, 65536)] == [1, 1, 3]
+
+
 def test_group_products_match_the_walks():
-    # (V_a, P) with P_i = V_a^dag (W_{ik+k-1} ... W_{ik}) V_a, for lists that
-    # start and end on different operators (pf1: H1 then H0) and on one
-    # operator (pf2, spf4: H0), over three full groups and a remainder of
-    # five steps.  Both bases are far from the identity; toy2's diagonal H1
-    # has V1 = I, so it cannot tell a frame from no frame.
+    # P_i = V_a^dag (W_{ik+k-1} ... W_{ik}) V_a for lists that start and
+    # end on different operators (pf1: H1 then H0) and on one operator
+    # (pf2, spf4: H0, so their seams only scale), at k = 1, at k = 16 over
+    # three full groups and a remainder of five steps, and at k = 7, which
+    # leaves a remainder of four.  Both bases are far from the identity;
+    # toy2's diagonal H1 has V1 = I, so it cannot tell a frame from no frame.
     h0, h1 = four_level_pair()
     for op in (h0, h1):
         assert np.max(np.abs(np.abs(op.eigh[1]) - np.eye(4))) > 0.1
-    k = integrators.CHAIN_GROUP
-    f = np.linspace(0.0, 1.0, 3 * k + 5)
+    f = np.linspace(0.0, 1.0, 3 * 16 + 5)
     for kind, first in ((PF1, h1), (PF2, h0), (INTEGRATORS["spf4"], h0)):
-        va, ps = _group_products(h0, h1, kind, 0.9, f)
-        assert va is first.eigh[1]
-        assert ps.shape == (4, 4, 4)
+        va = first.eigh[1]
         ws = _walk_stack(h0, h1, kind, 0.9, f)
-        for i, p in enumerate(ps):
-            ref = va.conj().T @ chain_product(ws[i * k : (i + 1) * k]) @ va
-            assert np.max(np.abs(p - ref)) <= 1e-13, (kind.tag, i)
+        ms, none = _factor_products(h0, h1, kind, 0.9, f, 1, walks=True)
+        assert none is None
+        assert np.array_equal(ws, (va @ ms.reshape(4, -1)).reshape(ms.shape).transpose(2, 0, 1))
+        for k, count in ((1, len(f)), (16, 4), (7, 8)):
+            ps, dev = _factor_products(h0, h1, kind, 0.9, f, k)
+            assert ps.shape == (4, 4, count)
+            assert dev <= 1e-15
+            for i in range(count):
+                ref = va.conj().T @ chain_product(ws[i * k : (i + 1) * k]) @ va
+                assert np.max(np.abs(ps[:, :, i] - ref)) <= 1e-13, (kind.tag, k, i)
 
 
 def test_chain_of_exp_and_materialized_families_is_the_block_product():
@@ -781,15 +800,16 @@ def test_eigenframe_chain_checks_every_step(monkeypatch):
 
 
 def test_eigenframe_chain_checks_the_steps_of_its_last_group(monkeypatch):
-    # 500 = 31 * 16 + 4: step 497 lies in the remainder group of four steps
+    # 10,244 = 640 * 16 + 4: step 10,241 lies in the remainder group of four steps
+    assert _group_size(10244, len(PF1.factors)) == 16
     h0, h1 = four_level_pair()
-    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500)
-    one_bad_phase_at(monkeypatch, fam, 497)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 10244)
+    one_bad_phase_at(monkeypatch, fam, 10241)
     with pytest.raises(RuntimeError, match="unitarity"):
-        fam.chain(0, 500)
+        fam.chain(0, 10244)
     with pytest.raises(RuntimeError, match="unitarity"):
-        fam.chain(496, 498)
-    fam.chain(0, 497)  # the bad step lies outside this range
+        fam.chain(10240, 10242)
+    fam.chain(0, 10241)  # the bad step lies outside this range
 
 
 def test_eigenframe_chain_checks_every_phase_modulus(monkeypatch):
@@ -823,13 +843,14 @@ def test_eigenframe_chain_checks_its_group_products(monkeypatch):
     # passes the phase check and leaves each step within WALK_UNITARITY_TOL,
     # but 32 such phases make a 16-step pf1 product non-unitary by about
     # 1.4e-9: the Gram check of the group products must see it
+    assert _group_size(10240, len(PF1.factors)) == 16
     h0, h1 = four_level_pair()
-    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 64)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 10240)
     phases = integrators._phases
     scale = 1.0 + 0.9 * integrators.WALK_UNITARITY_TOL / (2 * len(PF1.factors))
     monkeypatch.setattr(integrators, "_phases", lambda x: phases(x) * scale)
     with pytest.raises(RuntimeError, match="walk block lost unitarity"):
-        fam.chain(0, 64)
+        fam.chain(0, 10240)
 
 
 def test_cached_walks_are_read_only():

@@ -1,9 +1,13 @@
-"""Verdicts of scripts/bench_pairs.py on synthetic runs, and the file
-comparison helpers of scripts/compare_outputs.py on synthetic outputs."""
+"""Verdicts of scripts/bench_pairs.py on synthetic runs, the file
+comparison helpers of scripts/compare_outputs.py on synthetic outputs,
+and a tiny run of scripts/kernel_timings.py."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -135,3 +139,19 @@ def test_numeric_difference_reads_json_leaves_of_one_structure(tmp_path):
         {"slopes": {"interior": -1.0, "pairwise": [-2.0, -4.0, -8.0]},
          "experiment": "volterra", "ok": True}))
     assert compare_outputs.numeric_difference(first, longer) == ""
+
+
+# ---------------------------------------------------------------------------
+# kernel_timings.py
+
+def test_kernel_timings_prints_both_tables():
+    paths = (str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, str(SCRIPTS / "kernel_timings.py"), "--tiny"], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True, timeout=120).stdout
+    lines = out.splitlines()
+    assert lines[0] == "chains, ms (h = 0.7, best of 1)"
+    assert [line.split()[:3] for line in lines[2:4]] == [["spf4", "17", "1"], ["pf1", "300", "2"]]
+    assert all(len(line.split()) == 9 for line in lines[2:4])
+    assert lines[5] == "_walk_stack, us per call (best of 1)"
+    assert [line.split()[:2] for line in lines[6:]] == [["pf1", "1"], ["pf1", "8"]]
