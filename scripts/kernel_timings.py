@@ -7,7 +7,8 @@ On ``four_level_pair()`` at h = 0.7 along the linear schedule, the first
 table compares, per integrator tag and chain length n, the chain of a
 walk family (``WalkFamily.chain``, which groups k steps per product by
 the length rule ``integrators._group_size``) with ``chain_product`` of
-the family's ``block``, and with the chain at fixed group sizes.  The
+the family's ``block``, and with the chain at fixed group sizes (at
+k = 1 the chain is that block product).  The
 second gives ``integrators._walk_stack`` per call at n = 1, 8 and 256
 walks for pf1 and pf2, over about ``STACK_CALLS`` / n calls.  BLAS runs
 on one thread; every time is the best of ``REPEATS`` runs, in ms for the

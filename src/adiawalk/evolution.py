@@ -25,7 +25,7 @@ SINGULAR_FLOOR = 1e-16  # on the eigenvalues of S S^dag, i.e. (1e-8)^2 on v
 ROTATION_UNITARITY_TOL = 1e-9
 INTERTWINING_TOL = 1e-8
 SERIES_IDENTITY_TOL = 1e-8
-EVOLVE_BLOCK = 65536
+EVOLVE_BLOCK = 65536  # steps per streamed product, here and in ``grover.run_search``
 
 __all__ = [
     "GapCollapseError",
@@ -75,8 +75,9 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
     to 16 steps, fewer for short blocks and long factor lists; the modulus
     of every phase, the link between the endpoint eigenbases and the Gram
     matrix of every product are checked, which bounds every step's
-    deviation from unitary by ``WALK_UNITARITY_TOL`` to first order; see
-    the ``integrators`` module docstring.
+    deviation from unitary by ``WALK_UNITARITY_TOL`` to first order.  At
+    one step per product, as for ``exp``, the block is the product of its
+    Gram-checked walks; see the ``integrators`` module docstring.
 
     The final state is read on H1's cached eigenbasis: at f = 1 every
     walk is exp(-i h H1), so this is the last walk's eigenbasis, labeled

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import STATE_NORM_TOL
+from .evolution import EVOLVE_BLOCK, STATE_NORM_TOL
 from .linalg import HermitianOperator, chain_product, steps_last_stack
 from .schedules import (
     Schedule,
@@ -28,7 +28,6 @@ from .schedules import (
     schedule_values,
 )
 
-SEARCH_BLOCK = 65536
 THRESHOLD_FACTOR = 12.0
 SCALING_CAP = 10 ** 8
 
@@ -179,8 +178,8 @@ def run_search(inst: GroverInstance, sched: Schedule, t: int) -> SearchResult:
         raise ValueError(f"need at least one step, got {t}")
     _maybe_warn_threshold(sched, t)
     fs = (
-        schedule_values(sched, np.arange(j0, min(j0 + SEARCH_BLOCK, t)) / t)
-        for j0 in range(0, t, SEARCH_BLOCK)
+        schedule_values(sched, np.arange(j0, min(j0 + EVOLVE_BLOCK, t)) / t)
+        for j0 in range(0, t, EVOLVE_BLOCK)
     )
     return _result_from_state(_search_state(inst, ((f, 1.0 - f) for f in fs)))
 
@@ -213,7 +212,7 @@ def qaoa_replay(inst: GroverInstance, angles: QaoaAngleSet) -> SearchResult:
     """Run the search through the walks exp(-i gamma_j H1) exp(-i beta_j H0);
     bit-identical to run_search when the angles came from the same
     schedule and step count."""
-    g, b, n = angles.gammas, angles.betas, SEARCH_BLOCK
+    g, b, n = angles.gammas, angles.betas, EVOLVE_BLOCK
     blocks = ((g[j:j + n], b[j:j + n]) for j in range(0, len(g), n))
     return _result_from_state(_search_state(inst, blocks))
 

@@ -4,15 +4,16 @@ Given H(s) = (1 - f(s)) H0 + f(s) H1 and a step size h, a walk operator
 is either ``exp``, W = exp(-i h H(s)), or a product formula: an ordered
 product of factors exp(-i h w g_k H_k), one endpoint operator each, with
 weight w and g_0 = 1 - f, g_1 = f (Childs, Su, Tran, Wiebe and Zhu,
-PRX 11, 011020 (2021)).  The nine methods are built once, in the table
-``INTEGRATORS`` keyed by tag; each is its list of (operator, weight)
-factors plus the offset, 0 or 1/2 of a step, at which it reads the
-schedule, and the splitting order that the step-size rules use:
+PRX 11, 011020 (2021)).  The seven methods are built once, in the table
+``INTEGRATORS`` keyed by tag, one tag per factor list and offset; each is
+its list of (operator, weight) factors (none for ``exp``) plus the
+offset, 0 or 1/2 of a step, at which it reads the schedule, and the
+splitting order that the step-size rules use:
 
-* ``pf1`` and ``spf1``: exp(-i h f H1) exp(-i h (1-f) H0), offset 0,
+* ``pf1``: exp(-i h f H1) exp(-i h (1-f) H0), offset 0,
 * ``pf2``: the Strang splitting exp(-i h (1-f) H0 / 2) exp(-i h f H1)
-  exp(-i h (1-f) H0 / 2) at the step midpoint; ``pf2-simplified`` and
-  ``spf2`` are the same list at offset 0,
+  exp(-i h (1-f) H0 / 2) at the step midpoint; ``pf2-simplified`` is
+  the same list at offset 0,
 * ``spf4``, ``spf6``, ``spf8``: the Trotter-Suzuki fractal recursion on
   the Strang list with adjacent factors of one operator merged, offset 0.
 
@@ -25,8 +26,8 @@ C^dag.  The loop multiplies the factor lists of k consecutive steps, the
 first step's last factor first, on a (d, d, n/k) array whose last axis
 runs over the groups: each factor scales the rows by its phases, read at
 its own step's schedule value, after one (d, d) @ (d, d n/k) GEMM by a
-link wherever the operator changes; at the seam of two pf2, spf2 or
-spf4-8 steps it only scales.  Every phase is exp(-i x) from ``_phases``.
+link wherever the operator changes; at the seam of two pf2 or spf4-8
+steps it only scales.  Every phase is exp(-i x) from ``_phases``.
 
 * ``_walk_stack`` starts on V_b^dag at k = 1 and multiplies by V_a: the
   walks at n schedule values as a steps-last stack (see ``linalg``), so a
@@ -37,25 +38,25 @@ spf4-8 steps it only scales.  Every phase is exp(-i x) from ``_phases``.
   ``hamiltonian_bands``, the only code that assembles and diagonalizes
   H(s).  Only a family applies the offset, so ``walk_operator``'s pf2
   walk equals its pf2-simplified walk.
-* ``WalkFamily.chain``, which ``evolve`` calls, starts on the link
-  V_b^dag V_a (I when a = b) and gets the products
+* ``WalkFamily.chain``, which ``evolve`` calls, groups k steps per
+  product.  A larger k costs k m passes of the loop for a list of m
+  factors (and pf1 one more GEMM per seam); a smaller one leaves more
+  products to check and reduce.  ``_group_size`` takes the minimum of
+  that cost, k = sqrt(n / (``CHAIN_GROUP_SCALE`` m)) as calibrated by
+  ``scripts/kernel_timings.py``, at most ``CHAIN_GROUP`` = 16.  At k > 1
+  it starts on the link V_b^dag V_a (I when a = b) and gets the products
   P_i = M_{ik+k-1} ... M_{ik} in the first factor's eigenbasis,
   W_j = V_a M_j V_a^dag.  The chain is V_a (P_last ... P_0) V_a^dag, so
   ``chain_product`` reduces n/k matrices, not n; a last group holds the
-  n mod k steps left over.  It never reads a family's cache, and reduces
-  the phase moduli ``MODULI_BATCH`` at a time.
-  A larger k costs k m passes of the loop for a list of m factors (and
-  pf1 one more GEMM per seam); a smaller one leaves more products to
-  check and reduce.  ``_group_size`` takes the minimum of that cost,
-  k = sqrt(n / (``CHAIN_GROUP_SCALE`` m)) as calibrated by
-  ``scripts/kernel_timings.py``, at most ``CHAIN_GROUP`` = 16.
+  n mod k steps left over.  This path never reads a family's cache, and
+  reduces the phase moduli ``MODULI_BATCH`` at a time.
 
-A chain's three checks bound every step without a Gram check per step:
-the modulus of every phase within delta = ``WALK_UNITARITY_TOL`` / (2m)
-of 1; the link C, once per ``chain`` call; and the Gram check of every
-P_i, all at ``WALK_UNITARITY_TOL``.  (``walk_operator`` and ``block``
-Gram-check each walk; the gap table's and the reference propagator's
-walks go unchecked.)  The bound behind them: X = A B has
+A grouped chain's three checks bound every step without a Gram check per
+step: the modulus of every phase within delta = ``WALK_UNITARITY_TOL`` /
+(2m) of 1; the link C, once per ``chain`` call; and the Gram check of
+every P_i, all at ``WALK_UNITARITY_TOL``.  (``walk_operator`` and
+``block`` Gram-check each walk; the gap table's and the reference
+propagator's walks go unchecked.)  The bound behind them: X = A B has
 X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I), so to first order
 the 2-norm deviations from unitary of a product's factors add.  A
 diagonal of phases within delta of the unit circle deviates by at most
@@ -71,7 +72,8 @@ unitary: P_i = A M_j B with A and B unitary has
 P_i^dag P_i - I = B^dag (M_j^dag M_j - I) B.  V_a is unitary to
 about 1e-15, so M_j's 2-norm deviation is W_j's.  Summed over the steps
 of a long evolution, rho is its norm drift, about 1e-16 per factor.
-``exp`` walks multiply their ``block``; a block sliced from the cache is
+``exp`` walks and k = 1 chains (short chains, long lists) multiply their
+``block``, every walk Gram-checked; a block sliced from the cache is
 bitwise the one built.
 
 This module also computes the Hamiltonian-dependent constants (operator
@@ -142,8 +144,9 @@ class IntegratorKind:
     """Discretization method: its tag, the splitting order the step-size
     rules use, its ordered (operator, weight) factors, leftmost first and
     empty for ``exp``, and the fraction of a step after s at which it
-    reads the schedule.  The nine methods are the values of
-    ``INTEGRATORS``; look one up with ``parse_integrator_tag``."""
+    reads the schedule.  The seven methods are the values of
+    ``INTEGRATORS``; look one up with ``parse_integrator_tag``.  A k = 1
+    chain (``WalkFamily.chain``) is the product of its ``block``."""
 
     tag: str
     effective_order: int
@@ -194,8 +197,6 @@ PF2 = IntegratorKind("pf2", 2, suzuki_coefficients(2), offset=0.5)
 PF2_SIMPLIFIED = IntegratorKind("pf2-simplified", 2, PF2.factors)
 INTEGRATORS = {k.tag: k for k in (
     EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED,
-    IntegratorKind("spf1", 1, PF1_FACTORS),
-    IntegratorKind("spf2", 2, PF2.factors),
     *(IntegratorKind(f"spf{p}", p, suzuki_coefficients(p)) for p in (4, 6, 8)),
 )}
 
@@ -409,12 +410,15 @@ class WalkFamily:
         """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: a product
         formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag from the products of
         ``_group_size`` steps each, with their phases, link and products
-        checked, or the product of ``block``; see the module docstring."""
-        if not self.kind.factors:
+        checked, or at k = 1 and for ``exp`` the product of ``block``; see
+        the module docstring."""
+        self._check_range(j0, j1)
+        m = len(self.kind.factors)
+        if not m or (k := _group_size(j1 - j0, m)) == 1:
             return chain_product(self.block(j0, j1))
         _check_unitary(_links(self.h0, self.h1)[1][1], "walk link lost unitarity")
-        f, m = self._values(j0, j1), len(self.kind.factors)
-        ps, dev = _factor_products(self.h0, self.h1, self.kind, self.h, f, _group_size(len(f), m))
+        f = self._values(j0, j1)
+        ps, dev = _factor_products(self.h0, self.h1, self.kind, self.h, f, k)
         if not dev <= WALK_UNITARITY_TOL / (2 * m):
             raise RuntimeError(f"walk phases lost unitarity: modulus deviation {dev:.3e}")
         ps = steps_last_stack(ps)

@@ -29,7 +29,7 @@ from .integrators import (
 from .schedules import Schedule, schedule_values
 
 GAP_ZERO_TOL = 1e-14
-TRACK_BLOCK = 256  # walks per batched eigensolve; larger blocks raise peak memory, not speed
+TRACK_BLOCK = 256  # walks per batched eigensolve and gap-table chunk; more costs memory, not time
 # above the eigenvectors' orthonormality tolerance, so a step's overlap matrix,
 # unitary to within it, cannot hold two row maxima in one column
 FAST_MATCH_MARGIN = 1e-6
@@ -103,11 +103,11 @@ def _label_order(family: WalkFamily, vecs: np.ndarray) -> np.ndarray:
 def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
     """Follow every eigenpath of the family across j = 0..td.
 
-    Step 0 fixes the labels (``_label_order``).  Each block of
-    ``TRACK_BLOCK`` walks takes one batched eigensolve and one batched
-    product for the overlaps of consecutive eigenbases, the previous
-    block's last basis prepended.  A step is matched only if every row of
-    its overlap matrix peaks above |overlap|^2 = 1/2 + FAST_MATCH_MARGIN:
+    Step 0 fixes the labels (``_label_order``).  From step 1 on, each
+    block of ``TRACK_BLOCK`` walks takes one batched eigensolve and one
+    batched product for the overlaps of consecutive eigenbases, the
+    previous step's basis prepended.  A step is matched only if every row
+    of its overlap matrix peaks above |overlap|^2 = 1/2 + FAST_MATCH_MARGIN:
     the matrix is unitary, so those peaks sit in distinct columns and the
     row argmax is the step's permutation.  Label maps are composed only
     where it is not the identity.  Phases are unwrapped by a cumulative
@@ -124,20 +124,16 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
     ground = np.empty((td + 1, dim), dtype=complex)
     worst = 1.0
     identity = np.arange(dim)
-    last = None  # raw vectors, label map, labeled raw phases, tracked phases
-    for j0 in range(0, td + 1, TRACK_BLOCK):
+    lam, v = _normal_eig_stack(family.block(0, 1))
+    perm = _label_order(family, v[0])
+    phases[0] = -np.angle(lam[0, perm])
+    ground[0] = v[0][:, perm[0]]
+    # raw vectors, label map, labeled raw phases and tracked phases of the last step
+    v_prev, p_last, r_last, t_last = v[0], perm, phases[0], phases[0]
+    for j0 in range(1, td + 1, TRACK_BLOCK):
         j1 = min(j0 + TRACK_BLOCK, td + 1)
         lam, v = _normal_eig_stack(family.block(j0, j1))
         theta = -np.angle(lam)
-        if last is None:
-            perm = _label_order(family, v[0])
-            phases[0] = theta[0, perm]
-            ground[0] = v[0][:, perm[0]]
-            last = (v[0], perm, phases[0], phases[0])
-            v, theta, j0 = v[1:], theta[1:], 1
-            if j0 == j1:
-                continue
-        v_prev, p_last, r_last, t_last = last
         vs = np.concatenate([v_prev[None], v])
         amp = np.abs(vs[:-1].conj().transpose(0, 2, 1) @ vs[1:])  # [i, column j - 1, column j]
         rel = amp.argmax(axis=2)
@@ -168,7 +164,7 @@ def track_eigenpaths(family: WalkFamily) -> EigenpathTrack:
             )
         worst = min(worst, float(best.min()))
         ground[j0:j1] = v[np.arange(n), :, perms[:, 0]]
-        last = (v[-1], perms[-1], raw[-1], phases[j1 - 1])
+        v_prev, p_last, r_last, t_last = v[-1], perms[-1], raw[-1], phases[j1 - 1]
     return EigenpathTrack(phases=phases, ground=ground, min_overlap=worst)
 
 

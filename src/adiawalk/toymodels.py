@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import HermitianOperator, normal_eig
 from .schedules import Schedule, linear_schedule, schedule_values
 from .integrators import PF1, _walk_stack, build_walk_family, hamiltonian_bands, walk_operator
-from .spectral import GAP_ZERO_TOL, lowest_phase_gap
+from .spectral import GAP_ZERO_TOL, TRACK_BLOCK, lowest_phase_gap
 from .evolution import STATE_NORM_TOL, evolve, ground_state
 
 DEFAULT_EPSILONS = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4, 0.0)
@@ -31,7 +31,6 @@ MISMATCH_EPS = 1e-2  # published reference row that disagrees with remeasurement
 MIDPOINT_WALK_TOL = 1e-10
 MIDPOINT_HAM_TOL = 1e-12
 TOY_KINDS = ("toy1", "toy2")
-GAP_TABLE_CHUNK = 256  # grid points per band and walk stack (64 KiB at d = 4)
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -163,7 +162,7 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     check of ``walk_operator`` (a toy1 table has about 110 chunks).  Its
     gap is the untracked arc from the lowest eigenphase to the nearest
     other one.
-    Both are taken ``GAP_TABLE_CHUNK`` points at a time, which bounds the
+    Both are taken ``TRACK_BLOCK`` points at a time, which bounds the
     memory a worker thread of the CLI holds on to after it is done and
     keeps it the same from one run to the next.
     """
@@ -175,8 +174,8 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
         model = build_toy(kind, float(eps))
         f = schedule_values(model.schedule, s)
         gap_h = gap_w = np.inf
-        for c in range(0, len(f), GAP_TABLE_CHUNK):
-            fc = f[c:c + GAP_TABLE_CHUNK]
+        for c in range(0, len(f), TRACK_BLOCK):
+            fc = f[c:c + TRACK_BLOCK]
             w = hamiltonian_bands(model.h0, model.h1, fc)
             gap_h = min(gap_h, float(np.min(w[:, 1] - w[:, 0])))
             walks = _walk_stack(model.h0, model.h1, PF1, 1.0, fc)

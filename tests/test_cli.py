@@ -473,6 +473,17 @@ def test_step_size_report_covers_every_integrator(tmp_path):
             assert lo <= measured <= hi, tag
 
 
+def test_step_size_report_rejects_a_deleted_alias_tag(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"experiment": "step-size-report", "parameters": {"kinds": ["spf1"]}},
+    )
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "report.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "'spf1'" in err
+    assert str(sorted(INTEGRATORS)) in err
+
+
 def test_experiment_driver_table_matches_the_cli():
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
     spec = importlib.util.spec_from_file_location("run_experiments", path)

@@ -206,8 +206,9 @@ def test_leakage_holds_at_exact_eigenphase_aliasing(monkeypatch):
 @pytest.mark.parametrize("tag", list(INTEGRATORS))
 def test_lazy_and_materialized_evolve_agree(tag, sched):
     # evolve and chain give bitwise the same before and after the stack is
-    # cached: a product formula never chains from the cache, and a block
-    # sliced from the cache is bitwise the block built on demand
+    # cached: a product formula reads the cache only at one step per
+    # product, and a block sliced from the cache is bitwise the block
+    # built on demand
     h0, h1 = four_level_pair()
     psi0 = ground_state(h0)
     td = 3000

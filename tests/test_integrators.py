@@ -123,14 +123,24 @@ def loglog_slope(hs, errs) -> float:
 # ---------------------------------------------------------------------------
 # integrator tags
 
+ALL_TAGS = ("exp", "pf1", "pf2", "pf2-simplified", "spf4", "spf6", "spf8")
+
+
 def test_integrator_tags_round_trip():
-    spfs = (INTEGRATORS["spf2"], INTEGRATORS["spf4"], INTEGRATORS["spf8"])
-    for kind in (EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED, *spfs):
+    # one tag per factor list and offset
+    assert sorted(INTEGRATORS) == sorted(ALL_TAGS)
+    assert len({(kind.factors, kind.offset) for kind in INTEGRATORS.values()}) == len(ALL_TAGS)
+    assert {EXP_INTEGRATOR, PF1, PF2, PF2_SIMPLIFIED} <= set(INTEGRATORS.values())
+    for kind in INTEGRATORS.values():
         assert parse_integrator_tag(kind.tag) == kind
+    assert EXP_INTEGRATOR.factors == ()
+    assert PF2_SIMPLIFIED.factors == PF2.factors == suzuki_coefficients(2)
+    assert PF2.offset == 0.5
+    assert all(parse_integrator_tag(t).offset == 0.0 for t in ALL_TAGS if t != "pf2")
 
 
 def test_integrator_tag_errors():
-    for tag in ("pf3", "spf3", "spfx", "euler", ""):
+    for tag in ("pf3", "spf1", "spf2", "spf3", "spfx", "euler", ""):
         with pytest.raises(ValueError):
             parse_integrator_tag(tag)
     for order in (3, 5, 10):
@@ -148,9 +158,6 @@ def test_effective_orders():
 
 # ---------------------------------------------------------------------------
 # factor lists
-
-ALL_TAGS = ("exp", "pf1", "pf2", "pf2-simplified", "spf1", "spf2", "spf4", "spf6", "spf8")
-
 
 def test_suzuki_order2_is_strang():
     assert suzuki_coefficients(2) == ((0, 0.5), (1, 1.0), (0, 0.5))
@@ -180,26 +187,6 @@ def test_suzuki_rejects_odd_orders():
         suzuki_coefficients(3)
     with pytest.raises(ValueError):
         suzuki_coefficients(10)
-
-
-def test_aliases_share_one_factor_list():
-    assert INTEGRATORS["spf1"].factors == PF1.factors == ((1, 1.0), (0, 1.0))
-    assert (
-        INTEGRATORS["spf2"].factors == PF2_SIMPLIFIED.factors == PF2.factors
-        == suzuki_coefficients(2)
-    )
-    assert EXP_INTEGRATOR.factors == ()
-    assert PF2.offset == 0.5
-    assert all(parse_integrator_tag(t).offset == 0.0 for t in ALL_TAGS if t != "pf2")
-
-
-def test_alias_families_are_bitwise_equal():
-    h0, h1 = four_level_pair()
-    for sched in (LINEAR, glue_schedule(), bc_composite_schedule()):
-        for a, b in ((PF1, INTEGRATORS["spf1"]), (PF2_SIMPLIFIED, INTEGRATORS["spf2"])):
-            fa = build_walk_family(h0, h1, sched, a, 0.7, 23)
-            fb = build_walk_family(h0, h1, sched, b, 0.7, 23)
-            assert np.array_equal(fa.walks, fb.walks)
 
 
 def test_walk_operator_is_the_family_kernel_at_one_point():
@@ -319,17 +306,10 @@ def test_commuting_pair_makes_all_formulas_exact():
     h0 = np.diag([0.3, -0.7, 1.1, 0.2])
     h1 = np.diag([-0.5, 0.4, 0.9, -1.3])
     ref = expm_mix(h0, h1, 0.6, 1.3)
-    spfs = (INTEGRATORS["spf2"], INTEGRATORS["spf4"], INTEGRATORS["spf6"])
+    spfs = (INTEGRATORS["spf4"], INTEGRATORS["spf6"])
     for kind in (PF1, PF2_SIMPLIFIED, *spfs):
         w = walk_operator(h0, h1, LINEAR, kind, 1.3, 0.6)
         assert np.max(np.abs(w - ref)) < 1e-12
-
-
-def test_spf_order_one_is_pf1():
-    h0, h1 = random_pair(28)
-    a = walk_operator(h0, h1, LINEAR, INTEGRATORS["spf1"], 0.8, 0.35)
-    b = walk_operator(h0, h1, LINEAR, PF1, 0.8, 0.35)
-    assert np.array_equal(a, b)
 
 
 def grover_pair(n: int = 8, marked: int = 3):
@@ -341,7 +321,7 @@ def grover_pair(n: int = 8, marked: int = 3):
 
 @pytest.mark.parametrize("pair", ["random", "grover"])
 @pytest.mark.parametrize(
-    "tag", ["exp", "pf1", "pf2", "pf2-simplified", "spf1", "spf2", "spf4", "spf6", "spf8"]
+    "tag", ["exp", "pf1", "pf2", "pf2-simplified", "spf4", "spf6", "spf8"]
 )
 def test_walk_kernel_matches_expm_product_of_its_factors(tag, pair):
     h0, h1 = random_pair(29, n=5) if pair == "random" else grover_pair()
@@ -484,7 +464,7 @@ def test_spf_convergence_small_steps(order, expected):
     h0, h1 = random_pair(41)
     s = 0.3
     hs = np.array([0.2, 0.1, 0.05, 0.025])
-    kind = PF1 if order == 1 else INTEGRATORS[f"spf{order}"]
+    kind = {1: PF1, 2: PF2_SIMPLIFIED, 4: INTEGRATORS["spf4"]}[order]
     errs = []
     for h in hs:
         w = walk_operator(h0, h1, LINEAR, kind, float(h), s)
@@ -647,13 +627,15 @@ def test_family_td_must_be_an_integer():
 def test_non_finite_walks_fail_the_unitarity_checks():
     with pytest.raises(RuntimeError, match="unitarity"):
         _check_unitary(np.full((3, 2, 2), np.nan), "walk lost unitarity")
+    # 161 pf1 steps group two per product, so the chain checks its phases
+    assert _group_size(161, len(PF1.factors)) == 2
     h0, h1 = random_pair(66, n=2)
-    fam = WalkFamily(td=2, h=math.nan, kind=PF1, h0=HermitianOperator(h0),
+    fam = WalkFamily(td=160, h=math.nan, kind=PF1, h0=HermitianOperator(h0),
                      h1=HermitianOperator(h1), schedule=LINEAR)
     with pytest.raises(RuntimeError, match="unitarity"):
         fam.block(0, 3)
     with pytest.raises(RuntimeError, match="walk phases lost unitarity"):
-        fam.chain(0, 3)
+        fam.chain(0, 161)
     # one bad entry among unitary walks, in either stack layout: a NaN in the
     # last column of the last step enters only late pairs of the Gram
     # triangle, where a max() fold over per-pair maxima would drop it
@@ -695,9 +677,10 @@ def test_phases_match_the_complex_exponential():
 @pytest.mark.parametrize("sched", [LINEAR, glue_schedule()], ids=["linear", "glue"])
 @pytest.mark.parametrize("tag", PRODUCT_FORMULAS)
 def test_eigenframe_chain_matches_the_walk_product(tag, sched):
-    # range lengths 1, 15, 16, 17, 32, 1767 and 3000: one product per step
-    # for every list, and for pf1 groups of 6 steps with a remainder of 3
-    # and of 8 with none (pf2: 5 with a remainder of 2, 7 with one of 4)
+    # range lengths 1, 15, 16, 17, 32, 1767 and 3000: one step per product,
+    # so the block's product, for every list, and for pf1 groups of 6 steps
+    # with a remainder of 3 and of 8 with none (pf2: 5 with a remainder of 2,
+    # 7 with one of 4)
     h0, h1 = four_level_pair()
     td = 3000
     ranges = ((17, 18), (5, 20), (16, 32), (100, 117), (33, 65), (1234, td + 1), (0, td))
@@ -747,7 +730,8 @@ def test_group_products_match_the_walks():
 
 def test_chain_of_exp_and_materialized_families_is_the_block_product():
     # exp families multiply their blocks; a product formula whose stack is
-    # cached still chains in the eigenframe, as a fresh family does
+    # cached still chains in the eigenframe where it groups steps, and
+    # multiplies its cached block where it does not, as a fresh family does
     h0, h1 = four_level_pair()
     td = 300
     args = ((LINEAR, EXP_INTEGRATOR, 0.7), (LINEAR, EXP_INTEGRATOR, 0.7),
@@ -767,6 +751,32 @@ def test_chain_of_exp_and_materialized_families_is_the_block_product():
             fam.chain(4, 4)
         with pytest.raises(ValueError, match="block range"):
             fam.chain(0, td + 2)
+
+
+def test_one_step_groups_chain_the_block(monkeypatch):
+    # at one step per product a product formula's chain is its block's
+    # product, bitwise; a longer chain still groups in the eigenframe
+    h0, h1 = four_level_pair()
+    calls = []
+    factor_products = integrators._factor_products
+
+    def counting(h0, h1, kind, h, f, k, *, walks=False):
+        calls.append((kind.tag, len(f), k, walks))
+        return factor_products(h0, h1, kind, h, f, k, walks=walks)
+
+    monkeypatch.setattr(integrators, "_factor_products", counting)
+    for tag, j0, j1 in (("spf8", 40, 57), ("pf1", 0, 100), ("pf1", 3, 2051)):
+        fam = build_walk_family(h0, h1, glue_schedule(), INTEGRATORS[tag], 0.7, 3000)
+        ref = chain_product(fam.block(j0, j1))
+        calls.clear()
+        chain = fam.chain(j0, j1)
+        k = _group_size(j1 - j0, len(fam.kind.factors))
+        if k == 1:
+            assert np.array_equal(chain, ref), tag
+        else:
+            assert np.max(np.abs(chain - ref)) <= 1e-11
+        assert calls == [(tag, j1 - j0, k, k == 1)], tag
+    assert k == 7
 
 
 def one_bad_phase_at(monkeypatch, fam, step, error=1e-8):
@@ -825,8 +835,10 @@ def test_eigenframe_chain_checks_every_phase_modulus(monkeypatch):
 
 
 def test_eigenframe_chain_checks_the_link(monkeypatch):
+    # 160 pf1 steps group two per product: a chain that runs the link
+    assert _group_size(160, len(PF1.factors)) == 2
     h0, h1 = four_level_pair()
-    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 40)
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 160)
     links = integrators._links
 
     def bad_link(*args):
@@ -835,7 +847,7 @@ def test_eigenframe_chain_checks_the_link(monkeypatch):
 
     monkeypatch.setattr(integrators, "_links", bad_link)
     with pytest.raises(RuntimeError, match="walk link lost unitarity"):
-        fam.chain(0, 40)
+        fam.chain(0, 160)
 
 
 def test_eigenframe_chain_checks_its_group_products(monkeypatch):

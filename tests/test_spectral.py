@@ -254,9 +254,10 @@ def rotated_step_family():
                            block=lambda j0, j1: ws[j0:j1])
 
 
-@pytest.mark.parametrize("block", [spectral.TRACK_BLOCK, 6, 4])
+@pytest.mark.parametrize("block", [spectral.TRACK_BLOCK, 6, 5, 4])
 def test_rotated_step_raises(block, monkeypatch):
-    # block 6 puts step 6 first in its block, block 4 in the middle of one
+    # blocks run from step 1: block 6 puts step 6 last in its block, block 5
+    # first and block 4 in the middle of one
     monkeypatch.setattr(spectral, "TRACK_BLOCK", block)
     with pytest.raises(TrackingAmbiguityError, match="ambiguous at step 6:"):
         track_eigenpaths(rotated_step_family())
@@ -301,13 +302,16 @@ def test_tracks_do_not_depend_on_the_block_length(monkeypatch):
     model = build_toy("toy1", 0.05)
     fam = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 60)
     whole = track_eigenpaths(fam)
-    monkeypatch.setattr(spectral, "TRACK_BLOCK", 7)
-    split = track_eigenpaths(fam)
+    cached = build_walk_family(model.h0, model.h1, LINEAR, PF1, 1.0, 60)
+    cached.walks  # noqa: B018  (builds and caches the stack)
     # the cumulative sums run on from the previous block, so the split
-    # changes no rounding
-    assert np.array_equal(split.phases, whole.phases)
-    assert np.array_equal(split.ground, whole.ground)
-    assert split.min_overlap == whole.min_overlap
+    # changes no rounding, and a cached block is bitwise the one built
+    for block in (spectral.TRACK_BLOCK, 1, 2, 7):
+        monkeypatch.setattr(spectral, "TRACK_BLOCK", block)
+        for split in (track_eigenpaths(fam), track_eigenpaths(cached)):
+            assert np.array_equal(split.phases, whole.phases), block
+            assert np.array_equal(split.ground, whole.ground), block
+            assert split.min_overlap == whole.min_overlap, block
 
 
 def test_tracking_keeps_few_walk_stacks_alive():

@@ -136,7 +136,7 @@ def test_gap_table_default_rows():
 
 def test_gap_table_rows_do_not_depend_on_the_chunk_length(monkeypatch):
     whole = gap_table("toy1", eps_list=(0.05, 0.0), grid=2000)
-    monkeypatch.setattr(toymodels, "GAP_TABLE_CHUNK", 7)
+    monkeypatch.setattr(toymodels, "TRACK_BLOCK", 7)
     assert gap_table("toy1", eps_list=(0.05, 0.0), grid=2000) == whole
 
 
