@@ -8,7 +8,9 @@ table compares, per integrator tag and chain length n, the chain of a
 walk family (``WalkFamily.chain``, which groups k steps per product by
 the length rule ``integrators._group_size``) with ``chain_product`` of
 the family's ``block``, and with the chain at fixed group sizes (at
-k = 1 the chain is that block product).  The
+k = 1 the chain is that block product).  A chain multiplies the n mod k
+steps left over as a block; pf1 at n = 10,000 (k = 15) leaves 10, so its
+row shows what they cost.  The
 second gives ``integrators._walk_stack`` per call at n = 1, 8 and 256
 walks for pf1 and pf2, over about ``STACK_CALLS`` / n calls.  BLAS runs
 on one thread; every time is the best of ``REPEATS`` runs, in ms for the
@@ -35,7 +37,7 @@ H = 0.7
 REPEATS = 3
 STACK_CALLS = 20_000
 CHAINS = (("spf8", 17), ("spf8", 3000), ("spf4", 3000), ("spf4", 65536),
-          ("pf1", 300), ("pf1", 3000), ("pf1", 65536))
+          ("pf1", 300), ("pf1", 3000), ("pf1", 10000), ("pf1", 65536))
 FIXED_GROUPS = (1, 4, 16)
 STACKS = (("pf1", (1, 8, 256)), ("pf2", (1, 8, 256)))
 TINY_CHAINS = (("spf4", 17), ("pf1", 300))

@@ -32,6 +32,7 @@ from .schedules import (
     schedule_values,
 )
 from .integrators import (
+    GAPLESS_TOL,
     INTEGRATORS,
     GaplessError,
     build_walk_family,
@@ -59,7 +60,6 @@ from .toymodels import (
     gap_table,
 )
 
-GAPLESS_TOL = 1e-12
 MATERIALIZE_LIMIT = 2 ** 22  # complex entries of the largest stack a config may ask for
 
 __all__ = ["main", "EXPERIMENTS"]

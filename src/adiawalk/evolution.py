@@ -71,13 +71,14 @@ def evolve(family: WalkFamily, initial) -> EvolutionResult:
     """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
     walks at a time, each block's product (``WalkFamily.chain``) released
     before the next is built.  A product formula multiplies its block in
-    the first factor's eigenbasis, cached stack or not, as products of up
-    to 16 steps, fewer for short blocks and long factor lists; the modulus
-    of every phase, the link between the endpoint eigenbases and the Gram
-    matrix of every product are checked, which bounds every step's
-    deviation from unitary by ``WALK_UNITARITY_TOL`` to first order.  At
-    one step per product, as for ``exp``, the block is the product of its
-    Gram-checked walks; see the ``integrators`` module docstring.
+    the first factor's eigenbasis, cached stack or not, as products of k
+    steps, up to 16, fewer for short blocks and long factor lists; the
+    modulus of every phase, the link between the endpoint eigenbases and
+    the Gram matrix of every product are checked, which bounds every
+    step's deviation from unitary by ``WALK_UNITARITY_TOL`` to first
+    order.  The fewer than k steps left over, and every step at k = 1 and
+    for ``exp``, are multiplied as Gram-checked walks; see the
+    ``integrators`` module docstring.
 
     The final state is read on H1's cached eigenbasis: at f = 1 every
     walk is exp(-i h H1), so this is the last walk's eigenbasis, labeled

@@ -46,17 +46,18 @@ steps it only scales.  Every phase is exp(-i x) from ``_phases``.
   ``scripts/kernel_timings.py``, at most ``CHAIN_GROUP`` = 16.  At k > 1
   it starts on the link V_b^dag V_a (I when a = b) and gets the products
   P_i = M_{ik+k-1} ... M_{ik} in the first factor's eigenbasis,
-  W_j = V_a M_j V_a^dag.  The chain is V_a (P_last ... P_0) V_a^dag, so
-  ``chain_product`` reduces n/k matrices, not n; a last group holds the
-  n mod k steps left over.  This path never reads a family's cache, and
-  reduces the phase moduli ``MODULI_BATCH`` at a time.
+  W_j = V_a M_j V_a^dag, of whole groups only.  The chain is
+  V_a (P_last ... P_0) V_a^dag, so ``chain_product`` reduces n/k
+  matrices, not n; the n mod k < k steps left over are multiplied after
+  it as the product of their ``block``, as a k = 1 chain is.
 
-A grouped chain's three checks bound every step without a Gram check per
-step: the modulus of every phase within delta = ``WALK_UNITARITY_TOL`` /
-(2m) of 1; the link C, once per ``chain`` call; and the Gram check of
-every P_i, all at ``WALK_UNITARITY_TOL``.  (``walk_operator`` and
-``block`` Gram-check each walk; the gap table's and the reference
-propagator's walks go unchecked.)  The bound behind them: X = A B has
+A grouped chain's three checks bound every step of its groups without a
+Gram check per step: the modulus of every phase within delta =
+``WALK_UNITARITY_TOL`` / (2m) of 1; the link C, once per ``chain`` call;
+and the Gram check of every P_i, all at ``WALK_UNITARITY_TOL``.  The
+steps left over are walks of a ``block``, so each is Gram-checked, as
+``walk_operator``'s are (the gap table's and the reference propagator's
+walks go unchecked).  The bound behind the three: X = A B has
 X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I), so to first order
 the 2-norm deviations from unitary of a product's factors add.  A
 diagonal of phases within delta of the unit circle deviates by at most
@@ -102,6 +103,7 @@ from .linalg import (
 from .schedules import Schedule, schedule_values
 
 COEFFICIENT_SUM_TOL = 1e-12
+GAPLESS_TOL = 1e-12  # a measured minimal gap at or below this is roundoff: no gap
 WALK_UNITARITY_TOL = 1e-10
 ORACLE_TOL = 1e-12  # accepted difference of consecutive Romberg diagonal entries
 ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
@@ -110,7 +112,6 @@ PF1_FACTORS = ((1, 1.0), (0, 1.0))  # exp(-i h f H1) exp(-i h (1-f) H0)
 PHASES_COS_SIN_MIN = 256  # phase arrays from this size on take cos and sin (``_phases``)
 CHAIN_GROUP = 16  # most steps per product in a product formula's ``WalkFamily.chain``
 CHAIN_GROUP_SCALE = 20  # a chain of n steps of m factors groups sqrt(n / (20 m)) steps
-MODULI_BATCH = 2 ** 13  # phase moduli a chain holds before it reduces them (64 KiB)
 
 __all__ = [
     "GaplessError",
@@ -260,50 +261,37 @@ def _links(h0, h1) -> tuple:
 def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: int,
                      *, walks: bool = False):
     """Products of the factor lists of k consecutive steps of a product
-    formula, one step per schedule value in ``f``, as a (d, d, groups)
-    array, and the largest deviation of a phase modulus from 1; a last
-    group holds the len(f) mod k steps left over.  Each product starts on
-    V_b^dag V_a, or I when a = b, or with ``walks`` (k = 1) on V_b^dag,
-    whose phases then go unchecked (the deviation is None); see the module
-    docstring.  ``h0`` and ``h1`` are HermitianOperators (``_endpoints``).
+    formula, one step per schedule value in ``f`` (len(f) a multiple of
+    k), as a (d, d, len(f)/k) array, and the largest deviation of a phase
+    modulus from 1.  Each product starts on V_b^dag V_a, or I when a = b,
+    or with ``walks`` (k = 1) on V_b^dag, whose phases then go unchecked
+    (the deviation is None); see the module docstring.  ``h0`` and ``h1``
+    are HermitianOperators (``_endpoints``).
     """
     d, a, b = h0.dim, kind.factors[0][0], kind.factors[-1][0]
     ends, links = _links(h0, h1)
     start = ends[b][1].conj().T if walks else (links[b] if a != b else np.eye(d, dtype=complex))
     start = np.ascontiguousarray(start)[:, :, None]  # C order: reshapes of the products are views
-    factors = kind.factors[::-1]  # in the order they act
-    full = len(f) - len(f) % k
-    groups, devs = [], []
-    for lo, hi, kk in ((0, full, k), (full, len(f), len(f) - full)):  # steps lo..hi-1, kk per group
-        if lo == hi:
-            continue
-        acc, basis = start, b  # the product, broadcast over the groups until the first scaling
-        x = np.empty((d, (hi - lo) // kk))  # phase arguments
-        mods, j = None if walks else np.empty((max(1, MODULI_BATCH // x.size), *x.shape)), 0
-        for t in range(lo, lo + kk):  # one step of every group
-            g1 = np.ascontiguousarray(f[t:hi:kk])
-            g = (1.0 - g1, g1)
-            for op, w in factors:
-                np.multiply(ends[op][0][:, None], g[op], out=x)
-                x *= h * w
-                ph = _phases(x)
-                if not walks:
-                    if j == len(mods):  # full: keep only the extreme moduli
-                        devs += (mods.max() - 1.0, 1.0 - mods.min())
-                        j = 0
-                    np.abs(ph, out=mods[j])
-                    j += 1
-                if op != basis:
-                    acc, basis = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape), op
-                if acc is start:
-                    acc = start * ph[:, None, :]
-                else:
-                    acc *= ph[:, None, :]
-        groups.append(acc)
-        if j:
-            devs += (mods[:j].max() - 1.0, 1.0 - mods[:j].min())
-    products = groups[0] if len(groups) == 1 else np.concatenate(groups, axis=2)
-    return products, None if walks else float(np.max(devs))
+    acc, basis = start, b  # the product, broadcast over the groups until the first scaling
+    x = np.empty((d, len(f) // k))  # phase arguments
+    mods, dev = None if walks else np.empty(x.shape), 0.0
+    for t in range(k):  # one step of every group
+        g1 = np.ascontiguousarray(f[t::k])
+        g = (1.0 - g1, g1)
+        for op, w in kind.factors[::-1]:  # in the order they act
+            np.multiply(ends[op][0][:, None], g[op], out=x)
+            x *= h * w
+            ph = _phases(x)
+            if not walks:  # np.maximum keeps a NaN
+                np.abs(ph, out=mods)
+                dev = np.maximum(dev, np.maximum(mods.max() - 1.0, 1.0 - mods.min()))
+            if op != basis:
+                acc, basis = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape), op
+            if acc is start:
+                acc = start * ph[:, None, :]
+            else:
+                acc *= ph[:, None, :]
+    return acc, None if walks else float(dev)
 
 
 def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
@@ -407,24 +395,27 @@ class WalkFamily:
         return ws
 
     def chain(self, j0: int, j1: int) -> np.ndarray:
-        """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: a product
-        formula's V_a (M_{j1-1} ... M_{j0}) V_a^dag from the products of
-        ``_group_size`` steps each, with their phases, link and products
-        checked, or at k = 1 and for ``exp`` the product of ``block``; see
-        the module docstring."""
+        """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: for a product
+        formula, V_a (M_{tail-1} ... M_{j0}) V_a^dag from the products of
+        k = ``_group_size`` steps each, with their phases, link and
+        products checked, times the product of ``block(tail, j1)``, the
+        (j1 - j0) mod k steps left over; at k = 1 and for ``exp`` the
+        product of ``block``.  See the module docstring."""
         self._check_range(j0, j1)
         m = len(self.kind.factors)
         if not m or (k := _group_size(j1 - j0, m)) == 1:
             return chain_product(self.block(j0, j1))
         _check_unitary(_links(self.h0, self.h1)[1][1], "walk link lost unitarity")
-        f = self._values(j0, j1)
+        tail = j1 - (j1 - j0) % k
+        f = self._values(j0, tail)
         ps, dev = _factor_products(self.h0, self.h1, self.kind, self.h, f, k)
         if not dev <= WALK_UNITARITY_TOL / (2 * m):
             raise RuntimeError(f"walk phases lost unitarity: modulus deviation {dev:.3e}")
         ps = steps_last_stack(ps)
         _check_unitary(ps, "walk block lost unitarity")
         va = (self.h0, self.h1)[self.kind.factors[0][0]].eigh[1]
-        return va @ chain_product(ps) @ va.conj().T
+        out = va @ chain_product(ps) @ va.conj().T
+        return out if tail == j1 else chain_product(self.block(tail, j1)) @ out
 
     @property
     def walks(self) -> np.ndarray:
@@ -516,27 +507,29 @@ def exact_step_propagator(
 # ---------------------------------------------------------------------------
 # problem constants and step-size rules
 
+def _nested_commutator_norm(m: tuple, gamma: tuple) -> float:
+    """||[H_{gamma_p}, ..., [H_{gamma_1}, H_{gamma_0}]]|| for m = (H0, H1)."""
+    term = m[gamma[0]]
+    for g in gamma[1:]:
+        term = m[g] @ term - term @ m[g]
+    return operator_norm(term)
+
+
 def nested_commutator_sum(H0, H1, p: int) -> float:
     """Sum over gamma in {0,1}^(p+1) of ||[H_{gamma_p}, ..., [H_{gamma_1}, H_{gamma_0}]]||."""
     if not 1 <= p <= 8:  # up to the largest spf order
         raise ValueError(f"supported p is 1..8, got {p}")
     m = (_operator(H0).matrix, _operator(H1).matrix)
-    total = 0.0
+    total = 0.0  # a plain running sum: Python 3.12's sum() compensates float sums
     for gamma in itertools.product((0, 1), repeat=p + 1):
-        term = m[gamma[0]]
-        for g in gamma[1:]:
-            term = m[g] @ term - term @ m[g]
-        total += operator_norm(term)
+        total += _nested_commutator_norm(m, gamma)
     return total
 
 
 def commutator_combo(H0, H1) -> float:
     """2 ||[H1, [H1, H0]]|| + ||[H0, [H0, H1]]||, the second-order width."""
-    m0, m1 = _operator(H0).matrix, _operator(H1).matrix
-    c = m0 @ m1 - m1 @ m0
-    c110 = m1 @ (-c) - (-c) @ m1  # [H1, [H1, H0]]
-    c001 = m0 @ c - c @ m0  # [H0, [H0, H1]]
-    return 2.0 * operator_norm(c110) + operator_norm(c001)
+    m = (_operator(H0).matrix, _operator(H1).matrix)
+    return 2.0 * _nested_commutator_norm(m, (0, 1, 1)) + _nested_commutator_norm(m, (1, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -588,13 +581,15 @@ def recommended_step_size(consts: ProblemConstants, kind: IntegratorKind) -> flo
     """Step size from the closed-form rules, with all order constants 1.
 
     The returned h is a scaling recommendation, not a certified bound;
-    pair it with a measured gap check.
+    pair it with a measured gap check.  A minimal gap of at most
+    ``GAPLESS_TOL`` raises GaplessError.
     """
     if consts.alpha <= 0:
         raise ValueError("alpha must be positive")
-    if consts.delta_star <= 0:
+    if consts.delta_star <= GAPLESS_TOL:
         raise GaplessError(
-            "minimal Hamiltonian gap is nonpositive; no step-size rule applies"
+            f"minimal Hamiltonian gap {consts.delta_star:.3e} is at most GAPLESS_TOL;"
+            " no step-size rule applies"
         )
     base = 1.0 / consts.alpha
     if not kind.factors:

@@ -74,15 +74,20 @@ def _gauss_rule(points: int):
     return np.polynomial.legendre.leggauss(points)
 
 
+def _glue_partial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int_a^b of the glue integrand for each pair (a, b), by one
+    ``GLUE_GL_POINTS``-point Gauss-Legendre rule on [a, b]."""
+    nodes, wts = _gauss_rule(GLUE_GL_POINTS)
+    mids = (a + b) / 2
+    halfs = (b - a) / 2
+    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
+    return (halfs[:, None] * wts[None, :] * _glue_integrand(pts)).sum(axis=1)
+
+
 @lru_cache(maxsize=1)
 def _glue_table():
-    nodes, wts = _gauss_rule(GLUE_GL_POINTS)
     edges = np.linspace(0.0, 1.0, GLUE_SEGMENTS + 1)
-    mids = (edges[:-1] + edges[1:]) / 2
-    halfs = np.diff(edges) / 2
-    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
-    seg = (halfs[:, None] * wts[None, :] * _glue_integrand(pts)).sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum = np.concatenate([[0.0], np.cumsum(_glue_partial(edges[:-1], edges[1:]))])
     return edges, cum, float(cum[-1])
 
 
@@ -94,14 +99,8 @@ def glue_constant_ce() -> float:
 def _glue_cumulative(s: np.ndarray) -> np.ndarray:
     """Unnormalized int_0^s of the glue integrand, piecewise Gauss-Legendre."""
     edges, cum, _ = _glue_table()
-    nodes, wts = _gauss_rule(GLUE_GL_POINTS)
     idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, GLUE_SEGMENTS - 1)
-    a = edges[idx]
-    mids = (a + s) / 2
-    halfs = (s - a) / 2
-    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
-    partial = (halfs[:, None] * wts[None, :] * _glue_integrand(pts)).sum(axis=1)
-    return cum[idx] + partial
+    return cum[idx] + _glue_partial(edges[idx], s)
 
 
 # ---------------------------------------------------------------------------

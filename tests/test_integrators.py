@@ -46,7 +46,7 @@ from adiawalk.schedules import (
     linear_schedule,
     schedule_values,
 )
-from adiawalk.toymodels import four_level_pair
+from adiawalk.toymodels import build_toy, four_level_pair
 
 LINEAR = linear_schedule()
 
@@ -520,6 +520,22 @@ def test_commutator_combo_matches_direct():
     assert commutator_combo(h0, h1) == pytest.approx(expected, rel=1e-13)
 
 
+def test_commutator_combo_is_two_nested_commutator_norms():
+    # 2 N(0, 1, 1) + N(1, 0, 0), with N the norms that nested_commutator_sum
+    # adds up, is bitwise the explicit formula on the step-size-report
+    # sources, since IEEE subtraction gives a - b = -(b - a) exactly
+    from adiawalk.grover import GroverInstance, effective_hamiltonians
+
+    pairs = [effective_hamiltonians(GroverInstance(1024, 1))]
+    pairs += [(t.h0, t.h1) for t in (build_toy("toy1", 0.05), build_toy("toy2", 0.05))]
+    for h0, h1 in pairs:
+        m0, m1 = h0.matrix, h1.matrix
+        c = m0 @ m1 - m1 @ m0
+        c110 = m1 @ (-c) - (-c) @ m1  # [H1, [H1, H0]]
+        c001 = m0 @ c - c @ m0  # [H0, [H0, H1]]
+        assert commutator_combo(h0, h1) == 2.0 * operator_norm(c110) + operator_norm(c001)
+
+
 def test_problem_constants_on_search_pair():
     from adiawalk.grover import effective_hamiltonians, GroverInstance
 
@@ -552,6 +568,16 @@ def test_recommended_step_size_gapless():
     consts = ProblemConstants(alpha=2.0, delta_star=0.0, comm_combo=3.0, alpha_tilde={})
     with pytest.raises(GaplessError):
         recommended_step_size(consts, EXP_INTEGRATOR)
+
+
+def test_recommended_step_size_rejects_a_roundoff_gap():
+    # toy2 at eps = 0 has no gap; problem_constants measures roundoff there
+    model = build_toy("toy2", 0.0)
+    consts = problem_constants(model.h0, model.h1, model.schedule)
+    assert 0.0 <= consts.delta_star <= integrators.GAPLESS_TOL
+    for kind in INTEGRATORS.values():
+        with pytest.raises(GaplessError, match="GAPLESS_TOL"):
+            recommended_step_size(consts, kind)
 
 
 def test_recommended_step_size_needs_tabulated_order():
@@ -705,21 +731,21 @@ def test_group_size_follows_the_chain_length():
 def test_group_products_match_the_walks():
     # P_i = V_a^dag (W_{ik+k-1} ... W_{ik}) V_a for lists that start and
     # end on different operators (pf1: H1 then H0) and on one operator
-    # (pf2, spf4: H0, so their seams only scale), at k = 1, at k = 16 over
-    # three full groups and a remainder of five steps, and at k = 7, which
-    # leaves a remainder of four.  Both bases are far from the identity;
-    # toy2's diagonal H1 has V1 = I, so it cannot tell a frame from no frame.
+    # (pf2, spf4: H0, so their seams only scale), at k = 1, 7 and 16 over
+    # 112 steps, which both group sizes divide (the kernel multiplies whole
+    # groups only).  Both bases are far from the identity; toy2's diagonal
+    # H1 has V1 = I, so it cannot tell a frame from no frame.
     h0, h1 = four_level_pair()
     for op in (h0, h1):
         assert np.max(np.abs(np.abs(op.eigh[1]) - np.eye(4))) > 0.1
-    f = np.linspace(0.0, 1.0, 3 * 16 + 5)
+    f = np.linspace(0.0, 1.0, 7 * 16)
     for kind, first in ((PF1, h1), (PF2, h0), (INTEGRATORS["spf4"], h0)):
         va = first.eigh[1]
         ws = _walk_stack(h0, h1, kind, 0.9, f)
         ms, none = _factor_products(h0, h1, kind, 0.9, f, 1, walks=True)
         assert none is None
         assert np.array_equal(ws, (va @ ms.reshape(4, -1)).reshape(ms.shape).transpose(2, 0, 1))
-        for k, count in ((1, len(f)), (16, 4), (7, 8)):
+        for k, count in ((1, len(f)), (16, 7), (7, 16)):
             ps, dev = _factor_products(h0, h1, kind, 0.9, f, k)
             assert ps.shape == (4, 4, count)
             assert dev <= 1e-15
@@ -755,7 +781,8 @@ def test_chain_of_exp_and_materialized_families_is_the_block_product():
 
 def test_one_step_groups_chain_the_block(monkeypatch):
     # at one step per product a product formula's chain is its block's
-    # product, bitwise; a longer chain still groups in the eigenframe
+    # product, bitwise; a longer chain still groups in the eigenframe, and
+    # builds the steps left over (2,048 mod 7 = 4) as a block of walks
     h0, h1 = four_level_pair()
     calls = []
     factor_products = integrators._factor_products
@@ -775,8 +802,36 @@ def test_one_step_groups_chain_the_block(monkeypatch):
             assert np.array_equal(chain, ref), tag
         else:
             assert np.max(np.abs(chain - ref)) <= 1e-11
-        assert calls == [(tag, j1 - j0, k, k == 1)], tag
+        if k == 1:
+            assert calls == [(tag, j1 - j0, 1, True)], tag
+        else:
+            assert calls == [(tag, 2044, 7, False), (tag, 4, 1, True)], tag
     assert k == 7
+
+
+@pytest.mark.parametrize("tag", ["pf1", "spf4"])
+def test_chain_multiplies_the_steps_left_over_after_its_groups(tag, monkeypatch):
+    # a chain of n steps at k per product multiplies n - n mod k of them in
+    # whole groups and the n mod k left over as their block's product; every
+    # r = 0 .. k-1 must match the block product: for pf1 at the length
+    # rule's k = 5 (1,000 to 1,004 steps), then for both lists at a set k
+    # on short ranges, which keep the roundoff of both products far below
+    # the tolerance (spf4's rule needs 880 steps for k = 2)
+    h0, h1 = four_level_pair()
+    if tag == "pf1":
+        fam = build_walk_family(h0, h1, glue_schedule(), PF1, 0.7, 1100)
+        for r in range(5):
+            j0, j1 = 90 - r, 1090
+            assert _group_size(j1 - j0, 2) == 5
+            ref = chain_product(fam.block(j0, j1))
+            assert np.max(np.abs(fam.chain(j0, j1) - ref)) <= 1e-13, r
+    fam = build_walk_family(h0, h1, glue_schedule(), INTEGRATORS[tag], 0.7, 200)
+    for k in (4, 7):
+        monkeypatch.setattr(integrators, "_group_size", lambda n, m, k=k: k)
+        for r in range(k):
+            j0, j1 = 3 + r, 3 + r + 6 * k + r
+            ref = chain_product(fam.block(j0, j1))
+            assert np.max(np.abs(fam.chain(j0, j1) - ref)) <= 1e-13, (k, r)
 
 
 def one_bad_phase_at(monkeypatch, fam, step, error=1e-8):
@@ -810,12 +865,13 @@ def test_eigenframe_chain_checks_every_step(monkeypatch):
 
 
 def test_eigenframe_chain_checks_the_steps_of_its_last_group(monkeypatch):
-    # 10,244 = 640 * 16 + 4: step 10,241 lies in the remainder group of four steps
+    # 10,244 = 640 * 16 + 4: step 10,241 lies among the four steps left
+    # over, which the chain multiplies as a Gram-checked block of walks
     assert _group_size(10244, len(PF1.factors)) == 16
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 10244)
     one_bad_phase_at(monkeypatch, fam, 10241)
-    with pytest.raises(RuntimeError, match="unitarity"):
+    with pytest.raises(RuntimeError, match="walk block lost unitarity"):
         fam.chain(0, 10244)
     with pytest.raises(RuntimeError, match="unitarity"):
         fam.chain(10240, 10242)
