@@ -21,9 +21,12 @@ gets the largest absolute and relative difference over its numeric
 fields or leaves, the relative one taken against the larger magnitude of
 the pair.  The line count of
 each checkout's ``src/`` Python files (as ``wc -l`` counts them) is
-printed last.
+printed last, with their code-line count: the lines that hold a token
+other than a comment, a docstring or whitespace.
 """
 
+import ast
+import io
 import json
 import math
 import os
@@ -31,6 +34,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 
 EXPERIMENTS = ("gap-table", "spectrum-scan", "fidelity-sweep", "volterra", "grover-scaling",
@@ -50,6 +54,31 @@ def produce(checkout: pathlib.Path, work: pathlib.Path) -> None:
 
 def src_lines(checkout: pathlib.Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that hold a token other than a comment, a
+    docstring (of the module, a class or a function) or whitespace."""
+    spans = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = node.body[0] if node.body else None
+            if (isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+                    and isinstance(doc.value.value, str)):
+                spans.append(((doc.lineno, doc.col_offset), (doc.end_lineno, doc.end_col_offset)))
+    ignored = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in ignored or (tok.type == tokenize.STRING
+                                 and any(a <= tok.start and tok.end <= b for a, b in spans)):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout: pathlib.Path) -> int:
+    return sum(code_lines(p.read_text()) for p in (checkout / "src").rglob("*.py"))
 
 
 def comparable(path: pathlib.Path) -> bytes:
@@ -155,7 +184,8 @@ def main(argv=None) -> int:
             differing += 1
         print(f"{len(names[0] | names[1])} files compared, {differing} differing")
     for label, checkout in zip(("parent", "change"), checkouts):
-        print(f"{label} src/ lines: {src_lines(checkout)} ({checkout})")
+        print(f"{label} src/ lines: {src_lines(checkout)}, code lines: "
+              f"{src_code_lines(checkout)} ({checkout})")
     return 1 if differing else 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 # chain_product is not called here; it stays bound because perfbench/selftest.py
 # checks that its tracer wraps evolution.chain_product
 from .linalg import chain_product, operator_norm, unitarity_deviation  # noqa: F401
-from .integrators import EXP_INTEGRATOR, WalkFamily, _operator, build_walk_family
+from .integrators import EXP_INTEGRATOR, WalkFamily, _operator, _step_count, build_walk_family
 from .spectral import EigenpathTrack, track_eigenpaths
 
 STATE_NORM_TOL = 1e-9
@@ -70,9 +70,9 @@ class EvolutionResult:
 def evolve(family: WalkFamily, initial) -> EvolutionResult:
     """Apply the td walk steps to ``initial``, one block of ``EVOLVE_BLOCK``
     walks at a time, each block's product (``WalkFamily.chain``) released
-    before the next is built.  A product formula multiplies its block in
-    the first factor's eigenbasis, cached stack or not, as products of k
-    steps, up to 16, fewer for short blocks and long factor lists; the
+    before the next is built.  A product formula multiplies its block,
+    cached stack or not, as products of k walks, up to 16, fewer for short
+    blocks and long factor lists; the
     modulus of every phase, the link between the endpoint eigenbases and
     the Gram matrix of every product are checked, which bounds every
     step's deviation from unitary by ``WALK_UNITARITY_TOL`` to first
@@ -317,7 +317,7 @@ def boundary_vs_interior_scaling(H0, H1, td_list, schedule) -> ScalingReport:
     down superpolynomially while the interior metric keeps a roughly 1/td
     decay; a linear schedule keeps the boundary at 1/td as a control.
     """
-    tds = tuple(int(t) for t in td_list)
+    tds = tuple(_step_count(t, "td") for t in td_list)
     if len(set(tds)) < max(len(tds), 2) or any(t < 2 for t in tds):
         raise ValueError("need at least two step counts, distinct and each at least 2")
     interior = np.empty(len(tds))

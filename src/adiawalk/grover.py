@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EVOLVE_BLOCK, STATE_NORM_TOL
+from .integrators import _step_count
 from .linalg import HermitianOperator, chain_product, steps_last_stack
 from .schedules import (
     Schedule,
@@ -174,7 +175,7 @@ def _maybe_warn_threshold(sched: Schedule, t: int):
 
 def run_search(inst: GroverInstance, sched: Schedule, t: int) -> SearchResult:
     """Drive the first-order walk at h = 1 for t steps, f read at j/t."""
-    if t < 1:
+    if (t := _step_count(t, "t")) < 1:
         raise ValueError(f"need at least one step, got {t}")
     _maybe_warn_threshold(sched, t)
     fs = (
@@ -202,7 +203,7 @@ class QaoaAngleSet:
 
 def qaoa_angles(sched: Schedule, t: int) -> QaoaAngleSet:
     """Angles gamma_j = f(j/t), beta_j = 1 - gamma_j for j = 0..t-1."""
-    if t < 1:
+    if (t := _step_count(t, "t")) < 1:
         raise ValueError(f"need at least one step, got {t}")
     gammas = schedule_values(sched, np.arange(t) / t)
     return QaoaAngleSet(gammas=gammas, betas=1.0 - gammas)

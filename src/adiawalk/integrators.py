@@ -24,14 +24,16 @@ walk is W = V_a D_1 X D_2 X' ... D_m V_b^dag, with a and b the first and
 last factors' operators and X, X' the fixed links C = V1^dag V0 and
 C^dag.  The loop multiplies the factor lists of k consecutive steps, the
 first step's last factor first, on a (d, d, n/k) array whose last axis
-runs over the groups: each factor scales the rows by its phases, read at
-its own step's schedule value, after one (d, d) @ (d, d n/k) GEMM by a
-link wherever the operator changes; at the seam of two pf2 or spf4-8
-steps it only scales.  Every phase is exp(-i x) from ``_phases``.
+runs over the groups, from V_b^dag: each factor scales the rows by its
+phases, read at its own step's schedule value, after one (d, d) @
+(d, d n/k) GEMM by a link wherever the operator changes (at the seam of
+two pf2 or spf4-8 steps it only scales), and one GEMM by V_a ends it.
+So it returns the walk products P_i = W_{ik+k-1} ... W_{ik} as a
+steps-last stack (see ``linalg``).  Every phase is exp(-i x) from
+``_phases``.
 
-* ``_walk_stack`` starts on V_b^dag at k = 1 and multiplies by V_a: the
-  walks at n schedule values as a steps-last stack (see ``linalg``), so a
-  block's unitarity check and chain product run along the step axis.
+* ``_walk_stack`` is the loop at k = 1: the walks at n schedule values,
+  so a block's unitarity check and chain product run along the step axis.
   ``walk_operator``, ``WalkFamily.block``, the reference propagator and
   the toy-model gap table call it; a single walk is bitwise the same step
   of a family block.  ``exp`` walks diagonalize every H(f) instead, in
@@ -43,39 +45,36 @@ steps it only scales.  Every phase is exp(-i x) from ``_phases``.
   factors (and pf1 one more GEMM per seam); a smaller one leaves more
   products to check and reduce.  ``_group_size`` takes the minimum of
   that cost, k = sqrt(n / (``CHAIN_GROUP_SCALE`` m)) as calibrated by
-  ``scripts/kernel_timings.py``, at most ``CHAIN_GROUP`` = 16.  At k > 1
-  it starts on the link V_b^dag V_a (I when a = b) and gets the products
-  P_i = M_{ik+k-1} ... M_{ik} in the first factor's eigenbasis,
-  W_j = V_a M_j V_a^dag, of whole groups only.  The chain is
-  V_a (P_last ... P_0) V_a^dag, so ``chain_product`` reduces n/k
-  matrices, not n; the n mod k < k steps left over are multiplied after
-  it as the product of their ``block``, as a k = 1 chain is.
+  ``scripts/kernel_timings.py``, at most ``CHAIN_GROUP`` = 16.  The chain
+  is ``chain_product`` of the P_i of whole groups, n/k matrices, not n;
+  the n mod k < k steps left over are multiplied after it as the product
+  of their ``block``, as a k = 1 chain is.
 
 A grouped chain's three checks bound every step of its groups without a
 Gram check per step: the modulus of every phase within delta =
-``WALK_UNITARITY_TOL`` / (2m) of 1; the link C, once per ``chain`` call;
-and the Gram check of every P_i, all at ``WALK_UNITARITY_TOL``.  The
-steps left over are walks of a ``block``, so each is Gram-checked, as
-``walk_operator``'s are (the gap table's and the reference propagator's
-walks go unchecked).  The bound behind the three: X = A B has
-X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I), so to first order
-the 2-norm deviations from unitary of a product's factors add.  A
-diagonal of phases within delta of the unit circle deviates by at most
-2 delta + delta^2, and M_j has m diagonals and at most m links, so
+``WALK_UNITARITY_TOL`` / (2m) of 1 (the loop checks them at k > 1); the
+link C, once per ``chain`` call; and the Gram check of every P_i, all at
+``WALK_UNITARITY_TOL``.  The steps left over are walks of a ``block``,
+so each is Gram-checked, as ``walk_operator``'s are (the gap table's and
+the reference propagator's walks go unchecked).  The bound behind the
+three: X = A B has X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I),
+so to first order the 2-norm deviations from unitary of a product's
+factors add.  A diagonal of phases within delta of the unit circle
+deviates by at most 2 delta + delta^2, and the part S_j of P_i that is
+step j has m diagonals and at most m links, so
 
-    ||M_j^dag M_j - I|| <= m (2 delta + delta^2) + m eps_C + rho
+    ||S_j^dag S_j - I|| <= m (2 delta + delta^2) + m eps_C + rho
                         ~= WALK_UNITARITY_TOL + m eps_C + rho,
 
 with eps_C the link's deviation (below 1e-15 on the models here) and rho
-the rounding of the m products, O(m d eps).  The Gram check of P_i reads
-any one step's deviation unchanged, since the steps around it are
-unitary: P_i = A M_j B with A and B unitary has
-P_i^dag P_i - I = B^dag (M_j^dag M_j - I) B.  V_a is unitary to
-about 1e-15, so M_j's 2-norm deviation is W_j's.  Summed over the steps
-of a long evolution, rho is its norm drift, about 1e-16 per factor.
-``exp`` walks and k = 1 chains (short chains, long lists) multiply their
-``block``, every walk Gram-checked; a block sliced from the cache is
-bitwise the one built.
+the rounding of the m products, O(m d eps); V_a and V_b^dag, once per
+product, add about 1e-15.  The Gram check of P_i reads any one step's
+deviation unchanged, since the factors around it are unitary:
+P_i = A S_j B with A and B unitary has P_i^dag P_i - I =
+B^dag (S_j^dag S_j - I) B.  A long evolution's norm drift is rho summed
+over its steps, about 1e-16 per factor, plus the deviation of V_b^dag V_a
+at each seam of two products (4.0e-11 over 65,536 pf2 steps, 3.7e-11
+with I at the seams).
 
 This module also computes the Hamiltonian-dependent constants (operator
 norms, nested commutator sums, minimal gaps) that feed the recommended
@@ -229,7 +228,7 @@ def hamiltonian_bands(H0, H1, f, *, vectors: bool = False):
     value in ``f`` (a scalar or an array; the bands follow on a last
     axis).  With ``vectors`` the eigenvectors come too, as from eigh."""
     f = np.asarray(f, dtype=float)
-    m0, m1 = _operator(H0).matrix, _operator(H1).matrix
+    m0, m1 = (op.matrix for op in _endpoints(H0, H1))
     hs = (1.0 - f)[..., None, None] * m0 + f[..., None, None] * m1
     return np.linalg.eigh(hs) if vectors else np.linalg.eigvalsh(hs)
 
@@ -258,23 +257,19 @@ def _links(h0, h1) -> tuple:
     return ends, (c.conj().T, c)
 
 
-def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: int,
-                     *, walks: bool = False):
-    """Products of the factor lists of k consecutive steps of a product
-    formula, one step per schedule value in ``f`` (len(f) a multiple of
-    k), as a (d, d, len(f)/k) array, and the largest deviation of a phase
-    modulus from 1.  Each product starts on V_b^dag V_a, or I when a = b,
-    or with ``walks`` (k = 1) on V_b^dag, whose phases then go unchecked
-    (the deviation is None); see the module docstring.  ``h0`` and ``h1``
-    are HermitianOperators (``_endpoints``).
+def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: int):
+    """Walk products W_{ik+k-1} ... W_{ik} of k steps of a product formula,
+    one step per value in ``f`` (len(f) a multiple of k), as a steps-last
+    (len(f)/k, d, d) stack, and the largest deviation of a phase modulus
+    from 1 (None at k = 1, which checks no phase); see the module
+    docstring.  ``h0`` and ``h1`` are HermitianOperators (``_endpoints``).
     """
     d, a, b = h0.dim, kind.factors[0][0], kind.factors[-1][0]
     ends, links = _links(h0, h1)
-    start = ends[b][1].conj().T if walks else (links[b] if a != b else np.eye(d, dtype=complex))
-    start = np.ascontiguousarray(start)[:, :, None]  # C order: reshapes of the products are views
+    start = np.ascontiguousarray(ends[b][1].conj().T)[:, :, None]  # C order: reshapes are views
     acc, basis = start, b  # the product, broadcast over the groups until the first scaling
     x = np.empty((d, len(f) // k))  # phase arguments
-    mods, dev = None if walks else np.empty(x.shape), 0.0
+    mods, dev = np.empty(x.shape) if k > 1 else None, 0.0
     for t in range(k):  # one step of every group
         g1 = np.ascontiguousarray(f[t::k])
         g = (1.0 - g1, g1)
@@ -282,7 +277,7 @@ def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: i
             np.multiply(ends[op][0][:, None], g[op], out=x)
             x *= h * w
             ph = _phases(x)
-            if not walks:  # np.maximum keeps a NaN
+            if mods is not None:  # np.maximum keeps a NaN
                 np.abs(ph, out=mods)
                 dev = np.maximum(dev, np.maximum(mods.max() - 1.0, 1.0 - mods.min()))
             if op != basis:
@@ -291,20 +286,19 @@ def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: i
                 acc = start * ph[:, None, :]
             else:
                 acc *= ph[:, None, :]
-    return acc, None if walks else float(dev)
+    acc = (ends[a][1] @ acc.reshape(d, -1)).reshape(acc.shape)
+    return steps_last_stack(acc), None if mods is None else float(dev)
 
 
 def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):
     """Walks at step h, one per schedule value in ``f``, as a steps-last
-    stack: a product formula's is V_a times its one-step factor products
+    stack: a product formula's are its one-step products
     (``_factor_products``); ``exp`` diagonalizes every H(f) instead."""
     if not kind.factors:
         w, v = hamiltonian_bands(h0, h1, f, vectors=True)
         ws = np.einsum("nik,nk,njk->ijn", v, _phases(h * w), v.conj(), order="C")
         return steps_last_stack(ws)
-    acc, _ = _factor_products(h0, h1, kind, h, f, 1, walks=True)
-    va = (h0, h1)[kind.factors[0][0]].eigh[1]
-    return steps_last_stack((va @ acc.reshape(h0.dim, -1)).reshape(acc.shape))
+    return _factor_products(h0, h1, kind, h, f, 1)[0]
 
 
 def _group_size(n: int, m: int) -> int:
@@ -315,6 +309,14 @@ def _group_size(n: int, m: int) -> int:
 def _check_step_size(h: float) -> None:
     if not (np.isfinite(h) and h > 0):  # NaN fails
         raise ValueError(f"step size must be positive, got {h}")
+
+
+def _step_count(t, name: str) -> int:
+    """``t`` as an int; a float, even an integral one, is a ValueError."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {t!r}") from None
 
 
 def walk_operator(
@@ -396,11 +398,11 @@ class WalkFamily:
 
     def chain(self, j0: int, j1: int) -> np.ndarray:
         """The product W_{j1-1} ... W_{j0} of steps j0..j1-1: for a product
-        formula, V_a (M_{tail-1} ... M_{j0}) V_a^dag from the products of
-        k = ``_group_size`` steps each, with their phases, link and
-        products checked, times the product of ``block(tail, j1)``, the
-        (j1 - j0) mod k steps left over; at k = 1 and for ``exp`` the
-        product of ``block``.  See the module docstring."""
+        formula, the chain of the walk products of k = ``_group_size``
+        steps each, phases, link and products checked, times the product
+        of ``block(tail, j1)``, the (j1 - j0) mod k steps left over; at
+        k = 1 and for ``exp`` the product of ``block``.  See the module
+        docstring."""
         self._check_range(j0, j1)
         m = len(self.kind.factors)
         if not m or (k := _group_size(j1 - j0, m)) == 1:
@@ -411,10 +413,8 @@ class WalkFamily:
         ps, dev = _factor_products(self.h0, self.h1, self.kind, self.h, f, k)
         if not dev <= WALK_UNITARITY_TOL / (2 * m):
             raise RuntimeError(f"walk phases lost unitarity: modulus deviation {dev:.3e}")
-        ps = steps_last_stack(ps)
         _check_unitary(ps, "walk block lost unitarity")
-        va = (self.h0, self.h1)[self.kind.factors[0][0]].eigh[1]
-        out = va @ chain_product(ps) @ va.conj().T
+        out = chain_product(ps)
         return out if tail == j1 else chain_product(self.block(tail, j1)) @ out
 
     @property
@@ -436,11 +436,7 @@ def build_walk_family(
     """Family of walk operators on the inclusive grid s = j/td, j = 0..td;
     nothing is built until ``block``, ``chain`` or ``walks`` asks.  ``td``
     is an integer (a float is a ValueError, even when integral)."""
-    try:
-        td = operator.index(td)
-    except TypeError:
-        raise ValueError(f"td must be an integer, got {td!r}") from None
-    if td < 1:
+    if (td := _step_count(td, "td")) < 1:
         raise ValueError(f"need td >= 1, got {td}")
     _check_step_size(h)
     h0, h1 = _endpoints(H0, H1)
@@ -519,7 +515,7 @@ def nested_commutator_sum(H0, H1, p: int) -> float:
     """Sum over gamma in {0,1}^(p+1) of ||[H_{gamma_p}, ..., [H_{gamma_1}, H_{gamma_0}]]||."""
     if not 1 <= p <= 8:  # up to the largest spf order
         raise ValueError(f"supported p is 1..8, got {p}")
-    m = (_operator(H0).matrix, _operator(H1).matrix)
+    m = tuple(op.matrix for op in _endpoints(H0, H1))
     total = 0.0  # a plain running sum: Python 3.12's sum() compensates float sums
     for gamma in itertools.product((0, 1), repeat=p + 1):
         total += _nested_commutator_norm(m, gamma)
@@ -528,7 +524,7 @@ def nested_commutator_sum(H0, H1, p: int) -> float:
 
 def commutator_combo(H0, H1) -> float:
     """2 ||[H1, [H1, H0]]|| + ||[H0, [H0, H1]]||, the second-order width."""
-    m = (_operator(H0).matrix, _operator(H1).matrix)
+    m = tuple(op.matrix for op in _endpoints(H0, H1))
     return 2.0 * _nested_commutator_norm(m, (0, 1, 1)) + _nested_commutator_norm(m, (1, 0, 0))
 
 
@@ -562,7 +558,7 @@ def problem_constants(
 ) -> ProblemConstants:
     """Measure alpha, the minimal ground gap of H(s) over the grid and
     where it sits, and the commutator sums needed by the step-size rules."""
-    h0, h1 = _operator(H0).matrix, _operator(H1).matrix
+    h0, h1 = _endpoints(H0, H1)
     alpha = operator_norm(h0) + operator_norm(h1)
     s = np.linspace(0.0, 1.0, grid + 1)
     w = hamiltonian_bands(h0, h1, schedule_values(sched, s))

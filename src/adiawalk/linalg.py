@@ -53,9 +53,10 @@ products (2 cores, BLAS at 1 thread, min of 10):
 
 The two pf1 chain rows time ``WalkFamily.chain`` over n steps of random
 Hermitian pairs, phases, products and checks included: one step at a
-time builds and Gram-checks every step's walk in the first factor's
-eigenbasis and reduces all n of them; the 16-step groups are the chain
-as it is built now.  ``scripts/kernel_timings.py`` times chains of every
+time builds and Gram-checks every step's walk and reduces all n of
+them; the 16-step groups are the chain as it was built then, its
+products in the first factor's eigenbasis (each now ends with one GEMM
+by V_a).  ``scripts/kernel_timings.py`` times chains of every
 length against ``chain_product`` of their ``block`` at d = 4.
 
 Walk eigenphases are reported as ``theta = -arg(lambda)``, so a walk

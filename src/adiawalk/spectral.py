@@ -21,7 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .linalg import _normal_eig_stack, _wrap_phase, arc_distance_angles, operator_norm
 from .integrators import (
     WalkFamily,
-    _operator,
+    _check_step_size,
+    _endpoints,
     commutator_combo,
     hamiltonian_bands,
     nested_commutator_sum,
@@ -231,7 +232,8 @@ def gap_perturbation_bounds(
     formulas (their eigenphases coincide); higher even orders use the
     nested-commutator width.
     """
-    h0, h1 = _operator(H0).matrix, _operator(H1).matrix
+    _check_step_size(h)
+    h0, h1 = _endpoints(H0, H1)
     alpha = operator_norm(h0) + operator_norm(h1)
     if h > 1.0 / alpha + 1e-12:
         raise ValueError(f"h = {h} exceeds 1/alpha = {1.0 / alpha}")

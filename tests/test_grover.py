@@ -121,6 +121,18 @@ def test_run_search_validation_and_edge():
     assert 0.0 <= res.success <= 1.0
 
 
+def test_run_search_step_count_must_be_an_integer():
+    # a float t used to issue its ThresholdWarning and then fail in range()
+    inst, sched = GroverInstance(64), build_grover_schedule(64, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (10.0, 10.5):
+            with pytest.raises(ValueError, match="integer"):
+                run_search(inst, sched, t)
+    ref = run_search(inst, sched, 300)
+    assert np.array_equal(run_search(inst, sched, np.int64(300)).final_state, ref.final_state)
+
+
 def test_search_error_success_consistency():
     res = run_search(GroverInstance(256, 1), build_grover_schedule(256, 1.0), 290)
     assert res.error ** 2 + res.success == pytest.approx(1.0, abs=1e-12)
@@ -188,6 +200,16 @@ def test_qaoa_angles_values():
     assert np.allclose(angles.betas, 1.0 - np.arange(8) / 8.0, atol=1e-15)
     with pytest.raises(ValueError, match="at least one step"):
         qaoa_angles(LINEAR, 0)
+
+
+def test_qaoa_angles_step_count_must_be_an_integer():
+    # t = 10.5 used to give 11 angle pairs read at j / 10.5
+    sched = build_grover_schedule(64, 1.0)
+    for t in (10.5, 10.0):
+        with pytest.raises(ValueError, match="integer"):
+            qaoa_angles(sched, t)
+    angles = qaoa_angles(sched, np.int64(10))
+    assert np.array_equal(angles.gammas, qaoa_angles(sched, 10).gammas)
 
 
 def test_qaoa_angle_set_validation():

@@ -46,6 +46,7 @@ from adiawalk.schedules import (
     linear_schedule,
     schedule_values,
 )
+from adiawalk.spectral import gap_perturbation_bounds
 from adiawalk.toymodels import build_toy, four_level_pair
 
 LINEAR = linear_schedule()
@@ -650,6 +651,21 @@ def test_family_td_must_be_an_integer():
     assert fam.dim == 4
 
 
+@pytest.mark.parametrize("call", [
+    lambda a, b: hamiltonian_bands(a, b, 0.5),
+    lambda a, b: nested_commutator_sum(a, b, 2),
+    commutator_combo,
+    lambda a, b: problem_constants(a, b, LINEAR, grid=10),
+    lambda a, b: gap_perturbation_bounds(a, b, LINEAR, 0.5, 0.1),
+], ids=["hamiltonian_bands", "nested_commutator_sum", "commutator_combo",
+        "problem_constants", "gap_perturbation_bounds"])
+def test_endpoints_of_different_dimensions_are_rejected(call):
+    # they used to fail inside numpy, on broadcasting or a matmul mismatch
+    h3, h2 = random_pair(69, n=3)[0], random_pair(69, n=2)[0]
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        call(h3, h2)
+
+
 def test_non_finite_walks_fail_the_unitarity_checks():
     with pytest.raises(RuntimeError, match="unitarity"):
         _check_unitary(np.full((3, 2, 2), np.nan), "walk lost unitarity")
@@ -682,7 +698,7 @@ def test_non_finite_walks_fail_the_unitarity_checks():
 
 
 # ---------------------------------------------------------------------------
-# chains in the first factor's eigenbasis
+# chains of grouped walk products
 
 PRODUCT_FORMULAS = [tag for tag, kind in INTEGRATORS.items() if kind.factors]
 
@@ -729,34 +745,35 @@ def test_group_size_follows_the_chain_length():
 
 
 def test_group_products_match_the_walks():
-    # P_i = V_a^dag (W_{ik+k-1} ... W_{ik}) V_a for lists that start and
-    # end on different operators (pf1: H1 then H0) and on one operator
-    # (pf2, spf4: H0, so their seams only scale), at k = 1, 7 and 16 over
-    # 112 steps, which both group sizes divide (the kernel multiplies whole
-    # groups only).  Both bases are far from the identity; toy2's diagonal
-    # H1 has V1 = I, so it cannot tell a frame from no frame.
+    # the kernel returns the walk products W_{ik+k-1} ... W_{ik} as a
+    # steps-last stack, for lists that start and end on different operators
+    # (pf1: H1 then H0) and on one operator (pf2, spf4: H0, so their seams
+    # only scale), at k = 1, 7 and 16 over 112 steps, which both group sizes
+    # divide (the kernel multiplies whole groups only).  At k = 1 the
+    # products are the walks, bitwise, and no phase is checked.  Both bases
+    # are far from the identity; toy2's diagonal H1 has V1 = I, so it cannot
+    # tell a frame from no frame.
     h0, h1 = four_level_pair()
     for op in (h0, h1):
         assert np.max(np.abs(np.abs(op.eigh[1]) - np.eye(4))) > 0.1
     f = np.linspace(0.0, 1.0, 7 * 16)
-    for kind, first in ((PF1, h1), (PF2, h0), (INTEGRATORS["spf4"], h0)):
-        va = first.eigh[1]
+    for kind in (PF1, PF2, INTEGRATORS["spf4"]):
         ws = _walk_stack(h0, h1, kind, 0.9, f)
-        ms, none = _factor_products(h0, h1, kind, 0.9, f, 1, walks=True)
+        walks, none = _factor_products(h0, h1, kind, 0.9, f, 1)
         assert none is None
-        assert np.array_equal(ws, (va @ ms.reshape(4, -1)).reshape(ms.shape).transpose(2, 0, 1))
-        for k, count in ((1, len(f)), (16, 7), (7, 16)):
+        assert np.array_equal(walks, ws)
+        for k, count in ((16, 7), (7, 16)):
             ps, dev = _factor_products(h0, h1, kind, 0.9, f, k)
-            assert ps.shape == (4, 4, count)
+            assert ps.shape == (count, 4, 4) and ps.strides[0] == ps.itemsize
             assert dev <= 1e-15
             for i in range(count):
-                ref = va.conj().T @ chain_product(ws[i * k : (i + 1) * k]) @ va
-                assert np.max(np.abs(ps[:, :, i] - ref)) <= 1e-13, (kind.tag, k, i)
+                ref = chain_product(ws[i * k : (i + 1) * k])
+                assert np.max(np.abs(ps[i] - ref)) <= 1e-13, (kind.tag, k, i)
 
 
 def test_chain_of_exp_and_materialized_families_is_the_block_product():
     # exp families multiply their blocks; a product formula whose stack is
-    # cached still chains in the eigenframe where it groups steps, and
+    # cached still chains its group products where it groups steps, and
     # multiplies its cached block where it does not, as a fresh family does
     h0, h1 = four_level_pair()
     td = 300
@@ -781,15 +798,15 @@ def test_chain_of_exp_and_materialized_families_is_the_block_product():
 
 def test_one_step_groups_chain_the_block(monkeypatch):
     # at one step per product a product formula's chain is its block's
-    # product, bitwise; a longer chain still groups in the eigenframe, and
+    # product, bitwise; a longer chain still multiplies group products, and
     # builds the steps left over (2,048 mod 7 = 4) as a block of walks
     h0, h1 = four_level_pair()
     calls = []
     factor_products = integrators._factor_products
 
-    def counting(h0, h1, kind, h, f, k, *, walks=False):
-        calls.append((kind.tag, len(f), k, walks))
-        return factor_products(h0, h1, kind, h, f, k, walks=walks)
+    def counting(h0, h1, kind, h, f, k):
+        calls.append((kind.tag, len(f), k))
+        return factor_products(h0, h1, kind, h, f, k)
 
     monkeypatch.setattr(integrators, "_factor_products", counting)
     for tag, j0, j1 in (("spf8", 40, 57), ("pf1", 0, 100), ("pf1", 3, 2051)):
@@ -803,9 +820,9 @@ def test_one_step_groups_chain_the_block(monkeypatch):
         else:
             assert np.max(np.abs(chain - ref)) <= 1e-11
         if k == 1:
-            assert calls == [(tag, j1 - j0, 1, True)], tag
+            assert calls == [(tag, j1 - j0, 1)], tag
         else:
-            assert calls == [(tag, 2044, 7, False), (tag, 4, 1, True)], tag
+            assert calls == [(tag, 2044, 7), (tag, 4, 1)], tag
     assert k == 7
 
 
@@ -853,7 +870,7 @@ def one_bad_phase_at(monkeypatch, fam, step, error=1e-8):
 
 
 def test_eigenframe_chain_checks_every_step(monkeypatch):
-    # one phase of one step off the unit circle by 1e-8 makes that M_j
+    # one phase of one step off the unit circle by 1e-8 makes that W_j
     # non-unitary by far more than WALK_UNITARITY_TOL; the chain must see it
     h0, h1 = four_level_pair()
     fam = build_walk_family(h0, h1, LINEAR, PF1, 0.7, 500)

@@ -141,6 +141,41 @@ def test_numeric_difference_reads_json_leaves_of_one_structure(tmp_path):
     assert compare_outputs.numeric_difference(first, longer) == ""
 
 
+CODE_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import math  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    # another comment
+    text = """a string that is
+not a docstring"""
+    return math.sqrt(x) + len(text)
+
+
+class C:
+    """Class docstring
+    over two lines."""
+
+    value = (1,
+             2)
+'''
+
+
+def test_code_lines_skip_comments_docstrings_and_blank_lines(tmp_path):
+    # code: import, def, text (2 lines), return, class, value (2 lines)
+    assert compare_outputs.code_lines(CODE_FIXTURE) == 8
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    write(package / "a.py", CODE_FIXTURE)
+    write(package / "b.py", '"""Only a docstring."""\n')
+    assert compare_outputs.src_code_lines(tmp_path) == 8
+    assert compare_outputs.src_lines(tmp_path) == CODE_FIXTURE.count("\n") + 1
+
+
 # ---------------------------------------------------------------------------
 # kernel_timings.py
 

@@ -464,6 +464,14 @@ def test_gap_window_rejects_oversized_step():
         gap_perturbation_bounds(h0, h1, LINEAR, 0.5, 1.2 / alpha)
 
 
+@pytest.mark.parametrize("h", [math.nan, 0.0, -0.1])
+def test_gap_window_rejects_a_step_size_that_is_not_positive(h):
+    # a NaN h used to give (nan, nan), and h = -0.1 the inverted (0.0, -0.0227)
+    h0, h1 = four_level_pair()
+    with pytest.raises(ValueError, match="positive"):
+        gap_perturbation_bounds(h0, h1, LINEAR, 0.3, h)
+
+
 # ---------------------------------------------------------------------------
 # error bounds
 
