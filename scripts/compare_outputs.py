@@ -22,7 +22,8 @@ fields or leaves, the relative one taken against the larger magnitude of
 the pair.  The line count of
 each checkout's ``src/`` Python files (as ``wc -l`` counts them) is
 printed last, with their code-line count: the lines that hold a token
-other than a comment, a docstring or whitespace.
+other than a comment, a docstring or whitespace.  Each module's code-line
+count follows, on both sides ("-" where a checkout has no such file).
 """
 
 import ast
@@ -77,8 +78,15 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def module_code_lines(checkout: pathlib.Path) -> dict:
+    """``code_lines`` of each ``src/`` Python file, keyed by its path under ``src/``."""
+    src = checkout / "src"
+    return {p.relative_to(src).as_posix(): code_lines(p.read_text())
+            for p in sorted(src.rglob("*.py"))}
+
+
 def src_code_lines(checkout: pathlib.Path) -> int:
-    return sum(code_lines(p.read_text()) for p in (checkout / "src").rglob("*.py"))
+    return sum(module_code_lines(checkout).values())
 
 
 def comparable(path: pathlib.Path) -> bytes:
@@ -186,6 +194,10 @@ def main(argv=None) -> int:
     for label, checkout in zip(("parent", "change"), checkouts):
         print(f"{label} src/ lines: {src_lines(checkout)}, code lines: "
               f"{src_code_lines(checkout)} ({checkout})")
+    modules = [module_code_lines(c) for c in checkouts]
+    print("code lines per module (parent, change):")
+    for name in sorted(modules[0].keys() | modules[1].keys()):
+        print(f"  {name}: {modules[0].get(name, '-')}, {modules[1].get(name, '-')}")
     return 1 if differing else 0
 
 

@@ -83,6 +83,7 @@ from .grover import (
     qaoa_replay,
     run_search,
     scaling_experiment,
+    search_schedule,
     walk_closed_form,
 )
 from .toymodels import (

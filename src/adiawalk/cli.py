@@ -6,7 +6,16 @@ Usage: ``adiawalk <experiment> [--config FILE] [--out PATH] [--seed S]`` or
 unknown keys anywhere are rejected.  Outputs carry '#' metadata lines
 (version, canonical config and its hash, RNG, timestamp) and are written
 atomically; two runs with the same config differ only in the timestamp
-line.  Exit codes: 0 success, 2 bad usage or config, 3 numerical failure.
+line.
+
+Exit codes: 0 success, 2 bad usage or config, 3 numerical failure.  The
+CLI checks only a config's JSON shape (types, integrality, the float
+range), its own bounds (such as h >= 1e-6) and its resource limits
+(``MATERIALIZE_LIMIT``, ``SCALING_CAP`` step counts); the library owns
+every other range check.  A runner's errors follow the library's
+contract: a ValueError is bad input (exit 2), and a RuntimeError or
+``np.linalg.LinAlgError`` (a ValueError subclass, so caught first) is a
+numerical failure (exit 3).
 """
 
 from __future__ import annotations
@@ -23,18 +32,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .linalg import EigensolverError, HermitianOperator
-from .schedules import (
-    POWER_MAX_N,
-    build_grover_schedule,
-    glue_schedule,
-    linear_schedule,
-    schedule_values,
-)
+from .linalg import HermitianOperator
+from .schedules import glue_schedule, linear_schedule, schedule_values
 from .integrators import (
     GAPLESS_TOL,
     INTEGRATORS,
-    GaplessError,
     build_walk_family,
     hamiltonian_bands,
     parse_integrator_tag,
@@ -42,15 +44,16 @@ from .integrators import (
     recommended_step_size,
     walk_operator,
 )
-from .spectral import (
-    TrackingAmbiguityError,
-    gap_perturbation_bounds,
-    lowest_phase_gap,
-    track_eigenpaths,
+from .spectral import gap_perturbation_bounds, lowest_phase_gap, track_eigenpaths
+from .evolution import boundary_vs_interior_scaling
+from .grover import (
+    SCALING_CAP,
+    GroverInstance,
+    effective_hamiltonians,
+    qaoa_angles,
+    scaling_experiment,
+    search_schedule,
 )
-from .evolution import GapCollapseError, boundary_vs_interior_scaling
-from .grover import SCALING_CAP, GroverInstance, effective_hamiltonians, qaoa_angles
-from .grover import scaling_experiment
 from .toymodels import (
     DEFAULT_EPSILONS,
     TOY_KINDS,
@@ -72,67 +75,41 @@ class ConfigError(ValueError):
     pass
 
 
-def _bounded(key, v, lo, hi):
-    if lo is not None and v < lo:
-        raise ConfigError(f"parameter {key!r} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"parameter {key!r} must be <= {hi}, got {v}")
-    return v
-
-
-def _is_number(v) -> bool:
-    """A JSON int or float in the float range (the comparison is exact; NaN fails)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _as_int(params, key, lo=None, hi=None):
+def _values(params, key, many):
+    """The parameter as a list: a nonempty JSON list if ``many``, else one value."""
     v = params[key]
-    if not (_is_number(v) and v == int(v)):
-        raise ConfigError(f"parameter {key!r} must be an integer in the float range, got {v!r}")
-    return _bounded(key, int(v), lo, hi)
-
-
-def _as_float(params, key, lo=None, hi=None):
-    v = params[key]
-    if not _is_number(v):
-        raise ConfigError(f"parameter {key!r} must be a number in the float range, got {v!r}")
-    return _bounded(key, float(v), lo, hi)
-
-
-def _as_choice(params, key, choices):
-    v = params[key]
-    if v not in choices:
-        raise ConfigError(f"parameter {key!r} must be one of {sorted(choices)}, got {v!r}")
-    return v
-
-
-def _as_number_list(params, key, *, integral=False, lo=None, hi=None):
-    v = params[key]
+    if not many:
+        return [v]
     if not isinstance(v, (list, tuple)) or not v:
         raise ConfigError(f"parameter {key!r} must be a nonempty list, got {v!r}")
+    return v
+
+
+def _numbers(params, key, *, integral=False, lo=None, hi=None, many=False):
+    """A JSON number (a nonempty list of them if ``many``) in the float
+    range (the comparison is exact; NaN fails), integral if asked, within
+    the CLI's own bounds ``lo`` and ``hi``."""
     out = []
-    for item in v:
-        if not _is_number(item):
-            raise ConfigError(f"parameter {key!r} holds {item!r}, not a number in the float range")
-        if integral and item != int(item):
-            raise ConfigError(f"parameter {key!r} holds a non-integer: {item!r}")
-        if lo is not None and item < lo:
-            raise ConfigError(f"parameter {key!r} holds {item!r} below {lo}")
-        if hi is not None and item > hi:
-            raise ConfigError(f"parameter {key!r} holds {item!r} above {hi}")
-        out.append(int(item) if integral else float(item))
-    return out
+    for v in _values(params, key, many):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (number and abs(v) <= sys.float_info.max) or (integral and v != int(v)):
+            what = "an integer" if integral else "a number"
+            raise ConfigError(f"parameter {key!r} must be {what} in the float range, got {v!r}")
+        out.append(int(v) if integral else float(v))
+        if lo is not None and out[-1] < lo:
+            raise ConfigError(f"parameter {key!r} must be >= {lo}, got {out[-1]}")
+        if hi is not None and out[-1] > hi:
+            raise ConfigError(f"parameter {key!r} must be <= {hi}, got {out[-1]}")
+    return out if many else out[0]
 
 
-def _check_search_size(n, m):
-    if n < 2 * m:
-        raise ConfigError(f"search needs n >= 2m, got n = {n}, m = {m}")
-
-
-def _check_power_size(n, m, p):
-    """p > 1 power schedules are tabulated up to POWER_MAX_N; p = 1 has a closed form."""
-    if p > 1.0 and round(n / m) > POWER_MAX_N:
-        raise ConfigError(f"power p > 1 needs round(n / m) <= {POWER_MAX_N}, got n = {n}, m = {m}")
+def _choices(params, key, choices, *, many=False):
+    """One of ``choices`` (a nonempty list of them if ``many``)."""
+    values = _values(params, key, many)
+    for v in values:
+        if v not in choices:
+            raise ConfigError(f"parameter {key!r} must be one of {sorted(choices)}, got {v!r}")
+    return list(values) if many else values[0]
 
 
 def _check_grid(grid, dim, key="grid"):
@@ -144,24 +121,16 @@ def _check_grid(grid, dim, key="grid"):
         )
 
 
-def _as_str_list(params, key, choices):
-    v = params[key]
-    if not isinstance(v, (list, tuple)) or not v:
-        raise ConfigError(f"parameter {key!r} must be a nonempty list, got {v!r}")
-    for item in v:
-        if item not in choices:
-            raise ConfigError(f"parameter {key!r} holds {item!r}; allowed: {sorted(choices)}")
-    return list(v)
-
-
 # ---------------------------------------------------------------------------
 # experiment runners: params, rng -> (columns, rows, sidecar | None)
 
 def _run_gap_table(params, rng):
-    kind = _as_choice(params, "model", TOY_KINDS)
-    eps_list = _as_number_list(params, "eps_list", lo=0.0, hi=0.1)
-    grid = _as_int(params, "grid", lo=10)
+    kind = _choices(params, "model", TOY_KINDS)
+    eps_list = _numbers(params, "eps_list", many=True)
+    grid = _numbers(params, "grid", integral=True, lo=10)
     _check_grid(grid, 1)  # gap_table holds grid + 1 schedule values; it chunks the rest
+    for eps in eps_list:  # the library's eps rule, before any worker starts a table
+        build_toy(kind, eps)
 
     def one(eps):
         row = gap_table(kind, [eps], grid=grid)[0]
@@ -175,11 +144,11 @@ def _run_gap_table(params, rng):
 
 
 def _run_spectrum_scan(params, rng):
-    kind = _as_choice(params, "model", TOY_KINDS)
-    eps = _as_float(params, "eps", lo=0.0, hi=0.1)
-    grid = _as_int(params, "grid", lo=10)
-    tag = _as_choice(params, "integrator", ("exp", "pf1", "pf2", "pf2-simplified"))
-    h = _as_float(params, "h", lo=1e-6)
+    kind = _choices(params, "model", TOY_KINDS)
+    eps = _numbers(params, "eps")
+    grid = _numbers(params, "grid", integral=True, lo=10)
+    tag = _choices(params, "integrator", ("exp", "pf1", "pf2", "pf2-simplified"))
+    h = _numbers(params, "h", lo=1e-6)
     model = build_toy(kind, eps)
     _check_grid(grid, model.h0.dim)
     s = np.linspace(0.0, 1.0, grid + 1)
@@ -198,10 +167,10 @@ def _run_spectrum_scan(params, rng):
 
 
 def _run_fidelity_sweep(params, rng):
-    kind = _as_choice(params, "model", TOY_KINDS)
-    eps = _as_float(params, "eps", lo=0.0, hi=0.1)
-    t_list = _as_number_list(params, "t_list", lo=1.0)
-    h_list = _as_number_list(params, "h_list", lo=1e-6)
+    kind = _choices(params, "model", TOY_KINDS)
+    eps = _numbers(params, "eps")
+    t_list = _numbers(params, "t_list", lo=1.0, many=True)
+    h_list = _numbers(params, "h_list", lo=1e-6, many=True)
     for t in t_list:
         for h in h_list:  # T/h may overflow; the clamp keeps round() finite
             if not 1 <= round(min(t / h, 2.0 * SCALING_CAP)) <= SCALING_CAP:
@@ -215,10 +184,8 @@ def _run_fidelity_sweep(params, rng):
 
 
 def _run_volterra(params, rng):
-    sched_kind = _as_choice(params, "schedule", ("glue", "linear"))
-    td_list = _as_number_list(params, "td_list", integral=True, lo=2)
-    if len(set(td_list)) < max(len(td_list), 2):
-        raise ConfigError(f"parameter 'td_list' needs two or more distinct step counts, got {td_list}")
+    sched_kind = _choices(params, "schedule", ("glue", "linear"))
+    td_list = _numbers(params, "td_list", integral=True, many=True)
     sched = glue_schedule() if sched_kind == "glue" else linear_schedule()
     h0, h1 = four_level_pair()
     _check_grid(max(td_list), h0.dim, "td_list")  # each td holds (td + 1, d, d) stacks
@@ -235,19 +202,11 @@ def _run_volterra(params, rng):
 
 
 def _run_grover_scaling(params, rng):
-    sched_kind = _as_choice(params, "schedule", ("power", "bc", "linear"))
-    p = _as_float(params, "p", lo=1.0)
-    if p >= 2.0:
-        raise ConfigError(f"parameter 'p' must be below 2, got {p}")
-    n_list = _as_number_list(params, "n_list", integral=True, lo=2)
-    m_list = _as_number_list(params, "m_list", integral=True, lo=1)
-    target = _as_float(params, "target_error", lo=1e-6)
-    if not target < 1.0:
-        raise ConfigError(f"parameter 'target_error' must be below 1, got {target}")
-    _check_search_size(min(n_list), max(m_list))
-    if sched_kind == "power":
-        _check_power_size(max(n_list), min(m_list), p)
-
+    sched_kind = _choices(params, "schedule", ("power", "bc", "linear"))
+    p = _numbers(params, "p")
+    n_list = _numbers(params, "n_list", integral=True, many=True)
+    m_list = _numbers(params, "m_list", integral=True, many=True)
+    target = _numbers(params, "target_error", lo=1e-6)
     cells = scaling_experiment(n_list, m_list, sched_kind, target, p=p)
     cells.sort(key=lambda c: (c.n, c.m))
     rows = [
@@ -277,31 +236,24 @@ def _run_grover_scaling(params, rng):
 
 
 def _run_qaoa_export(params, rng):
-    n = _as_int(params, "n", lo=2)
-    m = _as_int(params, "m", lo=1)
-    p = _as_float(params, "p", lo=1.0)
-    if p >= 2.0:
-        raise ConfigError(f"parameter 'p' must be below 2, got {p}")
-    t = _as_int(params, "t", lo=1, hi=MATERIALIZE_LIMIT)
-    _check_search_size(n, m)
-    _check_power_size(n, m, p)
-    n_eff = max(2, round(n / m))
-    angles = qaoa_angles(build_grover_schedule(n_eff, p), t)
+    n, m = _numbers(params, "n", integral=True), _numbers(params, "m", integral=True)
+    p = _numbers(params, "p")
+    t = _numbers(params, "t", integral=True, hi=MATERIALIZE_LIMIT)
+    angles = qaoa_angles(search_schedule(GroverInstance(n, m), p), t)
     rows = [(j, float(angles.gammas[j]), float(angles.betas[j])) for j in range(t)]
     return ["j", "gamma", "beta"], rows, None
 
 
 def _step_size_source(params, rng):
-    source = _as_choice(params, "source", ("grover", "toy1", "toy2", "random"))
+    source = _choices(params, "source", ("grover", "toy1", "toy2", "random"))
     if source == "grover":
-        n, m = _as_int(params, "n", lo=2), _as_int(params, "m", lo=1)
-        _check_search_size(n, m)
+        n, m = _numbers(params, "n", integral=True), _numbers(params, "m", integral=True)
         h0, h1 = effective_hamiltonians(GroverInstance(n, m))
         return h0, h1, linear_schedule()
     if source in TOY_KINDS:
-        model = build_toy(source, _as_float(params, "eps", lo=0.0, hi=0.1))
+        model = build_toy(source, _numbers(params, "eps"))
         return model.h0, model.h1, model.schedule
-    dim = _as_int(params, "dim", lo=2, hi=64)
+    dim = _numbers(params, "dim", integral=True, lo=2, hi=64)
     a0 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h0 = HermitianOperator((a0 + a0.conj().T) / 2.0)
@@ -310,8 +262,8 @@ def _step_size_source(params, rng):
 
 
 def _run_step_size_report(params, rng):
-    kinds = _as_str_list(params, "kinds", tuple(INTEGRATORS))
-    grid = _as_int(params, "grid", lo=10)
+    kinds = _choices(params, "kinds", tuple(INTEGRATORS), many=True)
+    grid = _numbers(params, "grid", integral=True, lo=10)
     h0, h1, sched = _step_size_source(params, rng)
     _check_grid(grid, h0.dim)
     orders = tuple(sorted({INTEGRATORS[k].effective_order for k in kinds}))
@@ -501,19 +453,12 @@ def main(argv=None) -> int:
     rng = np.random.Generator(np.random.PCG64(seed))
     try:
         columns, rows, sidecar = runner(params, rng)
-    except ConfigError as exc:
-        print(f"adiawalk: {exc}", file=sys.stderr)
-        return 2
-    except (
-        TrackingAmbiguityError,
-        GapCollapseError,
-        GaplessError,
-        EigensolverError,
-        RuntimeError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"adiawalk: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"adiawalk: {exc}", file=sys.stderr)
+        return 2
 
     from . import __version__
 

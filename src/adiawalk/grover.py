@@ -21,6 +21,7 @@ from .integrators import _step_count
 from .linalg import HermitianOperator, chain_product, steps_last_stack
 from .schedules import (
     Schedule,
+    _check_power,
     bc_composite_schedule,
     build_grover_schedule,
     grover_d_constant,
@@ -36,6 +37,7 @@ __all__ = [
     "ThresholdWarning",
     "GroverInstance",
     "effective_hamiltonians",
+    "search_schedule",
     "gap_closed_forms",
     "walk_closed_form",
     "SearchResult",
@@ -81,6 +83,12 @@ def effective_hamiltonians(inst: GroverInstance):
     h0 = HermitianOperator(np.array([[1.0 - mu, -c], [-c, mu]]))
     h1 = HermitianOperator(np.diag([0.0, 1.0]))
     return h0, h1
+
+
+def search_schedule(inst: GroverInstance, p: float = 1.0) -> Schedule:
+    """The power-p schedule a search for ``inst`` runs: the single-marked
+    one at the effective size round(n / m), at least 2 since n >= 2m."""
+    return build_grover_schedule(round(inst.n / inst.m), p)
 
 
 def gap_closed_forms(inst: GroverInstance, f, h: float = 1.0):
@@ -234,10 +242,9 @@ class ScalingCell:
     unreached: bool = False
 
 
-def _cell_schedule(kind: str, n: int, m: int, p: float) -> Schedule:
+def _cell_schedule(kind: str, inst: GroverInstance, p: float) -> Schedule:
     if kind == "power":
-        n_eff = max(2, round(n / m))
-        return build_grover_schedule(n_eff, p)
+        return search_schedule(inst, p)
     if kind == "bc":
         return bc_composite_schedule()
     if kind == "linear":
@@ -268,41 +275,43 @@ def scaling_experiment(
 
     Found by doubling from t = 4 and then bisecting on the step count;
     a cell whose doubling passes ``SCALING_CAP`` is flagged unreached.
-    Regime warnings from the probing runs are suppressed.
+    Regime warnings from the probing runs are suppressed.  The target,
+    p (1 <= p < 2, for every schedule kind) and every cell's instance and
+    schedule are checked before the first search.
     """
     if not 0.0 < target_error < 1.0:
         raise ValueError(f"target error must be in (0, 1), got {target_error}")
+    _check_power(p)
+    instances = [GroverInstance(int(n), int(m)) for n in n_list for m in m_list]
+    pairs = [(inst, _cell_schedule(schedule_kind, inst, p)) for inst in instances]
     cells = []
-    for n in n_list:
-        for m in m_list:
-            inst = GroverInstance(int(n), int(m))
-            sched = _cell_schedule(schedule_kind, inst.n, inst.m, p)
+    for inst, sched in pairs:
 
-            def err(t: int) -> float:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ThresholdWarning)
-                    return run_search(inst, sched, t).error
+        def err(t: int) -> float:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ThresholdWarning)
+                return run_search(inst, sched, t).error
 
-            t = 4
-            while t <= SCALING_CAP and err(t) > target_error:
-                t *= 2
-            hi = None if t > SCALING_CAP else t  # None: unreached
-            lo = t // 2 if t > 4 else 0  # largest step count known to fail (0: untested)
-            while hi is not None and hi - lo > 1:
-                mid = (lo + hi) // 2
-                if err(mid) <= target_error:
-                    hi = mid
-                else:
-                    lo = mid
-            cells.append(
-                ScalingCell(
-                    n=inst.n,
-                    m=inst.m,
-                    schedule=schedule_kind,
-                    target_error=target_error,
-                    t_required=hi,
-                    normalized_ratio=_normalized_ratio(schedule_kind, inst.n, inst.m, hi),
-                    unreached=hi is None,
-                )
+        t = 4
+        while t <= SCALING_CAP and err(t) > target_error:
+            t *= 2
+        hi = None if t > SCALING_CAP else t  # None: unreached
+        lo = t // 2 if t > 4 else 0  # largest step count known to fail (0: untested)
+        while hi is not None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            if err(mid) <= target_error:
+                hi = mid
+            else:
+                lo = mid
+        cells.append(
+            ScalingCell(
+                n=inst.n,
+                m=inst.m,
+                schedule=schedule_kind,
+                target_error=target_error,
+                t_required=hi,
+                normalized_ratio=_normalized_ratio(schedule_kind, inst.n, inst.m, hi),
+                unreached=hi is None,
             )
+        )
     return cells

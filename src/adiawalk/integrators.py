@@ -312,11 +312,13 @@ def _check_step_size(h: float) -> None:
 
 
 def _step_count(t, name: str) -> int:
-    """``t`` as an int; a float, even an integral one, is a ValueError."""
+    """``t`` as an int; a float, even an integral one, or a bool is a ValueError."""
     try:
-        return operator.index(t)
+        if not isinstance(t, bool):
+            return operator.index(t)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {t!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {t!r}")
 
 
 def walk_operator(

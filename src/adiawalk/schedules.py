@@ -210,13 +210,18 @@ def _power_table(n: int, p: float):
     return lo, hi, origin, s_nodes, d
 
 
+def _check_power(p: float):
+    """The power search schedules take 1 <= p < 2 (NaN fails)."""
+    if not 1.0 <= p < 2.0:
+        raise ValueError(f"power p must lie in [1, 2), got {p}")
+
+
 def grover_d_constant(n: int, p: float = 1.0) -> float:
     """Normalization constant of the power-p search schedule (closed form
     at p = 1, quadrature of int_0^1 Delta(f)^{-p} df otherwise)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not 1.0 <= p < 2.0:
-        raise ValueError(f"power p must lie in [1, 2), got {p}")
+    _check_power(p)
     if p == 1.0:
         return _d_constant_p1(n)
     return _power_table(int(n), float(p))[-1]
@@ -315,8 +320,7 @@ class Schedule:
             p = float(params.get("p", 1.0))
             if n < 2:
                 raise ValueError(f"need N >= 2, got {n}")
-            if not 1.0 <= p < 2.0:
-                raise ValueError(f"power p must lie in [1, 2), got {p}")
+            _check_power(p)
             params = {"N": n, "p": p}
         object.__setattr__(self, "parameters", params)
 

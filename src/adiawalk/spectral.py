@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import _normal_eig_stack, _wrap_phase, arc_distance_angles, operator_norm
 from .integrators import (
+    INTEGRATORS,
     WalkFamily,
     _check_step_size,
     _endpoints,
@@ -228,10 +229,15 @@ def gap_perturbation_bounds(
     """Interval guaranteed to contain the walk's ground angular gap.
 
     Valid for h <= 1/alpha with alpha = ||H0|| + ||H1||; larger h is a
-    usage error.  ``order`` 2 covers the first- and second-order product
-    formulas (their eigenphases coincide); higher even orders use the
+    usage error.  ``order`` is the effective order of an integrator in
+    ``INTEGRATORS`` (1, 2, 4, 6 or 8); any other is a ValueError.  Orders
+    1 and 2 share one interval (the first- and second-order product
+    formulas' eigenphases coincide); higher even orders use the
     nested-commutator width.
     """
+    orders = sorted({kind.effective_order for kind in INTEGRATORS.values()})
+    if order not in orders:
+        raise ValueError(f"order must be one of {orders}, got {order!r}")
     _check_step_size(h)
     h0, h1 = _endpoints(H0, H1)
     alpha = operator_norm(h0) + operator_norm(h1)

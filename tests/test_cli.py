@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from adiawalk import cli
+from adiawalk import cli, grover
 from adiawalk.integrators import INTEGRATORS, PF1, WalkFamily, build_walk_family
 from adiawalk.schedules import glue_schedule, schedule_values
 from adiawalk.spectral import TrackingAmbiguityError, track_eigenpaths
@@ -164,14 +164,26 @@ def test_gap_table_grid_bounds_only_its_schedule_values(tmp_path, monkeypatch, c
         # p > 1 search sizes past the power schedule's table
         ("grover-scaling", {"schedule": "power", "p": 1.5, "n_list": [2 ** 65]}),
         ("qaoa-export", {"n": 2 ** 65, "p": 1.5}),
+        # rules the library owns: p in [1, 2) for every schedule kind, a
+        # target error below 1, integrator tags, n >= 2m in every cell
+        ("grover-scaling", {"p": 2.0}),
+        ("grover-scaling", {"schedule": "bc", "p": 3.0}),
+        ("grover-scaling", {"target_error": 1.0}),
+        ("step-size-report", {"kinds": [["x"]]}),
+        ("grover-scaling", {"n_list": [65536, 4], "m_list": [1, 4]}),
     ],
 )
-def test_out_of_range_parameter_is_usage_error(tmp_path, capsys, experiment, parameters):
+def test_out_of_range_parameter_is_usage_error(tmp_path, monkeypatch, capsys, experiment,
+                                               parameters):
+    searches = []
+    search = grover.run_search
+    monkeypatch.setattr(grover, "run_search", lambda *a: searches.append(a) or search(*a))
     cfg = write_config(tmp_path / "c.json", {"experiment": experiment, "parameters": parameters})
     out = tmp_path / "never.csv"
     assert run_cli(["--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("adiawalk: ")
     assert not out.exists()
+    assert searches == []  # rejected before the first search, not after a valid cell's
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +314,24 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "never.csv"
     assert run_cli(["gap-table", "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (np.linalg.LinAlgError("eigenvalues did not converge"), 3),  # a ValueError subclass
+    (ValueError("need n >= 2m, got n = 4, m = 4"), 2),  # the library's bad-input contract
+], ids=["LinAlgError", "ValueError"])
+def test_runner_error_class_sets_the_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    def failing_runner(params, rng):
+        raise error
+
+    runner, defaults, desc = cli.EXPERIMENTS["gap-table"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "gap-table", (failing_runner, defaults, desc))
+    out = tmp_path / "never.csv"
+    assert run_cli(["gap-table", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("adiawalk: ") and str(error) in err
+    assert ("numerical failure" in err) == (code == 3)
     assert not out.exists()
 
 

@@ -476,7 +476,7 @@ def test_scaling_report_rejects_repeated_step_counts():
 def test_scaling_report_step_counts_must_be_integers():
     # a float td used to be truncated: (100.7, 200) ran and reported td = 100
     h0, h1 = four_level_pair()
-    for tds in ((100.7, 200), (100.0, 200)):
+    for tds in ((100.7, 200), (100.0, 200), (True, 200)):
         with pytest.raises(ValueError, match="integer"):
             boundary_vs_interior_scaling(h0, h1, tds, glue_schedule())
     rep = boundary_vs_interior_scaling(h0, h1, (np.int64(20), 40), glue_schedule())

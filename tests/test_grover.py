@@ -20,6 +20,7 @@ from adiawalk.grover import (
     qaoa_replay,
     run_search,
     scaling_experiment,
+    search_schedule,
     walk_closed_form,
 )
 from adiawalk.integrators import PF1, walk_operator
@@ -126,7 +127,7 @@ def test_run_search_step_count_must_be_an_integer():
     inst, sched = GroverInstance(64), build_grover_schedule(64, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t in (10.0, 10.5):
+        for t in (10.0, 10.5, True):
             with pytest.raises(ValueError, match="integer"):
                 run_search(inst, sched, t)
     ref = run_search(inst, sched, 300)
@@ -178,6 +179,11 @@ def test_steeper_power_reaches_high_success(log2n, expected):
     assert res.success == pytest.approx(expected, abs=5e-4)
 
 
+def test_search_schedule_runs_the_effective_size():
+    assert search_schedule(GroverInstance(4096, 4), 1.5) == build_grover_schedule(1024, 1.5)
+    assert search_schedule(GroverInstance(5, 2)) == build_grover_schedule(2)  # round(2.5) = 2
+
+
 def test_longer_runs_do_not_overshoot():
     # once the target is reached, doubling the step count keeps it reached
     cell = scaling_experiment([1024], [1], "power", 0.1)[0]
@@ -205,7 +211,7 @@ def test_qaoa_angles_values():
 def test_qaoa_angles_step_count_must_be_an_integer():
     # t = 10.5 used to give 11 angle pairs read at j / 10.5
     sched = build_grover_schedule(64, 1.0)
-    for t in (10.5, 10.0):
+    for t in (10.5, 10.0, True):
         with pytest.raises(ValueError, match="integer"):
             qaoa_angles(sched, t)
     angles = qaoa_angles(sched, np.int64(10))
@@ -271,6 +277,8 @@ def test_scaling_target_validation():
         scaling_experiment([64], [1], "power", 1.0)
     with pytest.raises(ValueError, match="schedule kind"):
         scaling_experiment([64], [1], "cosine", 0.1)
+    with pytest.raises(ValueError, match="power p"):  # checked for every schedule kind
+        scaling_experiment([64], [1], "bc", 0.1, p=3.0)
 
 
 def test_scaling_more_marked_items_is_easier():

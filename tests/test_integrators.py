@@ -643,7 +643,7 @@ def test_family_td_must_be_an_integer():
     # a float td used to build and serve blocks, then stop evolve and the
     # tracker with a TypeError from range()
     h0, h1 = random_pair(65)
-    for td in (100.0, 2.5):
+    for td in (100.0, 2.5, True):
         with pytest.raises(ValueError, match="integer"):
             build_walk_family(h0, h1, LINEAR, PF1, 0.5, td)
     fam = build_walk_family(h0, h1, LINEAR, PF1, 0.5, np.int64(4))

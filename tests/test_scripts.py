@@ -173,6 +173,7 @@ def test_code_lines_skip_comments_docstrings_and_blank_lines(tmp_path):
     write(package / "a.py", CODE_FIXTURE)
     write(package / "b.py", '"""Only a docstring."""\n')
     assert compare_outputs.src_code_lines(tmp_path) == 8
+    assert compare_outputs.module_code_lines(tmp_path) == {"pkg/a.py": 8, "pkg/b.py": 0}
     assert compare_outputs.src_lines(tmp_path) == CODE_FIXTURE.count("\n") + 1
 
 

@@ -11,6 +11,7 @@ import pytest
 from adiawalk.grover import GroverInstance, effective_hamiltonians, gap_closed_forms
 from adiawalk.integrators import (
     EXP_INTEGRATOR,
+    INTEGRATORS,
     PF1,
     PF2,
     PF2_SIMPLIFIED,
@@ -470,6 +471,17 @@ def test_gap_window_rejects_a_step_size_that_is_not_positive(h):
     h0, h1 = four_level_pair()
     with pytest.raises(ValueError, match="positive"):
         gap_perturbation_bounds(h0, h1, LINEAR, 0.3, h)
+
+
+@pytest.mark.parametrize("order", [4.5, 3, 5, 0, -3, math.nan])
+def test_gap_window_rejects_an_order_no_integrator_has(order):
+    # 4.5 used to return the order-4 commutator sum times h^5.5, 3 and 5
+    # intervals, and 0 or -3 the order-2 interval
+    h0, h1 = four_level_pair()
+    with pytest.raises(ValueError, match="order"):
+        gap_perturbation_bounds(h0, h1, LINEAR, 0.3, 0.1, order=order)
+    for kind in INTEGRATORS.values():  # every integrator's effective order stays accepted
+        gap_perturbation_bounds(h0, h1, LINEAR, 0.3, 0.1, order=kind.effective_order)
 
 
 # ---------------------------------------------------------------------------
