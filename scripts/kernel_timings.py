@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the factor-list kernel: product-formula chains and walk stacks.
+"""Time the factor-list kernel and the search-schedule inversion.
 
     PYTHONPATH=src python3 scripts/kernel_timings.py [--tiny]
 
@@ -12,10 +12,15 @@ k = 1 the chain is that block product).  A chain multiplies the n mod k
 steps left over as a block; pf1 at n = 10,000 (k = 15) leaves 10, so its
 row shows what they cost.  The
 second gives ``integrators._walk_stack`` per call at n = 1, 8 and 256
-walks for pf1 and pf2, over about ``STACK_CALLS`` / n calls.  BLAS runs
-on one thread; every time is the best of ``REPEATS`` runs, in ms for the
-chains and in us for the stacks.  ``--tiny`` runs a few short cases
-once each, as a smoke test.
+walks for pf1 and pf2, over about ``STACK_CALLS`` / n calls.  The third
+gives ``schedule_values`` of the p = 1.5 search schedule at the
+``SCHEDULE_POINTS`` = 6,101 points s = j / 6101 (a search at N = 2^18
+needs 6,101 steps to reach error 0.1), for N = 2^8, 2^18 and 2^40: the
+time per point, and the segment integrals (``schedules._power_partial``)
+its Newton inversion evaluates per point.  Each table is built before it
+is timed.  BLAS runs on one thread; every time is the best of
+``REPEATS`` runs, in ms for the chains and in us for the stacks and the
+schedule.  ``--tiny`` runs a few short cases once each, as a smoke test.
 """
 
 import argparse
@@ -28,9 +33,9 @@ if __name__ == "__main__":  # before numpy loads its BLAS
 
 import numpy as np  # noqa: E402
 
-from adiawalk import integrators  # noqa: E402
+from adiawalk import integrators, schedules  # noqa: E402
 from adiawalk.linalg import chain_product  # noqa: E402
-from adiawalk.schedules import linear_schedule  # noqa: E402
+from adiawalk.schedules import build_grover_schedule, linear_schedule, schedule_values  # noqa: E402
 from adiawalk.toymodels import four_level_pair  # noqa: E402
 
 H = 0.7
@@ -40,8 +45,13 @@ CHAINS = (("spf8", 17), ("spf8", 3000), ("spf4", 3000), ("spf4", 65536),
           ("pf1", 300), ("pf1", 3000), ("pf1", 10000), ("pf1", 65536))
 FIXED_GROUPS = (1, 4, 16)
 STACKS = (("pf1", (1, 8, 256)), ("pf2", (1, 8, 256)))
+SCHEDULE_P = 1.5
+SCHEDULE_POINTS = 6101
+SCHEDULE_CALLS = 20
+SCHEDULE_LOG2N = (8, 18, 40)
 TINY_CHAINS = (("spf4", 17), ("pf1", 300))
 TINY_STACKS = (("pf1", (1, 8)),)
+TINY_SCHEDULE_LOG2N = (8,)
 
 
 def best(fn, repeats: int, number: int = 1) -> float:
@@ -85,12 +95,39 @@ def stack_rows(cases, repeats: int = REPEATS, calls: int = STACK_CALLS) -> list:
     return rows
 
 
+def evaluations_per_point(sched, s) -> float:
+    """Segment integrals that ``schedule_values(sched, s)`` evaluates, per point."""
+    partial, evaluated = schedules._power_partial, []
+
+    def counting(u_lo, *args):
+        evaluated.append(np.size(u_lo))
+        return partial(u_lo, *args)
+
+    schedules._power_partial = counting
+    try:
+        schedule_values(sched, s)
+    finally:
+        schedules._power_partial = partial
+    return sum(evaluated) / s.size
+
+
+def schedule_rows(log2ns, repeats: int = REPEATS, calls: int = SCHEDULE_CALLS) -> list:
+    s = np.arange(SCHEDULE_POINTS) / SCHEDULE_POINTS
+    rows = []
+    for log2n in log2ns:
+        sched = build_grover_schedule(2 ** log2n, SCHEDULE_P)  # builds the table
+        per_call = best(lambda: schedule_values(sched, s), repeats, calls)
+        rows.append((log2n, per_call / s.size, evaluations_per_point(sched, s)))
+    return rows
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="a few short cases only")
     args = parser.parse_args(argv)
-    chains, stacks = (TINY_CHAINS, TINY_STACKS) if args.tiny else (CHAINS, STACKS)
-    repeats, calls = (1, 10) if args.tiny else (REPEATS, STACK_CALLS)
+    chains, stacks, log2ns = ((TINY_CHAINS, TINY_STACKS, TINY_SCHEDULE_LOG2N) if args.tiny
+                              else (CHAINS, STACKS, SCHEDULE_LOG2N))
+    repeats, calls, sched_calls = (1, 10, 1) if args.tiny else (REPEATS, STACK_CALLS, SCHEDULE_CALLS)
     fixed = "".join(f"  k={k:<6}" for k in FIXED_GROUPS)
     print(f"chains, ms (h = {H}, best of {repeats})")
     print(f"{'tag':<6}{'n':>7}{'k':>4}  block+chain   chain   ratio{fixed}")
@@ -100,6 +137,10 @@ def main(argv=None) -> None:
     print(f"\n_walk_stack, us per call (best of {repeats})")
     for tag, n, t in stack_rows(stacks, repeats, calls):
         print(f"{tag:<6}{n:>7}{1e6 * t:10.1f}")
+    print(f"\nschedule inversion, p = {SCHEDULE_P}, {SCHEDULE_POINTS} points (best of {repeats})")
+    print(f"{'log2N':<6}{'us/point':>10}{'evals/point':>13}")
+    for log2n, t, evals in schedule_rows(log2ns, repeats, sched_calls):
+        print(f"{log2n:<6}{1e6 * t:10.3f}{evals:13.3f}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ import numpy as np
 # chain_product is not called here; it stays bound because perfbench/selftest.py
 # checks that its tracer wraps evolution.chain_product
 from .linalg import chain_product, operator_norm, unitarity_deviation  # noqa: F401
-from .integrators import EXP_INTEGRATOR, WalkFamily, _operator, _step_count, build_walk_family
+from .integrators import EXP_INTEGRATOR, WalkFamily, _operator, build_walk_family
+from .schedules import _integer
 from .spectral import EigenpathTrack, track_eigenpaths
 
 STATE_NORM_TOL = 1e-9
@@ -317,7 +318,7 @@ def boundary_vs_interior_scaling(H0, H1, td_list, schedule) -> ScalingReport:
     down superpolynomially while the interior metric keeps a roughly 1/td
     decay; a linear schedule keeps the boundary at 1/td as a control.
     """
-    tds = tuple(_step_count(t, "td") for t in td_list)
+    tds = tuple(_integer(t, "td") for t in td_list)
     if len(set(tds)) < max(len(tds), 2) or any(t < 2 for t in tds):
         raise ValueError("need at least two step counts, distinct and each at least 2")
     interior = np.empty(len(tds))

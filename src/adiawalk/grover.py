@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EVOLVE_BLOCK, STATE_NORM_TOL
-from .integrators import _step_count
 from .linalg import HermitianOperator, chain_product, steps_last_stack
 from .schedules import (
     Schedule,
     _check_power,
+    _integer,
     bc_composite_schedule,
     build_grover_schedule,
     grover_d_constant,
@@ -56,12 +56,15 @@ class ThresholdWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GroverInstance:
-    """Search with m marked items among n; kept exactly with integers."""
+    """Search with m marked items among n; kept exactly with integers (a
+    float, even an integral one, or a bool is a ValueError)."""
 
     n: int
     m: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.m < 1:
             raise ValueError("need at least one marked item")
         if self.n < 2 * self.m:
@@ -183,7 +186,7 @@ def _maybe_warn_threshold(sched: Schedule, t: int):
 
 def run_search(inst: GroverInstance, sched: Schedule, t: int) -> SearchResult:
     """Drive the first-order walk at h = 1 for t steps, f read at j/t."""
-    if (t := _step_count(t, "t")) < 1:
+    if (t := _integer(t, "t")) < 1:
         raise ValueError(f"need at least one step, got {t}")
     _maybe_warn_threshold(sched, t)
     fs = (
@@ -211,7 +214,7 @@ class QaoaAngleSet:
 
 def qaoa_angles(sched: Schedule, t: int) -> QaoaAngleSet:
     """Angles gamma_j = f(j/t), beta_j = 1 - gamma_j for j = 0..t-1."""
-    if (t := _step_count(t, "t")) < 1:
+    if (t := _integer(t, "t")) < 1:
         raise ValueError(f"need at least one step, got {t}")
     gammas = schedule_values(sched, np.arange(t) / t)
     return QaoaAngleSet(gammas=gammas, betas=1.0 - gammas)
@@ -282,7 +285,7 @@ def scaling_experiment(
     if not 0.0 < target_error < 1.0:
         raise ValueError(f"target error must be in (0, 1), got {target_error}")
     _check_power(p)
-    instances = [GroverInstance(int(n), int(m)) for n in n_list for m in m_list]
+    instances = [GroverInstance(n, m) for n in n_list for m in m_list]
     pairs = [(inst, _cell_schedule(schedule_kind, inst, p)) for inst in instances]
     cells = []
     for inst, sched in pairs:

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +98,7 @@ from .linalg import (
     steps_last_stack,
     unitarity_deviation,
 )
-from .schedules import Schedule, schedule_values
+from .schedules import Schedule, _integer, schedule_values
 
 COEFFICIENT_SUM_TOL = 1e-12
 GAPLESS_TOL = 1e-12  # a measured minimal gap at or below this is roundoff: no gap
@@ -311,16 +310,6 @@ def _check_step_size(h: float) -> None:
         raise ValueError(f"step size must be positive, got {h}")
 
 
-def _step_count(t, name: str) -> int:
-    """``t`` as an int; a float, even an integral one, or a bool is a ValueError."""
-    try:
-        if not isinstance(t, bool):
-            return operator.index(t)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {t!r}")
-
-
 def walk_operator(
     H0,
     H1,
@@ -438,7 +427,7 @@ def build_walk_family(
     """Family of walk operators on the inclusive grid s = j/td, j = 0..td;
     nothing is built until ``block``, ``chain`` or ``walks`` asks.  ``td``
     is an integer (a float is a ValueError, even when integral)."""
-    if (td := _step_count(td, "td")) < 1:
+    if (td := _integer(td, "td")) < 1:
         raise ValueError(f"need td >= 1, got {td}")
     _check_step_size(h)
     h0, h1 = _endpoints(H0, H1)

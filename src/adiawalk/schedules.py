@@ -12,8 +12,9 @@ Implemented kinds:
   f'(s) = d_{N,p} * Delta(f)^p for the two-level search gap
   Delta(f) = sqrt((1-2f)^2 (1-mu) + mu) with mu = 1/N.  p = 1 has a
   closed form; 1 < p < 2 is tabulated by quadrature of the inverse map
-  s(f) and inverted by safeguarded Newton steps from a cubic Hermite
-  guess, for N up to 2^64.
+  s(f) (a 10-point Gauss-Legendre rule per segment, nodes on the first
+  axis) and inverted by safeguarded Newton steps from a tabulated quintic
+  Hermite guess, for N up to 2^64.
 
 All schedules satisfy f(0) = 0 and f(1) = 1 to 1e-10 and are monotone
 nondecreasing.
@@ -22,6 +23,7 @@ nondecreasing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,6 +55,18 @@ __all__ = [
     "grover_d_constant",
     "grover_gap_of_f",
 ]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int (a NumPy integer passes); a float, even an
+    integral one, or a bool is a ValueError.  The rule for every size and
+    step count: N, n and m, t and td."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +143,29 @@ def _shifted_gap(u, mu: float, origin):
 
 def _power_partial(u_lo, u_hi, mu: float, p: float, origin):
     """Gauss-Legendre integral of Delta^{-p} over f in origin + [u_lo, u_hi],
-    vectorized over segments (origin broadcasts against u_lo).  The
-    arithmetic runs in place: a search block evaluates 65,536 segments."""
+    vectorized over segments (origin broadcasts against u_lo).  The nodes
+    run along the first axis, a (POWER_GL_POINTS, n) layout, so every
+    in-place operation and the sum over nodes loop over the n segments
+    rather than over the ten nodes: a search block evaluates 65,536
+    segments."""
     nodes, wts = _gauss_rule(POWER_GL_POINTS)
     halfs = (u_hi - u_lo) / 2
-    pts = halfs[..., None] * nodes
-    pts += ((u_lo + u_hi) / 2)[..., None]
-    vals = _shifted_gap(pts, mu, np.asarray(origin)[..., None])
+    pts = nodes[:, None] * halfs
+    pts += (u_lo + u_hi) / 2
+    vals = _shifted_gap(pts, mu, origin)
     del pts
     vals **= -p
-    vals *= halfs[..., None] * wts
-    return vals.sum(axis=-1)
+    vals *= wts[:, None] * halfs
+    # numpy's pairwise order for a contiguous sum of ten: the first eight
+    # as a binary tree, then the rest in turn, so the table keeps its bits
+    head = vals[:8]
+    while len(head) > 1:
+        head[0::2] += head[1::2]
+        head = head[0::2]
+    total = head[0]
+    for row in vals[8:]:
+        total += row
+    return total
 
 
 def _power_core_offsets(n: int):
@@ -167,7 +193,8 @@ def _power_core_offsets(n: int):
 
 @lru_cache(maxsize=64)
 def _power_table(n: int, p: float):
-    """Table segments, normalized s nodes and the normalizer d for 1 < p < 2.
+    """Table segments, normalized s nodes, the quintic guess and the
+    normalizer d for 1 < p < 2.
 
     The f grid has POWER_SEGMENTS uniform segments, refined 4x inside the
     window |f - 1/2| < 2/sqrt(n) where the gap minimum lives; for n > 2^24
@@ -177,6 +204,12 @@ def _power_table(n: int, p: float):
     offsets from 1/2 because f cannot resolve them.  s(f) is the
     cumulative Gauss-Legendre integral of Delta^{-p}, normalized by its
     total, which is exactly d_{n,p}.
+
+    Row k - 1 of the (5, segments) array ``guess`` holds b_k of the
+    quintic Hermite interpolant u = lo + sum_k b_k (s - s_lo)^k of each
+    segment, which matches at both nodes the value, the slope
+    du/ds = d Delta^p and the curvature
+    d2u/ds2 = -2p d^2 (1 - 2f)(1 - mu) Delta^(2p - 2), all in closed form.
     """
     if n > POWER_MAX_N:
         raise ValueError(
@@ -207,7 +240,21 @@ def _power_table(n: int, p: float):
     d = float(cum[-1])
     s_nodes = cum / d
     s_nodes[-1] = 1.0
-    return lo, hi, origin, s_nodes, d
+
+    # the quintic in t = (s - s_lo) / width, then rescaled to powers of s - s_lo
+    width = np.diff(s_nodes)
+    ends = np.stack([lo, hi])
+    gap = _shifted_gap(ends, mu, origin)
+    slope = width * d * gap ** p
+    curv = 2.0 * p * (1.0 - mu) * (width * d) ** 2 * (2.0 * ends - (1.0 - 2.0 * origin)) \
+        * gap ** (2.0 * p - 2.0)
+    r0 = hi - lo - slope[0] - curv[0] / 2
+    r1 = slope[1] - slope[0] - curv[0]
+    r2 = curv[1] - curv[0]
+    a = np.stack([slope[0], curv[0] / 2, 10.0 * r0 - 4.0 * r1 + r2 / 2,
+                  -15.0 * r0 + 7.0 * r1 - r2, 6.0 * r0 - 3.0 * r1 + r2 / 2])
+    guess = a / width ** np.arange(1, 6)[:, None]
+    return lo, hi, origin, s_nodes, guess, d
 
 
 def _check_power(p: float):
@@ -219,12 +266,12 @@ def _check_power(p: float):
 def grover_d_constant(n: int, p: float = 1.0) -> float:
     """Normalization constant of the power-p search schedule (closed form
     at p = 1, quadrature of int_0^1 Delta(f)^{-p} df otherwise)."""
-    if n < 2:
+    if (n := _integer(n, "n")) < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_power(p)
     if p == 1.0:
         return _d_constant_p1(n)
-    return _power_table(int(n), float(p))[-1]
+    return _power_table(n, float(p))[-1]
 
 
 def _power_values_p1(s: np.ndarray, mu: float):
@@ -235,41 +282,37 @@ def _power_values_p1(s: np.ndarray, mu: float):
     return np.clip(0.5 + amp * np.sinh(arg), 0.0, 1.0)
 
 
-def _hermite_guess(s, s0, s1, u0, u1, d, mu: float, p: float, origin):
-    """Cubic Hermite interpolant of u(s) on [s0, s1] from the end values and
-    the closed-form slopes du/ds = d Delta^p, clipped into [u0, u1]."""
-    width = s1 - s0
-    t = (s - s0) / width
-    m0 = width * d * _shifted_gap(u0, mu, origin) ** p
-    m1 = width * d * _shifted_gap(u1, mu, origin) ** p
-    t2 = t * t
-    u = ((2.0 * t - 3.0) * t2 + 1.0) * u0 + ((t - 2.0) * t + 1.0) * t * m0 \
-        + (3.0 - 2.0 * t) * t2 * u1 + (t - 1.0) * t2 * m1
-    return np.clip(u, u0, u1)
-
-
 def _power_values_tabulated(s: np.ndarray, n: int, p: float):
     """Invert s(f) on the table by Newton steps on f' = d Delta(f)^p.
 
-    Each point starts from the cubic Hermite interpolant of its table
-    segment (node values and the closed-form node slopes) and solves
-    _power_partial(lo, u) = (s - s_lo) d from the segment's left edge,
-    the equation the table was built from.  A bracket shrinks with the
-    sign of every residual, and a step that leaves it is replaced by the
-    bracket midpoint.  A point stops once its update is within
-    POWER_NEWTON_ULPS ulp of f; one still moving after POWER_NEWTON_CAP
-    iterations raises RuntimeError.
+    Each point starts from its table segment's quintic Hermite guess (a
+    gather of ``_power_table``'s coefficients and a Horner evaluation in
+    s - s_lo) and solves _power_partial(lo, u) = (s - s_lo) d from the
+    segment's left edge, the equation the table was built from.  A bracket
+    shrinks with the sign of every residual, and a step that leaves it is
+    replaced by the bracket midpoint.  A point stops once its update is
+    within POWER_NEWTON_ULPS ulp of f, which the guess's first update
+    mostly already is; one still moving after POWER_NEWTON_CAP iterations
+    raises RuntimeError.
     """
-    seg_lo, seg_hi, seg_origin, s_nodes, d = _power_table(n, p)
+    seg_lo, seg_hi, seg_origin, s_nodes, guess, d = _power_table(n, p)
     mu = 1.0 / n
     idx = np.clip(np.searchsorted(s_nodes, s, side="right") - 1, 0, len(s_nodes) - 2)
     base = seg_lo[idx]
     lo = base.copy()
     hi = seg_hi[idx]
     origin = seg_origin[idx]
-    target = (s - s_nodes[idx]) * d
+    ds = s - s_nodes[idx]
+    target = ds * d
 
-    u = _hermite_guess(s, s_nodes[idx], s_nodes[idx + 1], lo, hi, d, mu, p, origin)
+    b = np.take(guess, idx, axis=1)
+    u = b[4] * ds
+    for bk in b[3::-1]:
+        u += bk
+        u *= ds
+    u += base
+    np.clip(u, lo, hi, out=u)
+    del b
     todo = np.arange(len(s))
     for _ in range(POWER_NEWTON_CAP):
         ua, la, ha = u[todo], lo[todo], hi[todo]
@@ -316,7 +359,7 @@ class Schedule:
             extra = set(params) - {"N", "p"}
             if extra:
                 raise ValueError(f"unexpected grover-power parameters: {sorted(extra)}")
-            n = int(params.get("N", 0))
+            n = _integer(params.get("N", 0), "N")
             p = float(params.get("p", 1.0))
             if n < 2:
                 raise ValueError(f"need N >= 2, got {n}")
@@ -344,7 +387,7 @@ def bc_composite_schedule() -> Schedule:
 def build_grover_schedule(n: int, p: float = 1.0) -> Schedule:
     """Gap-adapted search schedule for an unstructured-search instance of
     size n (single marked state), with power p in [1, 2)."""
-    return Schedule("grover-power", {"N": int(n), "p": float(p)})
+    return Schedule("grover-power", {"N": n, "p": float(p)})
 
 
 def _eval_array(sched: Schedule, s: np.ndarray):

@@ -66,6 +66,15 @@ def test_instance_validation():
     assert GroverInstance(64, 4).mu == pytest.approx(1.0 / 16.0)
 
 
+def test_instance_sizes_must_be_integers():
+    # a float n used to build with mu = 1/64.5
+    for n, m in ((64.5, 1), (64.0, 1), (64, 1.0), (True, 1), (64, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GroverInstance(n, m)
+    inst = GroverInstance(np.int64(64), np.int32(2))
+    assert (type(inst.n), type(inst.m), inst.mu) == (int, int, 1.0 / 32.0)
+
+
 @pytest.mark.parametrize("n,m", [(64, 1), (1024, 16)])
 def test_effective_hamiltonian_entries(n, m):
     inst = GroverInstance(n, m)
@@ -279,6 +288,15 @@ def test_scaling_target_validation():
         scaling_experiment([64], [1], "cosine", 0.1)
     with pytest.raises(ValueError, match="power p"):  # checked for every schedule kind
         scaling_experiment([64], [1], "bc", 0.1, p=3.0)
+
+
+def test_scaling_sizes_must_be_integers():
+    # int(n) used to run and report the N = 256 cell
+    with pytest.raises(ValueError, match="n must be an integer"):
+        scaling_experiment([256.9], [1], "power", 0.1)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        scaling_experiment([256], [1.0], "power", 0.1)
+    assert scaling_experiment(np.array([64]), [1], "power", 0.1)[0].n == 64
 
 
 def test_scaling_more_marked_items_is_easier():

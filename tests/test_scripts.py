@@ -190,4 +190,8 @@ def test_kernel_timings_prints_both_tables():
     assert [line.split()[:3] for line in lines[2:4]] == [["spf4", "17", "1"], ["pf1", "300", "2"]]
     assert all(len(line.split()) == 9 for line in lines[2:4])
     assert lines[5] == "_walk_stack, us per call (best of 1)"
-    assert [line.split()[:2] for line in lines[6:]] == [["pf1", "1"], ["pf1", "8"]]
+    assert [line.split()[:2] for line in lines[6:8]] == [["pf1", "1"], ["pf1", "8"]]
+    assert lines[9] == "schedule inversion, p = 1.5, 6101 points (best of 1)"
+    assert lines[10].split() == ["log2N", "us/point", "evals/point"]
+    (row,) = (line.split() for line in lines[11:])
+    assert row[0] == "8" and float(row[1]) > 0 and 1.0 <= float(row[2]) <= 1.7
