@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -129,17 +128,8 @@ def _run_gap_table(params, rng):
     eps_list = _numbers(params, "eps_list", many=True)
     grid = _numbers(params, "grid", integral=True, lo=10)
     _check_grid(grid, 1)  # gap_table holds grid + 1 schedule values; it chunks the rest
-    for eps in eps_list:  # the library's eps rule, before any worker starts a table
-        build_toy(kind, eps)
-
-    def one(eps):
-        row = gap_table(kind, [eps], grid=grid)[0]
-        return (row.eps, row.gap_h, row.gap_w, row.flag)
-
-    # one eps per worker, one worker per core: numpy releases the GIL in the eigensolves
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        rows = list(pool.map(one, eps_list))
-    rows.sort(key=lambda r: r[0])
+    rows = [(row.eps, row.gap_h, row.gap_w, row.flag)
+            for row in gap_table(kind, sorted(eps_list), grid=grid)]
     return ["eps", "gap_h", "gap_w", "flag"], rows, None
 
 

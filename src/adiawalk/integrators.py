@@ -55,8 +55,9 @@ Gram check per step: the modulus of every phase within delta =
 ``WALK_UNITARITY_TOL`` / (2m) of 1 (the loop checks them at k > 1); the
 link C, once per ``chain`` call; and the Gram check of every P_i, all at
 ``WALK_UNITARITY_TOL``.  The steps left over are walks of a ``block``,
-so each is Gram-checked, as ``walk_operator``'s are (the gap table's and
-the reference propagator's walks go unchecked).  The bound behind the
+so each is Gram-checked, as ``walk_operator``'s and the gap table's are
+(by ``spectral.lowest_phase_gap``); the reference propagator's go
+unchecked.  The bound behind the
 three: X = A B has X^dag X - I = B^dag (A^dag A - I) B + (B^dag B - I),
 so to first order the 2-norm deviations from unitary of a product's
 factors add.  A diagonal of phases within delta of the unit circle
@@ -92,6 +93,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    WALK_UNITARITY_TOL,
     HermitianOperator,
     chain_product,
     operator_norm,
@@ -102,7 +104,6 @@ from .schedules import Schedule, _integer, schedule_values
 
 COEFFICIENT_SUM_TOL = 1e-12
 GAPLESS_TOL = 1e-12  # a measured minimal gap at or below this is roundoff: no gap
-WALK_UNITARITY_TOL = 1e-10
 ORACLE_TOL = 1e-12  # accepted difference of consecutive Romberg diagonal entries
 ORACLE_MAX_SUBSTEPS = 2 ** 14  # one Romberg row holds this many substeps
 ORACLE_ROUNDOFF = 1e-10  # accepted oracle difference once roundoff dominates
@@ -265,10 +266,13 @@ def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: i
     """
     d, a, b = h0.dim, kind.factors[0][0], kind.factors[-1][0]
     ends, links = _links(h0, h1)
-    start = np.ascontiguousarray(ends[b][1].conj().T)[:, :, None]  # C order: reshapes are views
-    acc, basis = start, b  # the product, broadcast over the groups until the first scaling
-    x = np.empty((d, len(f) // k))  # phase arguments
+    start = np.ascontiguousarray(ends[b][1].conj().T)[:, :, None]  # V_b^dag
+    n = len(f) // k
+    # the product lives in one of two (d, d n/k) buffers; each GEMM writes the other
+    acc, spare = np.empty((d, d * n), dtype=complex), np.empty((d, d * n), dtype=complex)
+    x = np.empty((d, n))  # phase arguments
     mods, dev = np.empty(x.shape) if k > 1 else None, 0.0
+    basis, first = b, True  # the first factor scales ``start``, broadcast over the groups
     for t in range(k):  # one step of every group
         g1 = np.ascontiguousarray(f[t::k])
         g = (1.0 - g1, g1)
@@ -280,13 +284,16 @@ def _factor_products(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray, k: i
                 np.abs(ph, out=mods)
                 dev = np.maximum(dev, np.maximum(mods.max() - 1.0, 1.0 - mods.min()))
             if op != basis:
-                acc, basis = (links[op] @ acc.reshape(d, -1)).reshape(acc.shape), op
-            if acc is start:
-                acc = start * ph[:, None, :]
+                np.matmul(links[op], acc, out=spare)
+                acc, spare, basis = spare, acc, op
+            scaled = acc.reshape(d, d, n)
+            if first:
+                np.multiply(start, ph[:, None, :], out=scaled)
+                first = False
             else:
-                acc *= ph[:, None, :]
-    acc = (ends[a][1] @ acc.reshape(d, -1)).reshape(acc.shape)
-    return steps_last_stack(acc), None if mods is None else float(dev)
+                scaled *= ph[:, None, :]
+    np.matmul(ends[a][1], acc, out=spare)
+    return steps_last_stack(spare.reshape(d, d, n)), None if mods is None else float(dev)
 
 
 def _walk_stack(h0, h1, kind: IntegratorKind, h: float, f: np.ndarray):

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import _normal_eig_stack, _wrap_phase, arc_distance_angles, operator_norm
+from .linalg import (
+    WALK_UNITARITY_TOL,
+    _cayley_eig,
+    _normal_eig_stack,
+    _wrap_phase,
+    arc_distance_angles,
+    operator_norm,
+    unitarity_deviation,
+)
 from .integrators import (
     INTEGRATORS,
     WalkFamily,
@@ -193,10 +201,19 @@ def walk_gap_profile(track: EigenpathTrack, ks=(0, 1, 2)) -> dict:
 
 
 def lowest_phase_gap(walks) -> np.ndarray:
-    """Arc distance from the lowest eigenphase of each walk in a stack (or
-    of one walk) to the nearest of its other eigenphases, untracked."""
-    theta = np.sort(-np.angle(np.linalg.eigvals(walks)), axis=-1)
-    return arc_distance_angles(theta[..., :1], theta[..., 1:]).min(axis=-1)
+    """Arc distance from the lowest eigenphase in [-pi, pi) of each walk in
+    a stack (or of one walk) to the nearest of its other eigenphases,
+    untracked.  The phases are the eigenvalues of a shifted Cayley
+    transform (``linalg._cayley_eig``), which holds for unitaries only: a
+    walk off unitary by more than ``WALK_UNITARITY_TOL`` is a ValueError."""
+    ws = np.asarray(walks)
+    dev = float(np.max(unitarity_deviation(ws), initial=0.0))
+    if not dev <= WALK_UNITARITY_TOL:  # NaN fails
+        raise ValueError(f"walks not unitary: max |W^dag W - I| = {dev:.3e}")
+    d = ws.shape[-1]
+    theta = np.sort(_cayley_eig(ws.reshape(-1, d, d), False)[0], axis=-1)
+    gap = arc_distance_angles(theta[:, :1], theta[:, 1:]).min(axis=-1)
+    return gap.reshape(ws.shape[:-2])
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,10 @@ def gap_table(kind: str, eps_list=None, grid: int = 10000) -> list:
     schedule, one row per eps, on grid + 1 evenly spaced points.
 
     The walk is the first-order splitting at h = 1, built by the walk
-    kernel from the same schedule values as the bands, without the Gram
-    check of ``walk_operator`` (a toy1 table has about 110 chunks).  Its
-    gap is the untracked arc from the lowest eigenphase to the nearest
-    other one.
-    Both are taken ``TRACK_BLOCK`` points at a time, which bounds the
-    memory a worker thread of the CLI holds on to after it is done and
-    keeps it the same from one run to the next.
+    kernel from the same schedule values as the bands.  Its gap is the
+    untracked arc from the lowest eigenphase to the nearest other one
+    (``lowest_phase_gap``, which checks the walks' unitarity).  Both are taken ``TRACK_BLOCK``
+    points at a time, which bounds the memory a table holds.
     """
     if eps_list is None:
         eps_list = DEFAULT_EPSILONS

@@ -14,7 +14,9 @@ from adiawalk.integrators import hamiltonian_bands
 from adiawalk.linalg import (
     EigensolverError,
     HermitianOperator,
+    _cayley_eig,
     _normal_eig_stack,
+    _wrap_phase,
     arc_distance_angles,
     chain_product,
     normal_eig,
@@ -128,7 +130,8 @@ def test_normal_eig_separates_conjugate_phase_pairs():
 
 def test_normal_eig_orthonormalizes_a_repeated_eigenvalue():
     # np.linalg.eig returns non-orthogonal vectors inside a degenerate
-    # eigenspace; the Loewdin step must repair them.
+    # eigenspace; the Hermitian solver of the Cayley kernel returns
+    # orthonormal ones there.
     rng = np.random.default_rng(15)
     phases = np.array([0.3, 0.3, 0.3, -1.0])
     raw_dev = 0.0
@@ -141,7 +144,7 @@ def test_normal_eig_orthonormalizes_a_repeated_eigenvalue():
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) <= 1e-10
         assert np.max(np.abs((vecs * lam) @ vecs.conj().T - u)) <= 1e-10
         assert match_multisets(lam, np.exp(1j * phases)) < 1e-10
-    assert raw_dev > 1e-3  # the repair is needed on these draws
+    assert raw_dev > 1e-3  # eig's vectors would not do on these draws
 
 
 def test_normal_eig_stack_names_the_failing_matrix():
@@ -160,6 +163,133 @@ def test_normal_eig_rejects_non_normal():
     m = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="not normal"):
         normal_eig(m)
+
+
+def test_normal_eig_rejects_non_unitary():
+    with pytest.raises(ValueError, match="not unitary"):
+        normal_eig(np.diag([2.0, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# the Cayley kernel
+
+def fallback_shifts(d: int) -> np.ndarray:
+    """The kernel's fixed shifts exp(i (pi + 2 pi p / (d + 1))), p = 0..d,
+    with the bits the kernel gives them, and -1 exactly at p = 0."""
+    phi = np.pi + 2.0 * np.pi * np.arange(d + 1) / (d + 1)
+    z = np.cos(phi) + 1j * np.sin(phi)
+    z[0] = -1.0
+    return z
+
+
+def adversarial_spectra(rng, d: int) -> np.ndarray:
+    """Rows of d unit eigenvalues: random; one exactly -1; -I; all but one
+    of the kernel's d + 1 shifts, each left out in turn; clock spectra
+    (one holding 1, one rotated half a step, others rotated at random);
+    two repeated eigenvalues; clusters on either side of -1."""
+    def unit(phase):
+        return np.exp(1j * phase)
+
+    shifts = fallback_shifts(d)
+    one = unit(rng.uniform(-np.pi, np.pi, (40, d)))
+    one[:, 0] = -1.0
+    clock = 2.0 * np.pi * np.arange(d) / d
+    turns = np.concatenate([[0.0, np.pi / d], rng.uniform(-np.pi, np.pi, 10)])
+    pair = np.where(np.arange(d) < (d + 1) // 2, 0.3, -2.0)
+    near = np.array([1e-9, -1e-9, 1e-13, -1e-13, 1e-15])[:, None] * (1.0 + np.arange(d))
+    return np.concatenate([
+        unit(rng.uniform(-np.pi, np.pi, (122, d))),
+        one,
+        -np.ones((4, d), dtype=complex),
+        np.stack([np.delete(shifts, p) for p in range(d + 1)]),
+        unit(clock + turns[:, None]),
+        unit(np.stack([pair, -pair, pair + np.pi - 0.3])),
+        -unit(near),
+    ])
+
+
+def arc_mismatch(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per row, the largest difference of the sorted eigenphases ``theta``
+    from -arg of the eigenvalues ``lam``, both cut at the middle of the
+    widest arc between the latter, so that no phase sits at the cut."""
+    want = np.sort(-np.angle(lam), axis=1)
+    ring = np.concatenate([want, want[:, :1] + 2.0 * np.pi], axis=1)
+    at = np.arange(len(want))
+    k = np.diff(ring, axis=1).argmax(axis=1)
+    cut = (ring[at, k] + ring[at, k + 1]) / 2.0 + np.pi
+    def unrolled(t):
+        return np.sort(_wrap_phase(t - cut[:, None]), axis=1)
+    return np.abs(unrolled(theta) - unrolled(want)).max(axis=1)
+
+
+def test_cayley_kernel_recovers_constructed_spectra(monkeypatch):
+    # 4,032 unitaries, d = 2..8, each spectrum in three frames: diagonal
+    # (exact eigenvalues on the shifts: singular solves), permuted, Haar;
+    # the batched inverses counted show that rows reach the fallback shifts
+    rng = np.random.default_rng(31)
+    inverted, stages = np.linalg.inv, []
+
+    def counting(a):
+        if a.ndim == 3:
+            stages.append(len(a))
+        return inverted(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    count, singular, passes = 0, 0, 0
+    for d in range(2, 9):
+        lam = adversarial_spectra(rng, d)
+        n = len(lam)
+        diag = lam[:, :, None] * np.eye(d)
+        perm = np.eye(d)[np.stack([rng.permutation(d) for _ in range(n)])]
+        q = np.stack([random_unitary(rng, d) for _ in range(n)])
+        for frame in (None, perm, q):
+            ws = diag if frame is None else frame @ diag @ frame.conj().transpose(0, 2, 1)
+            stages.clear()
+            try:
+                np.linalg.inv(ws + np.eye(d))
+            except np.linalg.LinAlgError:
+                singular += 1
+            stages.clear()
+            theta, v = _cayley_eig(ws, True)
+            passes = max(passes, len(stages))
+            assert arc_mismatch(theta, lam).max() <= 1e-12
+            assert arc_mismatch(_cayley_eig(ws, False)[0], lam).max() <= 1e-12
+            recon = (v * np.exp(-1j * theta)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            assert np.abs(recon - ws).max() <= 1e-12
+            assert unitarity_deviation(v).max() <= 1e-12
+            eigvals, vecs = _normal_eig_stack(ws)
+            assert arc_mismatch(-np.angle(eigvals), lam).max() <= 1e-12
+            count += n
+    assert count == 4032 and singular >= 14  # each diagonal and permuted frame holds an exact -1
+    assert passes >= 3
+
+
+def test_cayley_rows_do_not_depend_on_the_batch(monkeypatch):
+    # -1 exactly makes the batched solve of pass 1 raise; the same row
+    # holds the fallback shifts p = 1..3, so it reaches the last one, and
+    # the rows inverted one by one must give the bits each gives alone
+    rng = np.random.default_rng(32)
+    d = 4
+    shifts = fallback_shifts(d)
+    good = [random_unitary(rng, d) for _ in range(5)]
+    good = [(q * np.exp(1j * rng.uniform(-np.pi, np.pi, d))) @ q.conj().T for q in good]
+    batch = np.stack(good[:2] + [np.diag(shifts[:d]), np.diag(shifts[1:])] + good[2:])
+    inverted, raised = np.linalg.inv, []
+
+    def spying(a):
+        try:
+            return inverted(a)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", spying)
+    theta, v = _cayley_eig(batch, True)
+    assert (len(batch), d, d) in raised
+    for i in range(len(batch)):
+        alone = _cayley_eig(batch[i:i + 1], True)
+        assert np.array_equal(alone[0][0], theta[i]) and np.array_equal(alone[1][0], v[i])
+        assert arc_mismatch(theta[i:i + 1], np.linalg.eigvals(batch[i:i + 1])).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

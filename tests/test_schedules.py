@@ -248,12 +248,37 @@ def test_power_inversion_matches_bisection(log2n, p):
     s_nodes = schedules._power_table(n, p)[3]
     s = np.concatenate([np.linspace(0.0, 1.0, 2049), s_nodes[1:-1:7]])
     f = schedule_values(build_grover_schedule(n, p), s)
-    f_ref = bisect_power_inverse(n, p, s)
+    f_ref = mirrored_bisection(n, p, s)
     assert np.all(np.abs(f - f_ref) <= 2.0 * np.spacing(f_ref))
 
 
+def mirrored_bisection(n: int, p: float, s: np.ndarray) -> np.ndarray:
+    """The bisection reference on the left half, mirrored onto the right
+    one: the gap is symmetric about f = 1/2, so f(s) = 1 - f(1 - s)."""
+    right = s > 0.5
+    f = bisect_power_inverse(n, p, np.where(right, 1.0 - s, s))
+    return np.where(right, 1.0 - f, f)
+
+
+@pytest.mark.parametrize("log2n, p", [(48, 1.9), (52, 1.9), (56, 1.9), (52, 1.99), (56, 1.99),
+                                      (60, 1.99), (64, 1.99), (64, 1.6), (64, 1.7), (64, 1.8),
+                                      (60, 1.7)])
+def test_power_schedule_ends_hold_where_d_is_large(log2n, p):
+    # at (2^52, 1.9), (2^56, 1.99), (2^64, 1.7) and (2^64, 1.99), with d
+    # from 1.9e7 to 5.4e9, inverting s near 1 from the left gave f(1) off 1
+    # by up to 1.6e-7: df/ds = 1/d there, so the rounding of the last s
+    # nodes moved f by about 1e-16 d
+    n = 2 ** log2n
+    sched = build_grover_schedule(n, p)
+    s_nodes = schedules._power_table(n, p)[3]
+    s = np.concatenate([np.linspace(0.0, 1.0, 513), s_nodes[1:-1:97], 1.0 - s_nodes[1:-1:97]])
+    f = schedule_values(sched, s)
+    assert schedule_values(sched, 0.0) == 0.0 and schedule_values(sched, 1.0) == 1.0
+    assert np.all(np.abs(f - mirrored_bisection(n, p, s)) <= 2.0 * np.spacing(f))
+
+
 def test_power_inversion_raises_at_its_iteration_cap(monkeypatch):
-    sched = build_grover_schedule(4096, 1.5)
+    sched = build_grover_schedule(2 ** 18, 1.5)
     monkeypatch.setattr(schedules, "POWER_NEWTON_CAP", 1)
     with pytest.raises(RuntimeError, match="unconverged"):
         schedule_values(sched, np.linspace(0.0, 1.0, 101))

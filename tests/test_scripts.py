@@ -193,5 +193,11 @@ def test_kernel_timings_prints_both_tables():
     assert [line.split()[:2] for line in lines[6:8]] == [["pf1", "1"], ["pf1", "8"]]
     assert lines[9] == "schedule inversion, p = 1.5, 6101 points (best of 1)"
     assert lines[10].split() == ["log2N", "us/point", "evals/point"]
-    (row,) = (line.split() for line in lines[11:])
+    row = lines[11].split()
     assert row[0] == "8" and float(row[1]) > 0 and 1.0 <= float(row[2]) <= 1.7
+    assert lines[13] == "eigensolvers, ms per 256 walks (best of 1)"
+    assert lines[14].split() == ["tag", "h", "stack", "gap", "eigvals", "pass2", "fallback"]
+    (row,) = (line.split() for line in lines[15:])
+    assert row[:2] == ["pf1", "3"] and all(float(t) > 0 for t in row[2:5])
+    # at h = 3 the phases of most walks wrap past pi, onto the first shift
+    assert 50.0 <= float(row[5].rstrip("%")) <= 100.0 and float(row[6].rstrip("%")) <= 5.0

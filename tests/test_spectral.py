@@ -378,6 +378,27 @@ def test_exp_walk_gap_is_scaled_hamiltonian_gap():
     assert np.max(np.abs(walk_gaps - h * ham_gaps)) <= 1e-10
 
 
+def test_lowest_phase_gap_matches_eigvals_and_rejects_non_unitary():
+    # at h = 3 the phases of four_level_pair wrap past pi, so most walks
+    # leave the first Cayley shift (-1) for a second one
+    h0, h1 = four_level_pair()
+    fam = build_walk_family(h0, h1, LINEAR, PF1, 3.0, 300)
+    ws = fam.block(0, 301)
+    theta = np.sort(-np.angle(np.linalg.eigvals(ws)), axis=-1)
+    arcs = np.abs((theta[:, 1:] - theta[:, :1] + np.pi) % (2.0 * np.pi) - np.pi)
+    gaps = spectral.lowest_phase_gap(ws)
+    assert gaps.shape == (301,) and np.max(np.abs(gaps - arcs.min(axis=1))) <= 1e-12
+    one = spectral.lowest_phase_gap(ws[7])
+    assert one.shape == () and one == gaps[7]
+    assert spectral.lowest_phase_gap(ws[:0]).shape == (0,)
+    bad = np.array(ws)
+    bad[5] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        spectral.lowest_phase_gap(bad)
+    with pytest.raises(ValueError, match="not unitary"):
+        spectral.lowest_phase_gap(2.0 * ws[0])
+
+
 def test_hamiltonian_profile_matches_search_closed_form():
     inst = GroverInstance(64, 1)
     h0, h1 = effective_hamiltonians(inst)
